@@ -18,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 from repro.core.tool import prioritize_dagman_file
-from repro.dagman import flatten_dagman_file
+from repro.dagman import import_dagman_file
 
 PREPROCESS = """\
 JOB fetch fetch.sub
@@ -69,7 +69,7 @@ def main(workdir: str | None = None) -> None:
     (root / "top.dag").write_text(TOP)
 
     # --- splices -----------------------------------------------------------
-    flat = flatten_dagman_file(root / "top.dag")
+    flat = import_dagman_file(root / "top.dag").flat
     print(f"flattened top.dag: {len(flat.jobs)} jobs")
     print("  jobs:", ", ".join(flat.jobs))
     out = root / "top_flat.dag"

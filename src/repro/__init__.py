@@ -49,7 +49,7 @@ from .obs import (
     read_telemetry,
 )
 from .dagman import (
-    flatten_dagman_file,
+    import_dagman_file,
     lint_dagman,
     parse_dagman_file,
     parse_dagman_text,
@@ -93,8 +93,8 @@ __all__ = [
     "eligibility_profile",
     "fifo_schedule",
     "fig2_catalog",
-    "flatten_dagman_file",
     "get_workload",
+    "import_dagman_file",
     "inspiral",
     "is_ic_optimal",
     "lint_dagman",

@@ -60,9 +60,11 @@ from .analysis.overhead import measure_overhead, render_overhead_table
 from .analysis.report import render_curves_table, render_sweep
 from .analysis.sweep import SweepConfig, paper_grid, ratio_sweep
 from .core.prio import prio_schedule
+from .core.rescheduling import RemnantError
 from .core.tool import prioritize_dagman_file
 from .dag.graph import Dag
-from .dagman.parser import parse_dagman_file
+from .dagman.importer import DagmanImportError
+from .dagman.parser import DagmanParseError, parse_dagman_file
 from .sim.engine import SimParams, make_policy, simulate
 from .sim.policies import cli_policy_names, policy_spec
 from .workloads.registry import get_workload, workload_names
@@ -81,7 +83,7 @@ def _load_dag(spec: str) -> tuple[Dag, str]:
     EXTERNAL trees flatten transparently for every subcommand.
     """
     if spec.endswith(".dag"):
-        from .dagman.importer import DagmanImportError, import_dagman_file
+        from .dagman.importer import import_dagman_file
 
         try:
             return import_dagman_file(spec).dag, spec
@@ -320,19 +322,20 @@ def _resume_hint(checkpoint) -> None:
 
 
 def _cmd_prio(args: argparse.Namespace) -> int:
-    result = prioritize_dagman_file(
-        args.dagfile,
-        output=args.output,
-        instrument_jsdfs=args.jsdfs,
-        respect_done=args.rescue,
-    )
+    try:
+        result = prioritize_dagman_file(
+            args.dagfile,
+            output=args.output,
+            instrument_jsdfs=args.jsdfs,
+            respect_done=args.rescue,
+        )
+    except (DagmanImportError, RemnantError) as exc:
+        raise CliError(str(exc)) from None
     print(result.summary())
     if args.verbose:
-        dag = result.dagman.to_dag()
         order = sorted(result.priorities, key=result.priorities.get, reverse=True)
         print("PRIO schedule:", ", ".join(order))
         print("families:", result.prio.families_used)
-        del dag
     return 0
 
 
@@ -791,7 +794,7 @@ def _cmd_import(args: argparse.Namespace) -> int:
     import json as _json
     from pathlib import Path
 
-    from .dagman.importer import DagmanImportError, import_dagman_file
+    from .dagman.importer import import_dagman_file
 
     path = Path(args.dagfile)
     try:
@@ -849,7 +852,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         findings = lint_dagman_tree(path)
         label = f"{path.name} (tree)"
     else:
-        dagman = parse_dagman_file(path)
+        try:
+            dagman = parse_dagman_file(path)
+        except DagmanParseError as exc:
+            raise CliError(f"{path}: {exc}") from None
+        except OSError as exc:
+            raise CliError(f"cannot read {path}: {exc.strerror}") from None
         findings = lint_dagman(
             dagman, root=path.parent if args.check_jsdfs else None
         )
@@ -885,22 +893,17 @@ def _cmd_rounds(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .dagman.importer import DagmanImportError, import_dagman_file
+    from .core.tool import prioritize_dagman
+    from .dagman.importer import load_dagman_file
     from .dagman.runner import JobState, SubprocessExecutor, run_workflow
 
     path = Path(args.dagfile)
-    dagman = parse_dagman_file(path)
-    if dagman.splices:
-        # Splices are inlined at submit time; SUBDAG EXTERNAL nodes stay
-        # opaque (a real DAGMan would hand them to a nested instance).
-        try:
-            dagman = import_dagman_file(path, expand_subdags=False).flat
-        except DagmanImportError as exc:
-            raise CliError(str(exc)) from None
-    if args.prioritize:
-        from .core.tool import prioritize_dagman
-
-        prioritize_dagman(dagman, respect_done=True)
+    try:
+        dagman, _ = load_dagman_file(path)
+        if args.prioritize:
+            prioritize_dagman(dagman, respect_done=True)
+    except (DagmanImportError, RemnantError) as exc:
+        raise CliError(str(exc)) from None
     executor = SubprocessExecutor(path.parent, timeout=args.timeout)
     run = run_workflow(
         dagman,

@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..dagman.importer import DagmanImportError, load_dagman_file
 from ..dagman.jsdf import instrument_jsdf_file
 from ..dagman.model import DagmanFile
-from ..dagman.parser import parse_dagman_file
 from ..dagman.writer import write_dagman_file
 from .prio import PrioResult, prio_schedule
 
@@ -103,19 +103,20 @@ def prioritize_dagman_file(
         file (resolved against *jsdf_root*, default the DAGMan file's
         directory, honoring each job's ``DIR``).  Missing files are
         reported, not fatal.
+
+    A file with ``SPLICE`` statements is flattened as
+    :func:`~repro.dagman.importer.load_dagman_file` does and needs
+    *output*.  A defective file tree, or a splice file without *output*,
+    raises :class:`~repro.dagman.importer.DagmanImportError`.
     """
     path = Path(path)
-    dagman = parse_dagman_file(path)
-    if dagman.splices:
-        if output is None:
-            raise ValueError(
-                f"{path} contains SPLICE statements; flattening rewrites the "
-                "file structure, so pass output= (or the CLI's -o) to write "
-                "the flattened, instrumented workflow elsewhere"
-            )
-        from ..dagman.splice import flatten_dagman_file
-
-        dagman = flatten_dagman_file(path)
+    dagman, flattened = load_dagman_file(path)
+    if flattened and output is None:
+        raise DagmanImportError(
+            f"{path} contains SPLICE statements; flattening rewrites the "
+            "file structure, so pass output= (or the CLI's -o) to write "
+            "the flattened, instrumented workflow elsewhere"
+        )
     result = prioritize_dagman(dagman, **prio_kwargs)
     write_dagman_file(dagman, output if output is not None else path)
     if instrument_jsdfs:

@@ -6,6 +6,7 @@ from .importer import (
     JobMeta,
     import_dagman_file,
     import_dagman_tree,
+    load_dagman_file,
 )
 from .jsdf import (
     PRIORITY_LINE,
@@ -24,7 +25,6 @@ from .runner import (
     expand_macros,
     run_workflow,
 )
-from .splice import SpliceError, flatten_dagman, flatten_dagman_file
 from .writer import dag_to_dagman, write_dagman_file
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "JobMeta",
     "import_dagman_file",
     "import_dagman_tree",
+    "load_dagman_file",
     "lint_dagman_tree",
     "JOBPRIORITY_MACRO",
     "JobDecl",
@@ -47,9 +48,6 @@ __all__ = [
     "WorkflowRun",
     "expand_macros",
     "run_workflow",
-    "SpliceError",
-    "flatten_dagman",
-    "flatten_dagman_file",
     "PRIORITY_LINE",
     "dag_to_dagman",
     "instrument_jsdf_file",

@@ -51,11 +51,11 @@ from __future__ import annotations
 
 import posixpath
 import re
-from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from pathlib import Path
 
-from ..dag.graph import CycleError, Dag
+from ..dag.graph import Dag
 from .model import JOBPRIORITY_MACRO, DagmanFile, JobDecl
 from .parser import DagmanParseError, parse_dagman_text
 
@@ -66,6 +66,7 @@ __all__ = [
     "MAX_IMPORT_DEPTH",
     "import_dagman_file",
     "import_dagman_tree",
+    "load_dagman_file",
 ]
 
 #: Include-nesting ceiling; beyond this the tree is assumed degenerate.
@@ -76,9 +77,10 @@ _RESCUE_SUFFIX_RE = re.compile(r"\.rescue(\d*)$")
 
 
 class DagmanImportError(ValueError):
-    """An unresolvable workflow tree: missing or cyclic includes, macro
-    references without a definition in an include path, name clashes
-    after namespacing, or a dependency cycle in the flattened dag."""
+    """An unresolvable workflow tree: an unreadable or malformed file,
+    missing or cyclic includes, macro references without a definition in
+    an include path, name clashes after namespacing, a dependency on an
+    undeclared name, or a dependency cycle in the flattened dag."""
 
 
 @dataclass
@@ -204,31 +206,120 @@ def _statement_order(dagman: DagmanFile) -> list[str]:
     return order
 
 
-class _Resolver:
-    """Recursive flattening over an injected file reader.
+class _MemoryTree:
+    """An in-memory file tree: POSIX-style relative paths to file text.
 
-    ``read(key)`` returns file text or None when missing; ``resolve(base,
-    ref)`` canonicalizes an include reference against the directory of
-    the including file's *key*; ``display(key)`` is the human-facing
-    name used in errors and metadata; ``find_rescue(key)`` returns the
-    key of the newest rescue companion, or None.
+    Every tree offers ``read(key)`` (file text, or None when missing),
+    ``resolve(base, ref)`` (an include reference canonicalized against
+    the directory of the including file's *key*), ``display(key)`` (the
+    name used in errors and metadata), ``find_rescue(key)`` (the key of
+    the newest rescue companion, or None) and ``root_dir`` (the directory
+    ``DIR`` targets live in, None when there is no disk to check).
     """
+
+    root_dir: Path | None = None
+
+    def __init__(self, files: Mapping[str, str], root: str):
+        self.files = dict(files)
+        self.root = root
+
+    def read(self, key: str) -> str | None:
+        return self.files.get(key)
+
+    def resolve(self, base: str, ref: str) -> str:
+        return posixpath.normpath(posixpath.join(posixpath.dirname(base), ref))
+
+    def display(self, key: str) -> str:
+        return key
+
+    def find_rescue(self, key: str) -> str | None:
+        return _newest_rescue(
+            [k for k in self.files if k.startswith(key + ".rescue")], key
+        )
+
+
+class _DiskTree:
+    """The on-disk file tree under the root ``.dag`` at *path*: keys are
+    absolute paths, displayed relative to the root's directory.
+    *rescue_file* overrides the root's rescue companion."""
+
+    def __init__(
+        self, path: str | Path, rescue_file: str | Path | None = None
+    ):
+        root = Path(path).resolve()
+        self.root = str(root)
+        self.root_dir = root.parent
+        self._rescue_file = (
+            str(Path(rescue_file).resolve()) if rescue_file is not None
+            else None
+        )
+
+    def read(self, key: str) -> str | None:
+        try:
+            return Path(key).read_text()
+        except OSError:
+            return None
+
+    def resolve(self, base: str, ref: str) -> str:
+        return str((Path(base).parent / ref).resolve())
+
+    def display(self, key: str) -> str:
+        try:
+            return str(Path(key).relative_to(self.root_dir))
+        except ValueError:
+            return key
+
+    def find_rescue(self, key: str) -> str | None:
+        if self._rescue_file is not None and key == self.root:
+            return self._rescue_file
+        target = Path(key)
+        candidates = [
+            str(p)
+            for p in target.parent.glob(target.name + ".rescue*")
+            if p.is_file()
+        ]
+        return _newest_rescue(candidates, key)
+
+
+_Tree = _MemoryTree | _DiskTree
+
+
+def _parse(tree: _Tree, key: str, includer: str | None = None) -> DagmanFile:
+    """Parse the file at *key*; unreadable or malformed files raise
+    :class:`DagmanImportError` naming the file (and its *includer*)."""
+    text = tree.read(key)
+    if text is None:
+        raise DagmanImportError(
+            f"cannot read workflow file {tree.display(key)!r}"
+            + (f" (included from {tree.display(includer)})" if includer else "")
+        )
+    try:
+        return parse_dagman_text(text)
+    except DagmanParseError as exc:
+        raise DagmanImportError(f"{tree.display(key)}: {exc}") from exc
+
+
+def _checked_dag(dagman: DagmanFile, where: str) -> Dag:
+    """``dagman.to_dag()``, its failures raised as :class:`DagmanImportError`."""
+    try:
+        return dagman.to_dag()
+    except ValueError as exc:  # a dependency cycle or an undeclared name
+        raise DagmanImportError(f"{where}: {exc}") from exc
+
+
+class _Resolver:
+    """Recursive flattening over a file tree (see :class:`_MemoryTree`)."""
 
     def __init__(
         self,
+        tree: _Tree,
         *,
-        read: Callable[[str], str | None],
-        resolve: Callable[[str, str], str],
-        display: Callable[[str], str],
-        find_rescue: Callable[[str], str | None],
         expand_subdags: bool = True,
         rescue: bool = False,
         max_depth: int = MAX_IMPORT_DEPTH,
     ):
-        self._read = read
-        self._resolve = resolve
-        self._display = display
-        self._find_rescue = find_rescue
+        self._tree = tree
+        self._display = tree.display
         self._expand_subdags = expand_subdags
         self._rescue = rescue
         self._max_depth = max_depth
@@ -240,18 +331,7 @@ class _Resolver:
     # -- file access ----------------------------------------------------
 
     def _parse(self, key: str, chain: tuple[str, ...]) -> DagmanFile:
-        text = self._read(key)
-        if text is None:
-            raise DagmanImportError(
-                f"cannot read workflow file {self._display(key)!r}"
-                + (f" (included from {self._display(chain[-1])})" if chain else "")
-            )
-        try:
-            parsed = parse_dagman_text(text)
-        except DagmanParseError as exc:
-            raise DagmanImportError(
-                f"{self._display(key)}: {exc}"
-            ) from exc
+        parsed = _parse(self._tree, key, chain[-1] if chain else None)
         self.sources.append(self._display(key))
         return parsed
 
@@ -259,19 +339,10 @@ class _Resolver:
         """Job names the newest rescue companion of *key* marks DONE."""
         if not self._rescue:
             return set()
-        rescue_key = self._find_rescue(key)
-        if rescue_key is None:
+        rescue_key = self._tree.find_rescue(key)
+        if rescue_key is None or self._tree.read(rescue_key) is None:
             return set()
-        text = self._read(rescue_key)
-        if text is None:
-            return set()
-        try:
-            parsed = parse_dagman_text(text)
-        except DagmanParseError as exc:
-            raise DagmanImportError(
-                f"{self._display(rescue_key)}: {exc}"
-            ) from exc
-        self.sources.append(self._display(rescue_key))
+        parsed = self._parse(rescue_key, ())
         done = set(parsed.done_names)
         done.update(n for n, d in parsed.jobs.items() if d.done)
         return done
@@ -416,7 +487,7 @@ class _Resolver:
                 f"undefined macro(s) {sorted(set(unresolved))} in "
                 f"{ref!r}"
             )
-        target = self._resolve(key, expanded_ref)
+        target = self._tree.resolve(key, expanded_ref)
         if target in chain:
             loop = [self._display(k) for k in chain] + [self._display(target)]
             raise DagmanImportError(
@@ -519,19 +590,15 @@ class _Resolver:
         flat.lines = lines
 
 
-def _finish(resolver: _Resolver, root_display: str) -> ImportedWorkflow:
-    try:
-        dag = resolver.flat.to_dag()
-    except CycleError as exc:
-        raise DagmanImportError(
-            f"flattened workflow contains a dependency cycle: {exc}"
-        ) from exc
+def _import(tree: _Tree, **options) -> ImportedWorkflow:
+    resolver = _Resolver(tree, **options)
+    resolver.run(tree.root)
     return ImportedWorkflow(
-        dag=dag,
+        dag=_checked_dag(resolver.flat, "flattened workflow"),
         flat=resolver.flat,
         meta=resolver.meta,
         sources=tuple(dict.fromkeys(resolver.sources)),
-        root=root_display,
+        root=tree.display(tree.root),
     )
 
 
@@ -551,32 +618,14 @@ def import_dagman_tree(
     the corpus generators and the property suites use — no filesystem,
     fully deterministic.
     """
-    files = dict(tree)
-    if root not in files:
+    if root not in tree:
         raise DagmanImportError(f"root {root!r} not in tree")
-
-    def read(key: str) -> str | None:
-        return files.get(key)
-
-    def resolve(base: str, ref: str) -> str:
-        return posixpath.normpath(posixpath.join(posixpath.dirname(base), ref))
-
-    def find_rescue(key: str) -> str | None:
-        return _newest_rescue(
-            [k for k in files if k.startswith(key + ".rescue")], key
-        )
-
-    resolver = _Resolver(
-        read=read,
-        resolve=resolve,
-        display=lambda key: key,
-        find_rescue=find_rescue,
+    return _import(
+        _MemoryTree(tree, root),
         expand_subdags=expand_subdags,
         rescue=rescue,
         max_depth=max_depth,
     )
-    resolver.run(root)
-    return _finish(resolver, root)
 
 
 def import_dagman_file(
@@ -593,49 +642,33 @@ def import_dagman_file(
     With ``rescue=True`` each file's newest rescue companion is applied;
     ``rescue_file=`` overrides the root's companion explicitly.
     """
-    root = Path(path).resolve()
-    root_dir = root.parent
-    override = (
-        str(Path(rescue_file).resolve()) if rescue_file is not None else None
-    )
-
-    def read(key: str) -> str | None:
-        try:
-            return Path(key).read_text()
-        except OSError:
-            return None
-
-    def resolve(base: str, ref: str) -> str:
-        return str((Path(base).parent / ref).resolve())
-
-    def display(key: str) -> str:
-        try:
-            return str(Path(key).relative_to(root_dir))
-        except ValueError:
-            return key
-
-    def find_rescue(key: str) -> str | None:
-        if override is not None and key == str(root):
-            return override
-        target = Path(key)
-        candidates = [
-            str(p)
-            for p in target.parent.glob(target.name + ".rescue*")
-            if p.is_file()
-        ]
-        return _newest_rescue(candidates, key)
-
-    resolver = _Resolver(
-        read=read,
-        resolve=resolve,
-        display=display,
-        find_rescue=find_rescue,
+    return _import(
+        _DiskTree(path, rescue_file),
         expand_subdags=expand_subdags,
         rescue=rescue or rescue_file is not None,
         max_depth=max_depth,
     )
-    resolver.run(str(root))
-    return _finish(resolver, display(str(root)))
+
+
+def load_dagman_file(path: str | Path) -> tuple[DagmanFile, bool]:
+    """The DAGMan file at *path* as one DAGMan instance runs it, and
+    whether its splices had to be inlined to get there.
+
+    A file without ``SPLICE`` statements comes back as parsed, comments
+    and all, so it can be rewritten in place.  A file with splices comes
+    back flattened as :func:`import_dagman_file` flattens it with
+    ``SUBDAG EXTERNAL`` nodes kept opaque: DAGMan inlines splices at
+    submit time but runs each sub-dag as an instance of its own.  Either
+    way the result's :meth:`~DagmanFile.to_dag` succeeds; an unreadable
+    or malformed file, an undeclared dependency name, a cycle, or a
+    missing or recursive include raises :class:`DagmanImportError`.
+    """
+    tree = _DiskTree(path)
+    dagman = _parse(tree, tree.root)
+    if dagman.splices:
+        return _import(tree, expand_subdags=False).flat, True
+    _checked_dag(dagman, tree.display(tree.root))
+    return dagman, False
 
 
 def _newest_rescue(candidates: list[str], key: str) -> str | None:

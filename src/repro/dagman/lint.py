@@ -26,13 +26,19 @@ Findings carry a severity: ``error`` (DAGMan would refuse or wedge) or
 
 from __future__ import annotations
 
-import posixpath
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..dag.graph import CycleError, DagBuilder
-from .importer import MAX_IMPORT_DEPTH, _expand, _join_dir, _MACRO_RE
+from .importer import (
+    _MACRO_RE,
+    MAX_IMPORT_DEPTH,
+    _DiskTree,
+    _expand,
+    _join_dir,
+    _MemoryTree,
+)
 from .model import DagmanFile
 from .parser import DagmanParseError, parse_dagman_text
 
@@ -184,41 +190,12 @@ def lint_dagman_tree(
             seen_findings.add(key)
             findings.append(Finding(severity, code, message, where))
 
-    if isinstance(source, Mapping):
-        files = dict(source)
-        root_dir: Path | None = None
-        root_key = root
-
-        def read(key: str) -> str | None:
-            return files.get(key)
-
-        def resolve(base: str, ref: str) -> str:
-            return posixpath.normpath(
-                posixpath.join(posixpath.dirname(base), ref)
-            )
-
-        def display(key: str) -> str:
-            return key
-
-    else:
-        root_path = Path(source).resolve()
-        root_dir = root_path.parent
-        root_key = str(root_path)
-
-        def read(key: str) -> str | None:
-            try:
-                return Path(key).read_text()
-            except OSError:
-                return None
-
-        def resolve(base: str, ref: str) -> str:
-            return str((Path(base).parent / ref).resolve())
-
-        def display(key: str) -> str:
-            try:
-                return str(Path(key).relative_to(root_dir))
-            except ValueError:
-                return key
+    tree = (
+        _MemoryTree(source, root)
+        if isinstance(source, Mapping)
+        else _DiskTree(source)
+    )
+    root_dir, display = tree.root_dir, tree.display
 
     def leftover_macros(text: str) -> list[str]:
         return sorted(set(_MACRO_RE.findall(text)))
@@ -261,7 +238,7 @@ def lint_dagman_tree(
             return
         sub_dir = _expand(directory, macros) if directory else None
         check_dir(sub_dir, scope, who)
-        target = resolve(key, expanded_ref)
+        target = tree.resolve(key, expanded_ref)
         if target in chain:
             loop = [display(k) for k in chain] + [display(target)]
             add(
@@ -297,7 +274,7 @@ def lint_dagman_tree(
         depth: int,
         includer: str | None,
     ) -> None:
-        text = read(key)
+        text = tree.read(key)
         if text is None:
             add(
                 "error",
@@ -369,10 +346,10 @@ def lint_dagman_tree(
             )
 
     walk(
-        root_key,
+        tree.root,
         scope=None,
         inherited={},
-        chain=(root_key,),
+        chain=(tree.root,),
         depth=0,
         includer=None,
     )

@@ -86,12 +86,12 @@ class DagmanFile:
         Duplicate dependencies collapse; unknown job names in PARENT/CHILD
         raise ``ValueError`` (DAGMan would likewise reject the file).
         Files containing splices must be flattened first
-        (:func:`repro.dagman.splice.flatten_dagman_file`).
+        (:func:`repro.dagman.importer.import_dagman_file`).
         """
         if self.splices:
             raise ValueError(
                 "file contains SPLICE statements; flatten it first "
-                "(repro.dagman.flatten_dagman_file)"
+                "(repro.dagman.import_dagman_file)"
             )
         builder = DagBuilder()
         for name in self.jobs:

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
+from .importer import _MACRO_RE
 from .jsdf import parse_jsdf
 from .model import JOBPRIORITY_MACRO, DagmanFile, JobDecl
 
@@ -52,8 +53,6 @@ __all__ = [
 ]
 
 Executor = Callable[[JobDecl, dict[str, str]], int]
-
-_MACRO_RE = re.compile(r"\$\((\w[\w.\-+]*)\)")
 
 
 class JobState(Enum):
@@ -191,7 +190,9 @@ def run_workflow(
     SCRIPT PRE/POST command lines; without it, scripts are skipped.
     """
     if dagman.splices:
-        raise ValueError("flatten splices before execution")
+        raise ValueError(
+            "flatten splices before execution (repro.dagman.load_dagman_file)"
+        )
     if max_workers < 1:
         raise ValueError("max_workers must be at least 1")
     dag = dagman.to_dag()

@@ -1,14 +1,13 @@
-"""Tests for SPLICE flattening and SUBDAG handling."""
+"""Tests for SPLICE statements and their flattening by the importer."""
 
 import pytest
 
-from repro.dagman.model import DagmanFile
-from repro.dagman.parser import DagmanParseError, parse_dagman_text
-from repro.dagman.splice import (
-    SpliceError,
-    flatten_dagman,
-    flatten_dagman_file,
+from repro.dagman.importer import (
+    DagmanImportError,
+    import_dagman_file,
+    import_dagman_tree,
 )
+from repro.dagman.parser import DagmanParseError, parse_dagman_text
 
 INNER = """\
 JOB in1 in1.sub
@@ -28,13 +27,10 @@ PARENT block CHILD teardown
 """
 
 
-def loader(files):
-    parsed = {name: parse_dagman_text(text) for name, text in files.items()}
-
-    def load(ref):
-        return parsed[ref]
-
-    return load
+def flatten(outer: str = OUTER, inner: str = INNER):
+    """The flat DagmanFile of *outer* with *inner* as ``inner.dag``."""
+    tree = {"outer.dag": outer, "inner.dag": inner}
+    return import_dagman_tree(tree, "outer.dag").flat
 
 
 class TestParsing:
@@ -70,9 +66,7 @@ class TestParsing:
 
 class TestFlatten:
     def test_jobs_prefixed(self):
-        flat = flatten_dagman(
-            parse_dagman_text(OUTER), loader({"inner.dag": INNER})
-        )
+        flat = flatten()
         assert set(flat.jobs) == {
             "setup",
             "teardown",
@@ -82,58 +76,35 @@ class TestFlatten:
         }
 
     def test_arcs_attach_to_sources_and_sinks(self):
-        flat = flatten_dagman(
-            parse_dagman_text(OUTER), loader({"inner.dag": INNER})
-        )
-        arcs = set(flat.arcs)
+        arcs = set(flatten().arcs)
         assert ("setup", "block+in1") in arcs          # inner source
         assert ("block+in2", "teardown") in arcs       # inner sinks
         assert ("block+in3", "teardown") in arcs
         assert ("block+in1", "block+in2") in arcs      # inner arc kept
 
     def test_vars_carried_over(self):
-        flat = flatten_dagman(
-            parse_dagman_text(OUTER), loader({"inner.dag": INNER})
-        )
+        flat = flatten()
         assert flat.vars_["block+in2"]["site"] == "remote"
 
     def test_dag_structure(self):
-        flat = flatten_dagman(
-            parse_dagman_text(OUTER), loader({"inner.dag": INNER})
-        )
-        dag = flat.to_dag()
+        dag = flatten().to_dag()
         assert dag.n == 5
         assert [dag.label(u) for u in dag.sources()] == ["setup"]
         assert [dag.label(u) for u in dag.sinks()] == ["teardown"]
 
     def test_dir_composes(self):
-        outer = "SPLICE s inner.dag DIR outerdir\n"
-        inner = "JOB j j.sub DIR innerdir\n"
-        flat = flatten_dagman(
-            parse_dagman_text(outer), loader({"inner.dag": inner})
+        flat = flatten(
+            "SPLICE s inner.dag DIR outerdir\n",
+            "JOB j j.sub DIR innerdir\n",
         )
         assert flat.jobs["s+j"].directory == "outerdir/innerdir"
 
     def test_splice_to_splice_arcs(self):
-        outer = (
+        flat = flatten(
             "SPLICE a inner.dag\nSPLICE b inner.dag\nPARENT a CHILD b\n"
-        )
-        flat = flatten_dagman(
-            parse_dagman_text(outer), loader({"inner.dag": INNER})
         )
         assert ("a+in2", "b+in1") in flat.arcs
         assert ("a+in3", "b+in1") in flat.arcs
-
-    def test_flat_input_returned_unchanged(self):
-        f = parse_dagman_text("JOB a a.sub\n")
-        assert flatten_dagman(f, loader({})) is f
-
-    def test_unflattened_loader_rejected(self):
-        nested = "SPLICE deep other.dag\n"
-        with pytest.raises(SpliceError, match="unflattened"):
-            flatten_dagman(
-                parse_dagman_text(OUTER), loader({"inner.dag": nested})
-            )
 
 
 class TestFlattenFile:
@@ -144,27 +115,27 @@ class TestFlattenFile:
         self._write(tmp_path, "leaf.dag", "JOB x x.sub\n")
         self._write(tmp_path, "mid.dag", "SPLICE inner leaf.dag\nJOB m m.sub\nPARENT m CHILD inner\n")
         self._write(tmp_path, "top.dag", "SPLICE block mid.dag\n")
-        flat = flatten_dagman_file(tmp_path / "top.dag")
+        flat = import_dagman_file(tmp_path / "top.dag").flat
         assert set(flat.jobs) == {"block+m", "block+inner+x"}
         assert ("block+m", "block+inner+x") in flat.arcs
 
     def test_cycle_detected(self, tmp_path):
         self._write(tmp_path, "a.dag", "SPLICE b b.dag\n")
         self._write(tmp_path, "b.dag", "SPLICE a a.dag\n")
-        with pytest.raises(SpliceError, match="recursive"):
-            flatten_dagman_file(tmp_path / "a.dag")
+        with pytest.raises(DagmanImportError, match="recursive"):
+            import_dagman_file(tmp_path / "a.dag")
 
     def test_missing_file(self, tmp_path):
         self._write(tmp_path, "a.dag", "SPLICE b nowhere.dag\n")
-        with pytest.raises(SpliceError, match="not found"):
-            flatten_dagman_file(tmp_path / "a.dag")
+        with pytest.raises(DagmanImportError, match="cannot read"):
+            import_dagman_file(tmp_path / "a.dag")
 
     def test_tool_integration(self, tmp_path):
         self._write(tmp_path, "inner.dag", INNER)
         self._write(tmp_path, "outer.dag", OUTER)
         from repro.core.tool import prioritize_dagman_file
 
-        with pytest.raises(ValueError, match="SPLICE"):
+        with pytest.raises(DagmanImportError, match="SPLICE"):
             prioritize_dagman_file(tmp_path / "outer.dag")
         out = tmp_path / "flat.dag"
         result = prioritize_dagman_file(tmp_path / "outer.dag", output=out)

@@ -39,6 +39,91 @@ class TestPrioCommand:
         main(["prio", str(fig3_file), "-v"])
         assert "c, a, b, d, e" in capsys.readouterr().out
 
+    def test_splice_tree_output_matches_import(self, tmp_path, capsys):
+        (tmp_path / "inner.dag").write_text(
+            "JOB a a.sub\nJOB b b.sub\nPARENT a CHILD b\n"
+            "RETRY a 2\nSCRIPT PRE b stage.sh $(JOB)\n"
+            'VARS b chunk="7"\n'
+        )
+        top = tmp_path / "top.dag"
+        top.write_text(
+            "JOB setup setup.sub\nSPLICE block inner.dag DIR blk\n"
+            "JOB teardown teardown.sub\n"
+            "PARENT setup CHILD block\nPARENT block CHILD teardown\n"
+            "RETRY setup 3\nRETRY block 1\nSCRIPT PRE teardown pre.sh\n"
+            'VARS setup mode="fast"\nVARS block site="remote"\n'
+        )
+        prio_out, import_out = tmp_path / "prio.dag", tmp_path / "import.dag"
+        assert main(["prio", str(top), "-o", str(prio_out)]) == 0
+        assert main([
+            "import", str(top), "--no-subdags", "--prioritize",
+            "-o", str(import_out),
+        ]) == 0
+        text = prio_out.read_text()
+        assert text == import_out.read_text()
+        for line in (
+            "RETRY setup 3",
+            "RETRY block+a 2",
+            "RETRY block+b 1",
+            "SCRIPT PRE block+b stage.sh $(JOB)",
+            "SCRIPT PRE teardown pre.sh",
+            'VARS block+b site="remote"',
+            'VARS block+b chunk="7"',
+        ):
+            assert line in text.splitlines()
+
+
+# Untrusted input the dagman-facing commands must reject with one line.
+BAD_TREES = {
+    "parse-error": {"bad.dag": "JOB a\n"},
+    "missing-file": {},
+    "undeclared-name": {"bad.dag": "JOB a a.sub\nPARENT a CHILD ghost\n"},
+    "cycle": {
+        "bad.dag": "JOB a a.sub\nJOB b b.sub\n"
+        "PARENT a CHILD b\nPARENT b CHILD a\n"
+    },
+    "missing-include": {"bad.dag": "SPLICE s nowhere.dag\n"},
+    "include-cycle": {
+        "bad.dag": "SPLICE s other.dag\n",
+        "other.dag": "SPLICE t bad.dag\n",
+    },
+    "splice-in-place": {
+        "bad.dag": "SPLICE s inner.dag\n",
+        "inner.dag": "JOB a a.sub\n",
+    },
+    "done-not-closed": {
+        "bad.dag": "JOB a a.sub\nJOB b b.sub DONE\nPARENT a CHILD b\n"
+    },
+}
+
+
+UNTRUSTED_INPUT_CASES = (
+    [(["prio"], case) for case in BAD_TREES if case != "done-not-closed"]
+    + [(["prio", "--rescue"], "done-not-closed")]
+    + [
+        (["run"], case)
+        for case in BAD_TREES
+        if case not in ("splice-in-place", "done-not-closed")
+    ]
+    + [(["run", "--prioritize"], "done-not-closed")]
+    + [(["lint"], "parse-error"), (["lint"], "missing-file")]
+)
+
+
+@pytest.mark.parametrize(
+    "argv, case",
+    [
+        pytest.param(argv, case, id=f"{' '.join(argv)}:{case}")
+        for argv, case in UNTRUSTED_INPUT_CASES
+    ],
+)
+def test_untrusted_input_is_one_error_line(argv, case, tmp_path, capsys):
+    for name, text in BAD_TREES[case].items():
+        (tmp_path / name).write_text(text)
+    assert main([*argv, str(tmp_path / "bad.dag")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestScheduleCommand:
     def test_prio_schedule_of_file(self, fig3_file, capsys):

@@ -193,10 +193,9 @@ def inner_workflows(draw):
 @COMMON
 @given(inner_workflows(), inner_workflows())
 def test_splice_flattening_preserves_structure(inner_a, inner_b):
-    from repro.dagman.parser import parse_dagman_text
-    from repro.dagman.splice import flatten_dagman
+    from repro.dagman.importer import import_dagman_tree
 
-    outer = parse_dagman_text(
+    outer = (
         "JOB pre pre.sub\n"
         "SPLICE sa a.dag\n"
         "SPLICE sb b.dag\n"
@@ -205,11 +204,13 @@ def test_splice_flattening_preserves_structure(inner_a, inner_b):
         "PARENT sa CHILD sb\n"
         "PARENT sb CHILD post\n"
     )
-    flat = flatten_dagman(
-        outer, {"a.dag": inner_a, "b.dag": inner_b}.__getitem__
-    )
-    assert len(flat.jobs) == 2 + len(inner_a.jobs) + len(inner_b.jobs)
-    dag = flat.to_dag()
+    tree = {
+        "outer.dag": outer,
+        "a.dag": inner_a.render(),
+        "b.dag": inner_b.render(),
+    }
+    dag = import_dagman_tree(tree, "outer.dag").dag
+    assert dag.n == 2 + len(inner_a.jobs) + len(inner_b.jobs)
     pre, post = dag.id_of("pre"), dag.id_of("post")
     # Everything is sandwiched between pre and post.
     assert dag.descendants(pre) == set(range(dag.n)) - {pre}
