@@ -3,8 +3,10 @@
 Times the full pipeline across workload sizes and reports where the time
 goes.  The paper's two engineered bottlenecks (the decomposition's general
 closure search; the superdag priority selection) are kept sub-quadratic
-here by the bipartite fast path and the profile-class priority cache; this
-bench guards those properties by asserting near-linear growth.
+here by the bipartite fast path, the one-SCC-pass general step and the
+profile-class priority cache.  AIRSN and SDSS only ever take the bipartite
+path; Inspiral's coincidence ring forces the general step, so its case
+guards that step.  Each case asserts near-linear growth.
 """
 
 import time
@@ -12,6 +14,7 @@ import time
 from common import banner
 from repro.core.prio import prio_schedule
 from repro.workloads.airsn import airsn
+from repro.workloads.inspiral import inspiral
 from repro.workloads.sdss import sdss
 
 
@@ -52,6 +55,25 @@ def test_scaling_sdss_fields(benchmark):
     # Dominated by the W block's O(s^2)-profile priorities; still far from
     # the naive cubic blow-up the paper fought ("over 2 days" pre-fix).
     assert times[2000][0] < 60
+
+
+def test_scaling_inspiral_segments(benchmark):
+    segments = [40, 80, 160, 320, 640]
+
+    def run():
+        out = {}
+        for seg in segments:
+            dag = inspiral(seg, max(1, seg // 3))
+            out[seg] = (min(timed(dag)[0] for _ in range(3)), dag.n)
+        return out
+
+    times = benchmark.pedantic(run, rounds=1, iterations=1)
+    print(banner("Scaling: prio on Inspiral by segment count"))
+    for seg, (t, n) in times.items():
+        print(f"  {seg:>4d} segments ({n:>5d} jobs): {t * 1e3:8.1f} ms")
+    # 16x the jobs, all in one non-bipartite ring: linear-time general
+    # steps stay far under the quadratic 256x.
+    assert times[640][0] < 64 * times[40][0]
 
 
 def test_priority_cache_effectiveness(benchmark):

@@ -372,10 +372,11 @@ class _Resolver:
         Returns the flat names of the file's sources and sinks (for
         attaching the including file's arcs).
         """
+        where = self._display(key)  # once per file: each job's JobMeta.source
         if depth > self._max_depth:
             raise DagmanImportError(
                 f"include nesting deeper than {self._max_depth} at "
-                f"{self._display(key)} — is the tree recursive?"
+                f"{where} — is the tree recursive?"
             )
         dagman = self._parse(key, chain[:-1])
         rescue_done = self._rescue_done(key)
@@ -412,7 +413,7 @@ class _Resolver:
                 unit_sources[name], unit_sinks[name] = src, snk
                 continue
             self._emit_job(
-                flat_name, decl, key,
+                flat_name, decl, where,
                 directory=_join_dir(scope_dir, _expand(
                     decl.directory, {**node_vars, "JOB": flat_name}
                 ) if decl.directory else None),
@@ -436,7 +437,7 @@ class _Resolver:
             for endpoint in (p, c):
                 if endpoint not in unit_sources:
                     raise DagmanImportError(
-                        f"{self._display(key)}: dependency references "
+                        f"{where}: dependency references "
                         f"undeclared name {endpoint!r}"
                     )
             for pp in unit_sinks[p]:
@@ -509,7 +510,7 @@ class _Resolver:
         self,
         flat_name: str,
         decl: JobDecl,
-        key: str,
+        source: str,
         *,
         directory: str | None,
         submit_file: str,
@@ -522,7 +523,7 @@ class _Resolver:
         if flat_name in self.flat.jobs:
             raise DagmanImportError(
                 f"job name clash after flattening: {flat_name!r} "
-                f"(declared again in {self._display(key)})"
+                f"(declared again in {source})"
             )
         self.flat.jobs[flat_name] = JobDecl(
             name=flat_name,
@@ -549,7 +550,7 @@ class _Resolver:
             noop=decl.noop,
             is_data=decl.is_data,
             is_subdag=decl.is_subdag,
-            source=self._display(key),
+            source=source,
             depth=depth,
         )
 

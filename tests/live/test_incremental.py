@@ -48,6 +48,20 @@ def test_full_mode_is_the_oracle(name):
     assert fast.full_recomputes == 0
 
 
+def test_inspiral_every_completion_tick_matches_full_recompute():
+    """One completion per tick over all of inspiral-small: 96 of its 445
+    remnants take the decomposition's general (non-bipartite) step."""
+    dag = get_workload("inspiral-small")
+    scheduler = IncrementalScheduler(dag)
+    full = IncrementalScheduler(dag, mode="full")
+    executed = set()
+    for u in fifo_schedule(dag):
+        executed.add(u)
+        assert scheduler.priorities(executed) == full.priorities(executed)
+    assert scheduler.full_recomputes == 0
+    assert full.full_recomputes == dag.n
+
+
 def test_one_at_a_time_execution_matches_oracle(fig3_dag):
     """The serving-path granularity: one completion per advance."""
     scheduler = IncrementalScheduler(fig3_dag)

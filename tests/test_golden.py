@@ -5,13 +5,20 @@ few stable small-scale outputs, so refactors cannot silently change the
 scheduler's decisions.
 """
 
-import numpy as np
+import hashlib
+import json
 
+import numpy as np
+import pytest
+
+from repro.core.decompose import decompose
 from repro.core.prio import prio_schedule
 from repro.core.tool import prioritize_dagman
 from repro.dagman.parser import parse_dagman_text
 from repro.theory.eligibility import eligibility_profile
+from repro.dag.transitive import remove_shortcuts
 from repro.workloads.airsn import airsn
+from repro.workloads.registry import get_workload
 
 FIG3_INPUT = """\
 JOB a a.sub
@@ -99,3 +106,46 @@ class TestSimulatorGolden:
         assert result == again
         assert result.n_jobs == 35
         assert 0 < result.utilization <= 1
+
+
+def decomposition_digest(dec) -> str:
+    payload = {
+        "components": [
+            [c.index, list(c.nonsinks), list(c.shared_sinks),
+             list(c.global_sinks), c.is_bipartite]
+            for c in dec.components
+        ],
+        "comp_of": dec.comp_of,
+        "super_children": dec.super_children,
+        "super_parents": dec.super_parents,
+    }
+    text = json.dumps(payload, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGeneralStepGolden:
+    """The registry dags whose decomposition takes the general (non-
+    bipartite) step, pinned to the outputs of the per-source closure
+    search the SCC pass replaced: (decomposition, priorities) sha256."""
+
+    DIGESTS = {
+        "inspiral": (
+            "1c4a8cbaca22251e4e05049427e4650fa6a30d9997dbd245f83ca07f23a6b423",
+            "8291bdbc0a54764065f5f3688cc6c83317753fdffe847478fc4d022d39b333f7",
+        ),
+        "inspiral-small": (
+            "c34b7d1679b00f9c2b23a813d85123202167a65199fbdc30fdbebc9643a0a9e0",
+            "667fb03c9ee2279c4b5e12fab64c666ca0f692886cb4400f634427f960ddf74f",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_digests(self, name):
+        dag = get_workload(name)
+        dec = decompose(remove_shortcuts(dag)[0])
+        assert any(not c.is_bipartite for c in dec.components)
+        priorities = prio_schedule(dag).priorities
+        assert (
+            decomposition_digest(dec),
+            hashlib.sha256(json.dumps(priorities).encode()).hexdigest(),
+        ) == self.DIGESTS[name]
