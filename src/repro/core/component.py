@@ -12,6 +12,13 @@ Each building block receives a schedule over its *non-sinks*:
 The block's eligibility profile ``E(x)`` for ``x = 0 .. s_i`` (computed on
 the component's induced subgraph, sinks included) feeds the priority
 relation of the combine phase.
+
+Scientific dags repeat a handful of block *shapes* thousands of times
+(SDSS-medium: 6,305 blocks in 9 shapes), and everything above depends on
+the shape alone — plus, for the global out-degree fallback, the blocks'
+out-degrees in the full dag.  :func:`schedule_component` therefore keys a
+shape table on the block's local arc tuple and solves each shape once; the
+blocks of one shape share its read-only profile array.
 """
 
 from __future__ import annotations
@@ -37,21 +44,27 @@ class ScheduledComponent:
     execution order; ``profile[x]`` is the eligible-job count inside the
     block after the first *x* of them executed.  ``family`` names the
     matched catalog family, or ``None`` when the out-degree fallback was
-    used.
+    used.  ``profile_key`` is the profile's bytes (the combine phase's
+    class key), computed from ``profile`` when not given.
     """
 
     component: Component
     schedule: tuple[int, ...]
     profile: np.ndarray = field(hash=False, compare=False)
     family: str | None
+    profile_key: bytes | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.profile_key is None:
+            object.__setattr__(
+                self,
+                "profile_key",
+                np.asarray(self.profile, dtype=np.int64).tobytes(),
+            )
 
     @property
     def index(self) -> int:
         return self.component.index
-
-    @property
-    def profile_key(self) -> bytes:
-        return np.asarray(self.profile, dtype=np.int64).tobytes()
 
 
 def outdegree_order(
@@ -83,6 +96,66 @@ def outdegree_order(
     return order
 
 
+class _Solved:
+    """One shape's result: local order, read-only profile, its key, family."""
+
+    __slots__ = ("order", "profile", "profile_key", "family")
+
+    def __init__(self, subdag: Dag, order: list[int], family: str | None,
+                 component: Component):
+        k = len(component.nonsinks)
+        if sorted(order) != list(range(k)):
+            raise AssertionError(
+                f"component {component.index}: schedule covers {len(order)} "
+                f"jobs, expected the {k} non-sinks"
+            )
+        profile = partial_profile(subdag, order)
+        profile.flags.writeable = False
+        self.order = order
+        self.profile = profile
+        self.profile_key = profile.tobytes()
+        self.family = family
+
+
+class _Fallback:
+    """An unmatched shape under global scope: solved per weight tuple."""
+
+    __slots__ = ("subdag", "by_weight")
+
+    def __init__(self, subdag: Dag):
+        self.subdag = subdag
+        self.by_weight: dict[tuple[int, ...], _Solved] = {}
+
+
+def _solve_shape(
+    subdag: Dag,
+    component: Component,
+    use_catalog: bool,
+    outdegree_scope: str,
+    exact_bipartite_limit: int,
+) -> _Solved | _Fallback:
+    """Schedule the shape of *component*, given as *subdag* in local ids."""
+    if use_catalog:
+        rec = recognize_bipartite_family(subdag)
+        if rec is not None:
+            return _Solved(subdag, rec.source_order, rec.family, component)
+    if (
+        exact_bipartite_limit > 0
+        and 0 < len(component.nonsinks) <= exact_bipartite_limit
+        and subdag.is_bipartite_two_level()
+    ):
+        from ..theory.bipartite_exact import exact_bipartite_schedule
+
+        exact = exact_bipartite_schedule(
+            subdag, limit=exact_bipartite_limit
+        )
+        if exact is not None:
+            return _Solved(subdag, exact, "<exact-bipartite>", component)
+    if outdegree_scope == "global":
+        return _Fallback(subdag)
+    return _Solved(subdag, outdegree_order(subdag), None, component)
+
+
 def schedule_component(
     dag: Dag,
     component: Component,
@@ -90,6 +163,7 @@ def schedule_component(
     use_catalog: bool = True,
     outdegree_scope: str = "global",
     exact_bipartite_limit: int = 0,
+    shapes: dict | None = None,
 ) -> ScheduledComponent:
     """Schedule one building block and compute its eligibility profile.
 
@@ -110,45 +184,59 @@ def schedule_component(
         :mod:`repro.theory.bipartite_exact` (extension beyond the paper's
         catalog; 0 disables).  Blocks the exact solver proves unschedulable
         fall back to the out-degree heuristic.
+    shapes:
+        The shape table: block shape -> solved schedule.  Pass one dict
+        to every call over the same dag (``prio_schedule`` does) so each
+        shape is solved once; ``None`` uses a throwaway table.  Entries
+        are pure functions of their keys, so a table may outlive the dag.
     """
     if outdegree_scope not in ("global", "local"):
         raise ValueError(f"unknown outdegree_scope: {outdegree_scope!r}")
     nodes = component.nodes
-    subdag, mapping = dag.induced_subgraph(nodes)
-    family: str | None = None
-    local_order: list[int] | None = None
-    if use_catalog:
-        rec = recognize_bipartite_family(subdag)
-        if rec is not None:
-            family = rec.family
-            local_order = rec.source_order
-    if (
-        local_order is None
-        and exact_bipartite_limit > 0
-        and 0 < len(component.nonsinks) <= exact_bipartite_limit
-        and subdag.is_bipartite_two_level()
-    ):
-        from ..theory.bipartite_exact import exact_bipartite_schedule
-
-        exact = exact_bipartite_schedule(
-            subdag, limit=exact_bipartite_limit
+    n_nonsinks = len(component.nonsinks)
+    # Local ids follow ``nodes``; arcs follow Dag.induced_subgraph's order.
+    local = {orig: i for i, orig in enumerate(nodes)}
+    if len(local) != len(nodes):
+        raise ValueError(f"component {component.index}: duplicate nodes")
+    children = dag.children
+    arcs = tuple(
+        [
+            (i, local[v])
+            for i, u in enumerate(nodes)
+            for v in children(u)
+            if v in local
+        ]
+    )
+    key = (
+        use_catalog,
+        outdegree_scope,
+        exact_bipartite_limit,
+        n_nonsinks,
+        len(nodes),
+        arcs,
+    )
+    if shapes is None:
+        shapes = {}
+    entry = shapes.get(key)
+    if entry is None:
+        subdag = Dag(len(nodes), arcs, None, check_acyclic=False)
+        entry = shapes[key] = _solve_shape(
+            subdag, component, use_catalog, outdegree_scope,
+            exact_bipartite_limit,
         )
-        if exact is not None:
-            family = "<exact-bipartite>"
-            local_order = exact
-    if local_order is None:
-        weight = None
-        if outdegree_scope == "global":
-            weight = [dag.out_degree(orig) for orig in mapping]
-        local_order = outdegree_order(subdag, weight=weight)
-    profile = partial_profile(subdag, local_order)
-    schedule = tuple(mapping[u] for u in local_order)
-    expected = set(component.nonsinks)
-    if set(schedule) != expected:
-        raise AssertionError(
-            f"component {component.index}: schedule covers {len(schedule)} "
-            f"jobs, expected the {len(expected)} non-sinks"
-        )
+    if type(entry) is _Fallback:
+        weight = tuple(map(dag.out_degree, nodes))
+        solved = entry.by_weight.get(weight)
+        if solved is None:
+            subdag = entry.subdag
+            solved = entry.by_weight[weight] = _Solved(
+                subdag, outdegree_order(subdag, weight=weight), None, component
+            )
+        entry = solved
     return ScheduledComponent(
-        component=component, schedule=schedule, profile=profile, family=family
+        component=component,
+        schedule=tuple(map(nodes.__getitem__, entry.order)),
+        profile=entry.profile,
+        family=entry.family,
+        profile_key=entry.profile_key,
     )

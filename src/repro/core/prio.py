@@ -6,9 +6,9 @@ diagnostics about each phase.  The pipeline is:
 
 1. **Divide** — remove shortcut arcs, then decompose into building blocks
    (:mod:`repro.core.decompose`).
-2. **Recurse** — schedule each block: catalog family schedule when
-   recognized, descending-out-degree otherwise
-   (:mod:`repro.core.component`).
+2. **Recurse** — schedule each block shape once: catalog family schedule
+   when recognized, descending-out-degree otherwise
+   (:mod:`repro.core.component`); blocks of one shape share the result.
 3. **Combine** — greedy max-min-priority emission over the superdag
    (:mod:`repro.core.greedy`), then all dag sinks in id order.
 
@@ -119,6 +119,7 @@ def prio_schedule(
     after_reduction = time.perf_counter()
     decomposition = decompose(reduced)
     after_divide = time.perf_counter()
+    shapes: dict = {}
     scheduled = [
         schedule_component(
             reduced,
@@ -126,6 +127,7 @@ def prio_schedule(
             use_catalog=use_catalog,
             outdegree_scope=outdegree_scope,
             exact_bipartite_limit=exact_bipartite_limit,
+            shapes=shapes,
         )
         for comp in decomposition.components
     ]

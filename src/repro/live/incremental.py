@@ -23,7 +23,9 @@ Consequences, each load-bearing below:
   adjacency among them — both invariant.  Blocks that reappear across
   advances (the overwhelming majority: completing a few jobs perturbs one
   corner of the dag) are served from a cache keyed by those original-id
-  tuples, skipping recognition/profile work entirely.
+  tuples, skipping recognition/profile work entirely.  Misses go through
+  a session-long shape table, so a new block of a known shape is not
+  solved again either.
 * *Renumbering is monotone.*  Pending jobs are kept in ascending id order,
   so remnant-local ids order exactly like original ids and every id
   tie-break in decompose/combine — and hence every output byte — matches
@@ -60,9 +62,9 @@ class _ReplayedComponent:
     """Cache-hit stand-in for :class:`ScheduledComponent`.
 
     Carries exactly the attributes the combine phase reads (``index``,
-    ``schedule``, ``profile``, ``profile_key``, ``family``) with the
-    profile key precomputed, skipping the dataclass construction and the
-    per-add ``tobytes`` the full object would pay on every replay.
+    ``schedule``, ``profile``, ``profile_key``, ``family``), skipping the
+    frozen dataclass construction the full object would pay on every
+    replay.
     """
 
     __slots__ = ("index", "schedule", "profile", "profile_key", "family")
@@ -80,12 +82,11 @@ class _RemnantView:
 
     Presents exactly the surface :func:`~repro.core.decompose.decompose`
     and :func:`~repro.core.component.schedule_component` touch — adjacency,
-    degrees, sink tests, arc iteration and induced subgraphs — over
-    precomputed local adjacency lists, without paying for a full ``Dag``
-    construction per recompute.  Children lists preserve the reduced dag's
-    stored order, so :meth:`arcs` and :meth:`induced_subgraph` enumerate
-    arcs in the same order a real ``induced_subgraph`` of the reduced dag
-    would.
+    degrees, sink tests and arc iteration — over precomputed local
+    adjacency lists, without paying for a full ``Dag`` construction per
+    recompute.  Children lists preserve the reduced dag's stored order, so
+    block shapes enumerate arcs in the same order a real
+    ``induced_subgraph`` of the reduced dag would.
     """
 
     __slots__ = ("n", "_children", "_parents")
@@ -114,21 +115,6 @@ class _RemnantView:
         for u in range(self.n):
             for v in self._children[u]:
                 yield (u, v)
-
-    def induced_subgraph(self, nodes):
-        # Mirrors Dag.induced_subgraph: mapping follows iteration order,
-        # arcs follow mapping x stored-children order.
-        mapping = list(nodes)
-        local = {orig: i for i, orig in enumerate(mapping)}
-        if len(local) != len(mapping):
-            raise ValueError("duplicate nodes in induced_subgraph")
-        arcs = [
-            (local[u], local[v])
-            for u in mapping
-            for v in self._children[u]
-            if v in local
-        ]
-        return Dag(len(mapping), arcs, None, check_acyclic=False), mapping
 
 
 class IncrementalScheduler:
@@ -162,6 +148,8 @@ class IncrementalScheduler:
         #: per-component schedule cache: original-id role tuples ->
         #: (schedule in original ids, profile array, profile key, family)
         self._component_cache: dict[tuple, tuple] = {}
+        #: schedule_component's shape table, consulted on cache misses
+        self._shapes: dict = {}
         #: original id -> current remnant-local id; refilled per recompute
         #: (stale entries for executed jobs are never consulted: children
         #: of pending jobs are pending, and parents are filtered first).
@@ -299,20 +287,12 @@ class IncrementalScheduler:
                 )
             else:
                 self.component_misses += 1
-                full = schedule_component(view, comp)
-                profile_key = full.profile_key
+                sc = schedule_component(view, comp, shapes=self._shapes)
                 cache[key] = (
-                    tuple(map(to_orig, full.schedule)),
-                    full.profile,
-                    profile_key,
-                    full.family,
-                )
-                sc = _ReplayedComponent(
-                    comp.index,
-                    full.schedule,
-                    full.profile,
-                    profile_key,
-                    full.family,
+                    tuple(map(to_orig, sc.schedule)),
+                    sc.profile,
+                    sc.profile_key,
+                    sc.family,
                 )
             scheduled.append(sc)
         if self.metrics is not None:
