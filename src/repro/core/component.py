@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,27 +45,21 @@ class ScheduledComponent:
     execution order; ``profile[x]`` is the eligible-job count inside the
     block after the first *x* of them executed.  ``family`` names the
     matched catalog family, or ``None`` when the out-degree fallback was
-    used.  ``profile_key`` is the profile's bytes (the combine phase's
-    class key), computed from ``profile`` when not given.
+    used.
     """
 
     component: Component
     schedule: tuple[int, ...]
     profile: np.ndarray = field(hash=False, compare=False)
     family: str | None
-    profile_key: bytes | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.profile_key is None:
-            object.__setattr__(
-                self,
-                "profile_key",
-                np.asarray(self.profile, dtype=np.int64).tobytes(),
-            )
 
     @property
     def index(self) -> int:
         return self.component.index
+
+    @cached_property
+    def profile_key(self) -> bytes:
+        return np.asarray(self.profile, dtype=np.int64).tobytes()
 
 
 def outdegree_order(
@@ -97,9 +92,9 @@ def outdegree_order(
 
 
 class _Solved:
-    """One shape's result: local order, read-only profile, its key, family."""
+    """One shape's result: local order, read-only profile, family."""
 
-    __slots__ = ("order", "profile", "profile_key", "family")
+    __slots__ = ("order", "profile", "family")
 
     def __init__(self, subdag: Dag, order: list[int], family: str | None,
                  component: Component):
@@ -113,7 +108,6 @@ class _Solved:
         profile.flags.writeable = False
         self.order = order
         self.profile = profile
-        self.profile_key = profile.tobytes()
         self.family = family
 
 
@@ -238,5 +232,4 @@ def schedule_component(
         schedule=tuple(map(nodes.__getitem__, entry.order)),
         profile=entry.profile,
         family=entry.family,
-        profile_key=entry.profile_key,
     )
