@@ -15,12 +15,15 @@ Measurements, written to ``benchmarks/results/BENCH_cache.json``
   Timed at two operating points: the sweep grid's *central* cell
   (``mu_bit=1.0, mu_bs=256`` — the midpoint of the paper grid's
   ``mu_bit ∈ 10^(-3..3)``, ``mu_bs ∈ 2^(0..16)``) and the legacy
-  ``(1.0, 16.0)`` cell kept for cross-version comparability.  All three
-  paths must be bit-identical; the acceptance gate asserts the batched
+  ``(1.0, 16.0)`` cell kept for cross-version comparability, plus the
+  central cell under worker churn (``failure_prob=0.05``), which the
+  batched kernel runs in lockstep too.  All three paths must be
+  bit-identical; the acceptance gate asserts the batched
   kernel is at least **8x** the reference engine for the PRIO/oblivious
-  policy at the central cell.  FIFO and the legacy cell are reported
-  ungated — the speedup is regime-dependent (roughly 3x at
-  single-worker batches up to ~12x at wide ones; see docs/API.md).
+  policy at the central clean cell.  FIFO, the legacy cell and the
+  churn rows are reported ungated — the speedup is regime-dependent
+  (roughly 3x at single-worker batches up to ~12x at wide ones; see
+  docs/API.md).
 
 Warm-up (dag compile, schedule, allocator, first-call JIT-ish costs) is
 measured separately as ``warmup_seconds`` and excluded from every timed
@@ -50,6 +53,8 @@ WORKLOAD = "sdss-small"
 CENTER_CELL = (1.0, 256.0)
 #: Pre-batched measurement point, kept for cross-version comparability.
 LEGACY_CELL = (1.0, 16.0)
+#: Worker-churn rate of the churn rows (the e2e sweep's churn cells).
+CHURN_PROB = 0.05
 
 #: Acceptance floor for the batched kernel at the central cell,
 #: PRIO/oblivious policy, versus the reference event loop.
@@ -115,7 +120,7 @@ def test_cache_repeated_scheduling_speedup(benchmark):
         assert cell["bit_identical"], (
             f"batched/scalar/reference results diverged at "
             f"mu_bit={cell['mu_bit']} mu_bs={cell['mu_bs']} "
-            f"({cell['policy']})"
+            f"failure_prob={cell['failure_prob']} ({cell['policy']})"
         )
     gated = payload["gate"]
     assert gated["batch_speedup"] >= BATCH_SPEEDUP_FLOOR, (
@@ -126,8 +131,8 @@ def test_cache_repeated_scheduling_speedup(benchmark):
     )
 
 
-def _measure_cell(compiled, order, kind, mu_bit, mu_bs, *, batch_runs,
-                  serial_runs) -> dict:
+def _measure_cell(compiled, order, kind, mu_bit, mu_bs, failure_prob, *,
+                  batch_runs, serial_runs) -> dict:
     """Time reference / scalar kernel / batched kernel on one cell.
 
     The serial engines are timed over *serial_runs* replications and
@@ -136,7 +141,7 @@ def _measure_cell(compiled, order, kind, mu_bit, mu_bs, *, batch_runs,
     first *serial_runs* replications share seed sequences across all
     three paths, and their results must be bit-identical.
     """
-    params = SimParams(mu_bit=mu_bit, mu_bs=mu_bs)
+    params = SimParams(mu_bit=mu_bit, mu_bs=mu_bs, failure_prob=failure_prob)
     seqs = np.random.SeedSequence(2006).spawn(batch_runs)
 
     def serial(kernel: bool):
@@ -175,6 +180,7 @@ def _measure_cell(compiled, order, kind, mu_bit, mu_bs, *, batch_runs,
         "policy": kind,
         "mu_bit": mu_bit,
         "mu_bs": mu_bs,
+        "failure_prob": failure_prob,
         "serial_runs": serial_runs,
         "batch_runs": batch_runs,
         "reference_seconds": reference_seconds,
@@ -189,6 +195,7 @@ def _measure_cell(compiled, order, kind, mu_bit, mu_bs, *, batch_runs,
     }
     print(
         f"  {kind:10s} mu_bit={mu_bit:<6g} mu_bs={mu_bs:<6g} "
+        f"p={failure_prob:<5g} "
         f"ref {ref_per_rep * 1e3:7.2f} ms/rep  "
         f"kernel {cell['kernel_speedup']:5.2f}x  "
         f"batched {cell['batch_speedup']:5.2f}x"
@@ -198,7 +205,7 @@ def _measure_cell(compiled, order, kind, mu_bit, mu_bs, *, batch_runs,
 
 
 def _kernel_measurement(dag) -> dict:
-    """Reference vs scalar kernel vs batched kernel on two sweep cells."""
+    """Reference vs scalar kernel vs batched kernel on three sweep cells."""
     batch_runs = 512 if full_fidelity() else 256
     serial_runs = 48 if full_fidelity() else 12
 
@@ -218,16 +225,21 @@ def _kernel_measurement(dag) -> dict:
     print(banner(f"batched kernel: {WORKLOAD}, {batch_runs} reps/cell"))
     cells = [
         _measure_cell(
-            compiled, order, kind, mu_bit, mu_bs,
+            compiled, order, kind, mu_bit, mu_bs, failure_prob,
             batch_runs=batch_runs, serial_runs=serial_runs,
         )
-        for (mu_bit, mu_bs) in (CENTER_CELL, LEGACY_CELL)
+        for (mu_bit, mu_bs, failure_prob) in (
+            (*CENTER_CELL, 0.0),
+            (*LEGACY_CELL, 0.0),
+            (*CENTER_CELL, CHURN_PROB),
+        )
         for kind in ("oblivious", "fifo")
     ]
     gate = next(
         c for c in cells
         if c["policy"] == "oblivious"
         and (c["mu_bit"], c["mu_bs"]) == CENTER_CELL
+        and c["failure_prob"] == 0.0
     )
     return {
         "warmup_seconds": warmup_seconds,

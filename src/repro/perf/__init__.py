@@ -25,9 +25,9 @@ against the code paths they replace:
   :func:`repro.sim.replication.run_replications` and the parallel chunk
   workers dispatch whole batches to it automatically on the
   pre-telemetry hot path; :func:`~repro.perf.kernel_batch.batch_supported`
-  is the predicate, and parameter sets outside the batch-synchronous
-  regime fall back to per-replication :func:`simulate_fast` — every path
-  is exact, replication by replication.
+  is the predicate.  Worker churn runs in lockstep too; only request
+  rollover falls back to per-replication :func:`simulate_fast` — every
+  path is exact, replication by replication.
 
 The equivalence suite (``tests/perf/``) holds all three guarantees under
 property-based random dags and the paper workloads.

@@ -3,9 +3,9 @@
 :func:`simulate_batch` runs *R* independent replications of one
 (dag, policy, parameter) cell as struct-of-arrays numpy state instead of
 *R* passes through the per-replication Python loop.  It exploits a
-structural property of the paper's system model: with ``failure_prob == 0``
-and ``rollover=False`` (the defaults, and the operating point of every
-sweep in the paper) the simulation is **batch-synchronous** —
+structural property of the paper's system model: with ``rollover=False``
+(the default, and the operating point of every sweep in the paper) the
+simulation is **batch-synchronous** —
 
 * jobs are only ever *assigned* at batch-arrival events, so between two
   arrivals nothing is drawn from the generator and nothing changes the
@@ -16,6 +16,14 @@ sweep in the paper) the simulation is **batch-synchronous** —
 * every replication consumes exactly one batch arrival per step until its
   last assignment, so *R* replications advance in lockstep under a single
   global arrival cursor.
+
+Worker churn (``failure_prob > 0``) keeps all three properties.  A
+failure flag is drawn at assignment, with the runtimes; a failed
+completion draws nothing either — it puts its job back in the eligible
+pool and gives back one assignment, and the next arrival reassigns it.
+So churn adds only a failure flag per running job and a count of
+pending failures per replication.  Rollover does not: waiting workers
+are served at completion events, between arrivals.
 
 The event loop therefore collapses from ~events-per-replication iterations
 to ~batches iterations shared by all replications, with the per-step work
@@ -36,30 +44,40 @@ double arithmetic is applied to the samples.  The load-bearing details:
 * runtime blocks are drawn with one
   :meth:`~repro.sim.runtime.RuntimeSampler.draw_into` per replication per
   assignment event, reproducing the reference sampler's refill boundaries
-  (including the discarded buffer tails) exactly;
-* after a replication's last assignment the reference engine never peeks
-  the arrival stream again and the remaining completion events change no
-  result field, so the batch kernel simply retires the replication — the
+  (including the discarded buffer tails) exactly; under churn each
+  assigning replication then draws its failure flags with one
+  ``rng.random(take)``, the reference's draw order, and a failed job's
+  finish is ``t + dur * failure_time_fraction``;
+* a replication retires once every job is assigned and none of its
+  running jobs can still fail; the remaining completion events change no
+  result field.  Without churn the reference never peeks the arrival
+  stream again, so retirement is the end.  With churn it keeps peeking
+  until its last completion, so retirement *drains* the arrival stream:
+  chunks are refilled until the loaded one reaches the makespan.  The
   generator end state and the :class:`~repro.sim.engine.SimResult` are
-  identical;
+  identical.  Stalls count only while a job is unassigned, and the
+  last-assignment snapshot is retaken whenever a failure had re-opened
+  assignment;
 * FIFO eligibility order is reconstructed exactly: the reference pops
   completions in ``(finish, job)`` heap order, which within a window is a
   sort and across windows is concatenation (a window's finishes never
-  exceed its batch time, the next window's always do); a freed child is
-  inserted when its *last* parent's child scan reaches it, and that
-  position is recovered directly from the window's pop-ordered child-edge
-  expansion — a stable sort groups each child's edges with ascending scan
-  positions, so the end of its group *is* the freeing edge, and ordering
-  freed children by those positions reproduces the reference insertion
-  sequence;
+  exceed its batch time, the next window's always do).  Every popped
+  event gets its own insertion slot followed by one per child edge: a
+  failed job is re-inserted at its event's slot, and a freed child at
+  the slot of its *last* parent's edge — recovered from the window's
+  pop-ordered child-edge expansion, where a stable sort groups each
+  child's edges with ascending scan positions, so the end of its group
+  *is* the freeing edge.  Ordering insertions by slot reproduces the
+  reference insertion sequence, failures ahead of anything a later pop
+  frees;
 * the oblivious policy is a set policy (pop = min rank), so window-level
   set updates to a sorted rank frontier reproduce it with no ordering
   reconstruction at all.
 
 ``tests/perf/test_kernel_batch_equivalence.py`` enforces batched-vs-serial
 bit-identity over random dags, both policies, both batch-size
-distributions and the paper workloads; any divergence is a bug in this
-module.
+distributions, worker churn and the paper workloads; any divergence is a
+bug in this module.
 
 **Dispatch rules.**  :func:`dispatch_batch` is the auto-dispatch hook used
 by :func:`repro.sim.replication.run_replications` and
@@ -77,8 +95,8 @@ by :func:`repro.sim.replication.run_replications` and
   (``engine.events``, heap/pool peaks) only exist on the per-event paths,
   so metrics runs keep the scalar engines.
 
-Parameter sets outside the batch-synchronous regime (worker churn,
-request rollover) fall back *inside* :func:`simulate_batch` to one
+Parameter sets outside the batch-synchronous regime (request rollover)
+fall back *inside* :func:`simulate_batch` to one
 :func:`repro.perf.kernel.simulate_fast` per replication — still
 bit-identical, just not vectorized across replications.  There is no
 silent approximation anywhere: every path is exact.
@@ -135,17 +153,21 @@ def _normalize_kind(kind: str | None) -> str | None:
 #: per-replication throughput degrades.
 _STATE_BUDGET = 2_000_000
 
+#: Exclusive bound of the 32-bit id and frontier encodings; past it the
+#: kernel switches that array family to int64.
+_INT32_LIMIT = 2**31
+
 
 def batch_supported(kind: str, params) -> bool:
     """Whether the fully vectorized batch-synchronous path applies.
 
-    Outside this predicate :func:`simulate_batch` still works (and is
-    still bit-identical) — it falls back to per-replication
+    Worker churn is inside it; request rollover is not.  Outside this
+    predicate :func:`simulate_batch` still works (and is still
+    bit-identical) — it falls back to per-replication
     :func:`~repro.perf.kernel.simulate_fast`.
     """
     return (
         _normalize_kind(kind) is not None
-        and params.failure_prob == 0.0
         and params.straggler_prob == 0.0
         and not params.rollover
     )
@@ -245,9 +267,9 @@ def simulate_batch(
             raise ValueError("runtime_scale entries must be positive")
 
     if not batch_supported(kind, params):
-        # Churn / rollover break batch synchrony (completions can draw and
-        # assignment can happen outside arrival events).  Exact fallback:
-        # the scalar kernel, one replication at a time.
+        # Rollover breaks batch synchrony (waiting workers are served at
+        # completion events, between arrivals).  Exact fallback: the
+        # scalar kernel, one replication at a time.
         return [
             simulate_fast(
                 compiled,
@@ -325,6 +347,16 @@ def _segment_positions(sorted_ids):
     return pos - pos[first][run]
 
 
+def _restride(enc, old, new, dtype):
+    """Re-encode frontier entries ``rep * old + v`` as ``rep * new + v``.
+
+    ``v`` (a key plus one, or 0 for a tombstone) is below *old*, so the
+    rep is ``enc // old``; order within and across reps is preserved.
+    """
+    wide = enc.astype(np.int64)
+    return (wide + wide // old * (new - old)).astype(dtype, copy=False)
+
+
 def _batch_sync(compiled, kind, params, rngs, rank, job_of_rank, scale):
     """The vectorized batch-synchronous loop for one slab of replications."""
     R = len(rngs)
@@ -334,10 +366,11 @@ def _batch_sync(compiled, kind, params, rngs, rank, job_of_rank, scale):
     # every step; 32-bit ids halve their memory traffic.  ``rep * n +
     # job`` values must fit, which the slab budget guarantees with room
     # to spare — the int64 fallback only exists for hand-tuned budgets.
-    jdtype = np.int32 if R * n < 2**31 else np.int64
+    jdtype = np.int32 if R * n < _INT32_LIMIT else np.int64
     children = compiled.children.astype(jdtype, copy=False)
     out_counts = np.diff(indptr)
     fifo = kind == "fifo"
+    churn = params.failure_prob > 0.0
     sources = np.asarray(compiled.initial_frontier(), dtype=np.int64)
     rep_ids = np.arange(R, dtype=np.int64)
 
@@ -347,9 +380,11 @@ def _batch_sync(compiled, kind, params, rngs, rank, job_of_rank, scale):
     # rep's *tombstone* (it sorts before every real key of the segment).
     # The policy's pop order is the per-rep ascending key order:
     #   oblivious — key = rank[job]                    (stride = n + 1)
-    #   fifo      — key = insertion_seq * n + job      (stride = n*n + 1)
-    # Without churn every job is inserted exactly once, so insertion_seq
-    # < n and the fifo key fits; R * stride stays far inside int64.
+    #   fifo      — key = insertion_seq * n + job      (stride = cap*n + 1)
+    # FIFO keys fit while insertion_seq < cap.  Without churn every job
+    # is inserted once, so cap = n suffices; churn re-inserts failed jobs,
+    # and the cap doubles (re-encoding the frontier) whenever a rep's
+    # insertion count outgrows it.
     #
     # The structure is two-level so a step never pays O(total frontier):
     # a ``main`` array plus a small ``pend``ing array of recent
@@ -364,7 +399,8 @@ def _batch_sync(compiled, kind, params, rngs, rank, job_of_rank, scale):
     # levels — O(assigned) work per step, never O(eligible).
     if fifo:
         ins_count = np.full(R, sources.shape[0], dtype=np.int64)
-        stride = n * n + 1
+        seq_cap = n
+        stride = seq_cap * n + 1
         keys0 = np.arange(sources.shape[0], dtype=np.int64) * n + sources
     else:
         stride = n + 1
@@ -373,7 +409,7 @@ def _batch_sync(compiled, kind, params, rngs, rank, job_of_rank, scale):
     # flush sorts and selection searchsorteds stream over, so when every
     # encoding fits (oblivious: R * (n + 1); fifo's n^2 stride rarely
     # does) 32-bit entries halve their memory traffic.
-    edtype = np.int32 if R * stride < 2**31 else np.int64
+    edtype = np.int32 if R * stride < _INT32_LIMIT else np.int64
     main = (
         (rep_ids[:, None] * stride + keys0[None, :] + 1)
         .ravel()
@@ -420,22 +456,29 @@ def _batch_sync(compiled, kind, params, rngs, rank, job_of_rank, scale):
     a_pos = 0
     a_len = 0
 
-    # Completion pool: flat, unsorted.  Heap order is never needed — a
-    # window's completions are selected by mask and (for fifo) sorted per
-    # window, which is exactly the reference heap's pop order.  Entries
-    # of retired replications are purged at retirement, so the pool only
+    # Completion pool: flat, unsorted columns (finish, rep, job, and under
+    # churn a failure flag).  Heap order is never needed — a window's
+    # completions are selected by mask and (for fifo) sorted per window,
+    # which is exactly the reference heap's pop order.  Entries of
+    # retired replications are purged at retirement, so the pool only
     # ever holds running jobs of active replications.  Double-buffered
     # capacity arrays: appends are in-place slice writes and compaction
     # is a ``np.take`` into the twin, so a step never reallocates or
     # copies the surviving entries more than once.
+    pool_dtypes = (np.float64, jdtype, jdtype) + ((bool,) if churn else ())
     p_capacity = 1024
-    pool_fin = np.empty(p_capacity)
-    pool_rep = np.empty(p_capacity, dtype=jdtype)
-    pool_job = np.empty(p_capacity, dtype=jdtype)
-    alt_fin = np.empty(p_capacity)
-    alt_rep = np.empty(p_capacity, dtype=jdtype)
-    alt_job = np.empty(p_capacity, dtype=jdtype)
+    pool = [np.empty(p_capacity, dtype=d) for d in pool_dtypes]
+    alt = [np.empty(p_capacity, dtype=d) for d in pool_dtypes]
     plen = 0
+
+    def keep_pool(kidx) -> None:
+        """Compact the pool down to the entries at *kidx* (in order)."""
+        nonlocal pool, alt, plen
+        k = kidx.shape[0]
+        for src, dst in zip(pool, alt):
+            np.take(src[:plen], kidx, out=dst[:k])
+        pool, alt = alt, pool
+        plen = k
 
     # Shared index ramp: every CSR expansion needs an ``arange`` of its
     # own length; one growable buffer serves them all without a fresh
@@ -449,6 +492,8 @@ def _batch_sync(compiled, kind, params, rngs, rank, job_of_rank, scale):
         return iota[:m]
 
     n_assigned = np.zeros(R, dtype=np.int64)
+    pending = np.zeros(R, dtype=np.int64)  # failed entries still running
+    n_failures = np.zeros(R, dtype=np.int64)
     batches = np.zeros(R, dtype=np.int64)
     stalled = np.zeros(R, dtype=np.int64)
     requests = np.zeros(R, dtype=np.int64)
@@ -481,13 +526,15 @@ def _batch_sync(compiled, kind, params, rngs, rank, job_of_rank, scale):
 
         # ---- completion window: everything due before this batch ------
         if plen:
-            fin_v = pool_fin[:plen]
-            rep_v = pool_rep[:plen]
-            job_v = pool_job[:plen]
+            fin_v = pool[0][:plen]
+            rep_v = pool[1][:plen]
+            job_v = pool[2][:plen]
             done = fin_v <= t[rep_v]
             if done.any():
                 c_rep = rep_v[done]
                 c_job = job_v[done]
+                if churn:
+                    c_fail = pool[3][:plen][done]
                 if fifo:
                     # Reference pop order within the window: the heap's
                     # (finish, job) tuples, per rep.  Two single-key
@@ -511,20 +558,19 @@ def _batch_sync(compiled, kind, params, rngs, rank, job_of_rank, scale):
                         rep_w = c_rep[w]
                     c_rep = rep_w
                     c_job = c_job[w]
-                kidx = np.flatnonzero(~done)
-                k = kidx.shape[0]
-                np.take(fin_v, kidx, out=alt_fin[:k])
-                np.take(rep_v, kidx, out=alt_rep[:k])
-                np.take(job_v, kidx, out=alt_job[:k])
-                pool_fin, alt_fin = alt_fin, pool_fin
-                pool_rep, alt_rep = alt_rep, pool_rep
-                pool_job, alt_job = alt_job, pool_job
-                plen = k
+                    if churn:
+                        c_fail = c_fail[w]
+                keep_pool(np.flatnonzero(~done))
                 kcounts = out_counts[c_job]
+                if churn:
+                    # A failed completion frees no children.
+                    kcounts[c_fail] = 0
                 kseg = np.repeat(iota_upto(c_job.shape[0]), kcounts)
                 kn = kseg.shape[0]
-                koff = iota_upto(kn) - (np.cumsum(kcounts) - kcounts)[kseg]
+                kexcl = np.cumsum(kcounts) - kcounts
+                koff = iota_upto(kn) - kexcl[kseg]
                 kid_idx = indptr[c_job][kseg] + koff
+                f_rep = f_job = f_slot = c_rep[:0]
                 if kid_idx.shape[0]:
                     # Inline unique-with-counts: the decrement per child is
                     # its multiplicity among this window's fired edges.
@@ -553,64 +599,95 @@ def _batch_sync(compiled, kind, params, rngs, rank, job_of_rank, scale):
                     remaining[uniq] = rem
                     fmask = rem == 0
                     freed = uniq[fmask]
-                    if freed.shape[0]:
-                        f_rep = freed // n
-                        f_job = freed - f_rep * n
-                        if fifo:
-                            # Edge positions grow with pop order inside
-                            # each rep's (contiguous) block of the
-                            # expansion, so sorting the freed children by
-                            # their freeing-edge position alone yields
-                            # rep-major reference insertion order.
-                            o = np.argsort(korder[kends[fmask] - 1])
-                            f_rep = f_rep[o]
-                            f_job = f_job[o]
-                            seq = ins_count[f_rep] + _segment_positions(f_rep)
-                            new_enc = (
-                                f_rep.astype(np.int64) * stride
-                                + seq * n
-                                + f_job
-                                + 1
-                            )
-                            ins_count += np.bincount(f_rep, minlength=R)
-                        else:
-                            # The encoding is itself the (rep, rank) sort
-                            # key, so insertions sort directly.
-                            new_enc = np.sort(
-                                f_rep.astype(np.int64) * stride
-                                + rank[f_job]
-                                + 1
-                            )
-                        f_cnt = np.bincount(f_rep, minlength=R)
-                        pend = _merge_sorted(
-                            pend, new_enc.astype(edtype, copy=False)
+                    f_rep = freed // n
+                    f_job = freed - f_rep * n
+                    if fifo:
+                        # Insertion slot of a freed child: its freeing
+                        # edge's scan position, shifted past one slot per
+                        # earlier popped event (see the failure slots).
+                        edge = korder[kends[fmask] - 1]
+                        f_slot = edge + kseg[edge] + 1
+                if churn and c_fail.any():
+                    # The worker quit: the job goes back to the eligible
+                    # pool and gives back its assignment.  In FIFO it is
+                    # inserted at its own popped event's slot, ahead of
+                    # every child a later pop frees.
+                    fi = np.flatnonzero(c_fail)
+                    back = np.bincount(c_rep[fi], minlength=R)
+                    n_assigned -= back
+                    pending -= back
+                    n_failures += back
+                    f_rep = np.concatenate((f_rep, c_rep[fi]))
+                    f_job = np.concatenate((f_job, c_job[fi]))
+                    if fifo:
+                        f_slot = np.concatenate((f_slot, kexcl[fi] + fi))
+                if f_rep.shape[0]:
+                    if fifo:
+                        # Slots grow with pop order inside each rep's
+                        # (contiguous) block of the window, so sorting the
+                        # insertions by slot alone yields rep-major
+                        # reference insertion order.
+                        o = np.argsort(f_slot)
+                        f_rep = f_rep[o]
+                        f_job = f_job[o]
+                        seq = ins_count[f_rep] + _segment_positions(f_rep)
+                        ins_count += np.bincount(f_rep, minlength=R)
+                        top = int(ins_count.max())
+                        if top > seq_cap:
+                            while seq_cap < top:
+                                seq_cap *= 2
+                            old = stride
+                            stride = seq_cap * n + 1
+                            if R * stride >= _INT32_LIMIT:
+                                edtype = np.int64
+                            main = _restride(main, old, stride, edtype)
+                            pend = _restride(pend, old, stride, edtype)
+                        new_enc = (
+                            f_rep.astype(np.int64) * stride
+                            + seq * n
+                            + f_job
+                            + 1
                         )
-                        p_cnt = p_cnt + f_cnt
-                        p_size = p_size + f_cnt
-                        p_start = np.cumsum(p_size) - p_size
-                        m_live = int(m_cnt.sum())
-                        if pend.shape[0] > max(2048, m_live >> 1):
-                            main = _merge_sorted(
-                                _gather_live(main, m_start, m_head, m_cnt),
-                                _gather_live(pend, p_start, p_head, p_cnt),
-                            )
-                            m_cnt = m_cnt + p_cnt
-                            m_start = np.cumsum(m_cnt) - m_cnt
-                            m_head[:] = 0
-                            pend = pend[:0]
-                            p_cnt[:] = 0
-                            p_size[:] = 0
-                            p_start[:] = 0
-                            p_head[:] = 0
+                    else:
+                        # The encoding is itself the (rep, rank) sort
+                        # key, so insertions sort directly.
+                        new_enc = np.sort(
+                            f_rep.astype(np.int64) * stride
+                            + rank[f_job]
+                            + 1
+                        )
+                    f_cnt = np.bincount(f_rep, minlength=R)
+                    pend = _merge_sorted(
+                        pend, new_enc.astype(edtype, copy=False)
+                    )
+                    p_cnt = p_cnt + f_cnt
+                    p_size = p_size + f_cnt
+                    p_start = np.cumsum(p_size) - p_size
+                    m_live = int(m_cnt.sum())
+                    if pend.shape[0] > max(2048, m_live >> 1):
+                        main = _merge_sorted(
+                            _gather_live(main, m_start, m_head, m_cnt),
+                            _gather_live(pend, p_start, p_head, p_cnt),
+                        )
+                        m_cnt = m_cnt + p_cnt
+                        m_start = np.cumsum(m_cnt) - m_cnt
+                        m_head[:] = 0
+                        pend = pend[:0]
+                        p_cnt[:] = 0
+                        p_size[:] = 0
+                        p_start[:] = 0
+                        p_head[:] = 0
 
         # ---- batch arrival event --------------------------------------
         # Retired replications always have an empty frontier (all jobs
         # assigned, their pool entries purged), so ``avail == 0`` masks
-        # them out of ``take`` with no explicit ``active`` test.
+        # them out of ``take`` with no explicit ``active`` test.  A rep
+        # whose jobs are all assigned but may still fail keeps consuming
+        # batches; they are not stalls.
         avail = m_cnt + p_cnt
         batches += active
         requests += b * active
-        stalled += active & (avail == 0)
+        stalled += active & (avail == 0) & (n_assigned < n)
         take = np.minimum(b, avail)
         total = int(take.sum())
         if total:
@@ -683,51 +760,68 @@ def _batch_sync(compiled, kind, params, rngs, rank, job_of_rank, scale):
             r_pos += take
             if scale is not None:
                 dur *= scale[job]
-            fin = t[sel_rep] + dur
             nz = np.flatnonzero(take)
+            t_sel = t[sel_rep]
+            fin = t_sel + dur
+            if churn:
+                # Failure flags: one block per assigning rep, drawn after
+                # its runtime refill, as the reference's assign() does.
+                # The reference leaves failed finishes out of the
+                # makespan; they may stay in the maximum here because the
+                # job's later successful finish always exceeds them.
+                failed = np.concatenate(
+                    [rngs[r].random(int(take[r])) for r in nz.tolist()]
+                ) < params.failure_prob
+                fin = np.where(
+                    failed, t_sel + dur * params.failure_time_fraction, fin
+                )
+                pending += np.bincount(sel_rep[failed], minlength=R)
             seg_max = np.maximum.reduceat(fin, t_excl[nz])
             makespan[nz] = np.maximum(makespan[nz], seg_max)
             end = plen + total
             if end > p_capacity:
                 while p_capacity < end:
                     p_capacity *= 2
-                grown_fin = np.empty(p_capacity)
-                grown_rep = np.empty(p_capacity, dtype=jdtype)
-                grown_job = np.empty(p_capacity, dtype=jdtype)
-                grown_fin[:plen] = pool_fin[:plen]
-                grown_rep[:plen] = pool_rep[:plen]
-                grown_job[:plen] = pool_job[:plen]
-                pool_fin, pool_rep, pool_job = grown_fin, grown_rep, grown_job
-                alt_fin = np.empty(p_capacity)
-                alt_rep = np.empty(p_capacity, dtype=jdtype)
-                alt_job = np.empty(p_capacity, dtype=jdtype)
-            pool_fin[plen:end] = fin
-            pool_rep[plen:end] = sel_rep
-            pool_job[plen:end] = job
+                cols = [np.empty(p_capacity, dtype=d) for d in pool_dtypes]
+                for src, dst in zip(pool, cols):
+                    dst[:plen] = src[:plen]
+                pool = cols
+                alt = [np.empty(p_capacity, dtype=d) for d in pool_dtypes]
+            pool[0][plen:end] = fin
+            pool[1][plen:end] = sel_rep
+            pool[2][plen:end] = job
+            if churn:
+                pool[3][plen:end] = failed
             plen = end
 
             n_assigned += take
-            newly = active & (n_assigned >= n)
-            if newly.any():
-                # Reference snapshot at the last assignment; the drain
-                # phase after it draws nothing and changes no result
+            snap = (take > 0) & (n_assigned == n)
+            if snap.any():
+                # Reference snapshot at the last assignment, retaken
+                # whenever a failure had re-opened assignment.
+                batches_at[snap] = batches[snap]
+                stalled_at[snap] = stalled[snap]
+                requests_at[snap] = requests[snap]
+                # With nothing left that can fail, the rest of the run
+                # draws nothing but arrival chunks and changes no result
                 # field, so the replication retires here.
-                batches_at[newly] = batches[newly]
-                stalled_at[newly] = stalled[newly]
-                requests_at[newly] = requests[newly]
-                active &= ~newly
-                if not active.any():
-                    break
-                if plen:
-                    kidx = np.flatnonzero(~newly[pool_rep[:plen]])
-                    k = kidx.shape[0]
-                    np.take(pool_fin[:plen], kidx, out=alt_fin[:k])
-                    np.take(pool_rep[:plen], kidx, out=alt_rep[:k])
-                    np.take(pool_job[:plen], kidx, out=alt_job[:k])
-                    pool_fin, alt_fin = alt_fin, pool_fin
-                    pool_rep, alt_rep = alt_rep, pool_rep
-                    pool_job, alt_job = alt_job, pool_job
-                    plen = k
+                newly = snap & (pending == 0)
+                if newly.any():
+                    active &= ~newly
+                    if churn:
+                        _drain_arrivals(
+                            arrivals, newly, makespan,
+                            a_times[:, -1] if a_pos < a_len else None,
+                        )
+                    if not active.any():
+                        break
+                    if plen:
+                        keep_pool(np.flatnonzero(~newly[pool[1][:plen]]))
+        elif not plen:
+            # An active rep with nothing eligible and nothing running can
+            # never progress (in a dag some unassigned job is then
+            # eligible): corrupted state.  Fail instead of looping.
+            raise RuntimeError("batch kernel deadlocked: no job can run")
 
     return [
         SimResult(
@@ -736,6 +830,22 @@ def _batch_sync(compiled, kind, params, rngs, rank, job_of_rank, scale):
             batches_until_last_assignment=int(batches_at[r]),
             stalled_batches=int(stalled_at[r]),
             requests_until_last_assignment=int(requests_at[r]),
+            n_failures=int(n_failures[r]),
         )
         for r in range(R)
     ]
+
+
+def _drain_arrivals(arrivals, newly, makespan, chunk_last):
+    """Advance retired churn replications' arrival streams to the end.
+
+    Under churn the reference keeps peeking arrivals until its last
+    completion, so its generator ends with the chunk holding the first
+    batch at or after the makespan loaded.  *chunk_last* is each rep's
+    loaded chunk's last arrival time, or ``None`` when the chunk is
+    spent (the next peek refills whatever the makespan).
+    """
+    for r in np.flatnonzero(newly).tolist():
+        last = -np.inf if chunk_last is None else chunk_last[r]
+        while last < makespan[r]:
+            last = arrivals[r].refill_block()[0][-1]

@@ -4,10 +4,10 @@ The batched kernel's contract is the scalar kernel's, replication by
 replication: for every generator in the batch, the :class:`SimResult` and
 the generator's end state must be bit-identical to a serial
 ``simulate(dag, policy, params, rng)`` with that generator — across both
-supported policies, worker churn, rollover, ``failure_prob > 0``,
-per-job runtime scaling, both batch-size distributions, slab boundaries
-and the paper workloads.  Any divergence is a bug in
-:mod:`repro.perf.kernel_batch`.
+supported policies, worker churn (batched in lockstep), rollover (the
+per-replication fallback), per-job runtime scaling, both batch-size
+distributions, slab boundaries and the paper workloads.  Any divergence
+is a bug in :mod:`repro.perf.kernel_batch`.
 """
 
 from __future__ import annotations
@@ -107,17 +107,119 @@ def test_batch_matches_serial_on_paper_workloads(workload, kind):
     _assert_batch_matches_serial(dag, kind, params, 3, seed=20060427)
 
 
+@st.composite
+def churn_params(draw) -> SimParams:
+    """Worker-churn operating points: the batched path's failure flags,
+    re-insertions, FIFO slots, stall/snapshot rules and arrival drain."""
+    return SimParams(
+        mu_bit=draw(st.sampled_from([0.01, 0.5, 1.0, 10.0])),
+        mu_bs=draw(st.sampled_from([1.0, 2.0, 16.0, 128.0])),
+        runtime_std=draw(st.sampled_from([0.0, 0.1])),
+        failure_prob=draw(st.floats(min_value=0.01, max_value=0.9)),
+        failure_time_fraction=draw(st.floats(min_value=0.1, max_value=1.0)),
+        batch_size_dist=draw(
+            st.sampled_from(["geometric", "ceil-exponential"])
+        ),
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    dags(),
+    churn_params(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["fifo", "oblivious", "upward-rank", "dagps"]),
+    st.booleans(),
+)
+def test_batch_matches_serial_under_churn(dag, params, seed, kind, scaled):
+    """Churn runs in lockstep, bit-identical (results and generator end
+    state) to the serial engines; ``runtime_std=0`` drives the
+    equal-finish tie path."""
+    assert batch_supported(kind, params)
+    scale = None
+    if scaled and dag.n:
+        scale = np.random.default_rng(seed ^ 0xA5A5).uniform(0.5, 2.0, dag.n)
+    _assert_batch_matches_serial(dag, kind, params, 4, seed, scale=scale)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize(
+    "kind", ["fifo", "oblivious", "upward-rank", "dagps"]
+)
+def test_batch_matches_serial_on_paper_workloads_under_churn(
+    workload, kind, monkeypatch
+):
+    """Churn cells of the paper workloads run on the batched path itself
+    (no per-replication scalar kernel) and stay exact."""
+
+    def no_scalar(*args, **kwargs):  # pragma: no cover - must never run
+        raise AssertionError("churn cell fell back to simulate_fast")
+
+    monkeypatch.setattr(kernel_batch, "simulate_fast", no_scalar)
+    dag = get_workload(workload)
+    params = SimParams(mu_bit=1.0, mu_bs=16.0, failure_prob=0.3)
+    _assert_batch_matches_serial(dag, kind, params, 3, seed=7)
+
+
+def test_batch_churn_two_failures_in_one_window_keep_fifo_order():
+    """Two failures popped in one window re-enter FIFO at their own pop
+    positions, ahead of children a later pop frees."""
+    dag = Dag(11, [(0, 3), (0, 6), (0, 8), (0, 9), (2, 6), (2, 10), (4, 10),
+                   (5, 6), (5, 9), (6, 7), (7, 8), (8, 10)])
+    params = SimParams(mu_bit=1.0, mu_bs=4.0, failure_prob=0.3)
+    _assert_batch_matches_serial(dag, "fifo", params, 4, seed=497459871)
+
+
+def test_batch_churn_drain_crosses_an_arrival_chunk():
+    """A long last job keeps the reference peeking arrivals for many
+    chunks after the last assignment; retirement must drain them."""
+    dag = Dag(3, [(0, 1), (1, 2)])
+    params = SimParams(mu_bit=0.01, mu_bs=1.0, failure_prob=0.1)
+    scale = np.array([1.0, 1.0, 1000.0])
+    for kind in ("fifo", "oblivious"):
+        _assert_batch_matches_serial(dag, kind, params, 4, seed=3, scale=scale)
+
+
+def test_batch_churn_fifo_keys_grow_past_n_insertions(monkeypatch):
+    """At p = 0.95 a job is inserted ~20 times, so FIFO's insertion
+    sequence outgrows n and the key stride must grow; with a lowered
+    int32 bound the growth also switches the frontier to int64."""
+    dag = Dag(30, [(i, i + 1) for i in range(0, 29, 3)])
+    params = SimParams(mu_bit=0.5, mu_bs=4.0, failure_prob=0.95)
+    dtypes = []
+    real = kernel_batch._restride
+
+    def spy(enc, old, new, dtype):
+        dtypes.append(np.dtype(dtype))
+        return real(enc, old, new, dtype)
+
+    monkeypatch.setattr(kernel_batch, "_restride", spy)
+    compiled = CompiledDag.from_dag(dag)
+    results = simulate_batch(
+        compiled, "fifo", params,
+        [np.random.default_rng(s) for s in range(4)],
+    )
+    assert min(r.n_failures for r in results) > 10 * dag.n
+    _assert_batch_matches_serial(dag, "fifo", params, 4, seed=5)
+    assert dtypes and set(dtypes) == {np.dtype(np.int32)}
+
+    dtypes.clear()
+    # R * (n*n + 1) = 3604 fits; the first doubled stride does not.
+    monkeypatch.setattr(kernel_batch, "_INT32_LIMIT", 4000)
+    _assert_batch_matches_serial(dag, "fifo", params, 4, seed=5)
+    assert np.dtype(np.int64) in dtypes
+
+
 @pytest.mark.parametrize(
     "params",
     [
-        SimParams(mu_bit=1.0, mu_bs=8.0, failure_prob=0.3),
         SimParams(mu_bit=1.0, mu_bs=8.0, rollover=True),
         SimParams(mu_bit=0.1, mu_bs=4.0, failure_prob=0.2, rollover=True),
     ],
-    ids=["churn", "rollover", "churn+rollover"],
+    ids=["rollover", "churn+rollover"],
 )
 def test_batch_falls_back_identically_outside_batch_sync(params):
-    """Churn/rollover take the per-replication fallback — still exact."""
+    """Rollover takes the per-replication fallback — still exact."""
     dag = get_workload("airsn-small")
     assert not batch_supported("fifo", params)
     assert not batch_supported("upward-rank", params)
@@ -201,7 +303,7 @@ def test_batch_supported_predicate():
     assert not batch_supported("random", ok)
     assert not batch_supported("prio-live", ok)
     assert not batch_supported("not-a-policy", ok)
-    assert not batch_supported(
+    assert batch_supported(
         "fifo", SimParams(mu_bit=1.0, mu_bs=4.0, failure_prob=0.1)
     )
     assert not batch_supported(
