@@ -17,6 +17,12 @@ Both paths produce byte-identical priorities (the property suite pins it
 per step; this bench re-checks the final state), so the only question is
 advance latency.  Writes BENCH_live.json, then gates: the incremental
 path must be >= 5x faster over the whole stream at the largest workload.
+
+Each row also replays the stream through a checkpointing
+:class:`~repro.live.SessionStore` (what ``--session-dir`` serves):
+``durable_seconds`` is the incremental path plus one durable checkpoint
+record per advance, and ``checkpoint_bytes`` is the session file's final
+size.  These are reported, not gated.
 """
 
 import json
@@ -25,7 +31,8 @@ from pathlib import Path
 
 from common import RESULTS_NOTE, full_fidelity
 from repro.core.rescheduling import reprioritize_remnant
-from repro.live import EventPlan, LiveSession, event_stream
+from repro.dag.io_json import dag_to_json
+from repro.live import EventPlan, LiveSession, SessionStore, event_stream
 from repro.robust import write_atomic
 from repro.workloads.registry import get_workload
 
@@ -65,6 +72,18 @@ def time_incremental(dag, batches):
     return seconds, recomputes, session.priorities
 
 
+def time_durable(dag, batches, directory):
+    """The incremental path behind a store that checkpoints every advance."""
+    store = SessionStore(directory=directory)
+    session_id = store.create(dag_to_json(dag)).session_id
+    started = time.perf_counter()
+    for seq, events in batches:
+        store.advance(session_id, events, seq=seq)
+    seconds = time.perf_counter() - started
+    (path,) = Path(directory).iterdir()
+    return seconds, path.stat().st_size, store.get(session_id).priorities
+
+
 def time_stateless(dag, batches):
     """What a server without session state pays: full recompute per tick."""
     executed = set()
@@ -78,7 +97,7 @@ def time_stateless(dag, batches):
     return time.perf_counter() - started, priorities
 
 
-def test_live_advance_speedup(benchmark):
+def test_live_advance_speedup(benchmark, tmp_path):
     names = workload_names()
 
     def measure():
@@ -89,10 +108,14 @@ def test_live_advance_speedup(benchmark):
             inc_seconds, recomputes, inc_priorities = time_incremental(
                 dag, batches
             )
+            durable_seconds, checkpoint_bytes, durable_priorities = (
+                time_durable(dag, batches, tmp_path / name)
+            )
             base_seconds, base_priorities = time_stateless(dag, batches)
             # The whole point of the incremental path is that speed never
             # costs correctness: same bytes as the from-scratch oracle.
             assert inc_priorities == base_priorities, name
+            assert durable_priorities == inc_priorities, name
             rows.append(
                 {
                     "workload": name,
@@ -100,6 +123,8 @@ def test_live_advance_speedup(benchmark):
                     "n_advances": len(batches),
                     "n_recomputes": recomputes,
                     "incremental_seconds": inc_seconds,
+                    "durable_seconds": durable_seconds,
+                    "checkpoint_bytes": checkpoint_bytes,
                     "stateless_seconds": base_seconds,
                     "speedup": base_seconds / inc_seconds,
                 }
@@ -111,13 +136,16 @@ def test_live_advance_speedup(benchmark):
     print(f"\nlive rescheduling — advance cost ({RESULTS_NOTE})")
     print(
         f"  {'workload':<16} {'jobs':>6} {'advances':>8} {'recomp':>6} "
-        f"{'incremental':>12} {'stateless':>10} {'speedup':>8}"
+        f"{'incremental':>12} {'durable':>9} {'ckpt KB':>8} "
+        f"{'stateless':>10} {'speedup':>8}"
     )
     for row in rows:
         print(
             f"  {row['workload']:<16} {row['n_jobs']:>6} "
             f"{row['n_advances']:>8} {row['n_recomputes']:>6} "
             f"{row['incremental_seconds']:>11.3f}s "
+            f"{row['durable_seconds']:>8.3f}s "
+            f"{row['checkpoint_bytes'] / 1024:>8.1f} "
             f"{row['stateless_seconds']:>9.3f}s "
             f"{row['speedup']:>7.2f}x"
         )

@@ -1629,8 +1629,8 @@ def main(argv: list[str] | None = None) -> int:
             pass
         return 0
     except KeyboardInterrupt:
-        # Completed work is already durable (checkpoints are rewritten
-        # atomically per unit); the command printed a --resume hint.
+        # Completed work is already durable (each unit's checkpoint
+        # record is fsynced); the command printed a --resume hint.
         print("interrupted", file=sys.stderr)
         return 130
     except (CliError, CheckpointError) as exc:

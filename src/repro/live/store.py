@@ -18,11 +18,15 @@ recomputable from the id alone — no routing table to lose.
 
 **Durability.**  The checkpoint holds one ``create`` entry (the raw dag
 payload plus options) and one ``advance:<seq>`` entry per applied batch
-(events plus the response delta).  Recovery replays the event history
-through :meth:`LiveSession.replay` (one recompute total, not one per
-batch) and keeps the last stored delta for sequence replay — so the next
-``advance`` after a crash is byte-identical to one served by a process
-that never died.
+(events plus the response delta): each advance appends and fsyncs one
+line before it returns, whatever the session's length.  Recovery
+replays the event history through :meth:`LiveSession.replay` (one
+recompute total, not one per batch) and keeps the last stored delta for
+sequence replay — so the next ``advance`` after a crash is
+byte-identical to one served by a process that never died.  A batch
+whose checkpoint write failed is applied in memory but not yet durable;
+the retry (or the next batch) writes it before answering, so the disk
+never skips a seq the client was told succeeded.
 """
 
 from __future__ import annotations
@@ -82,6 +86,9 @@ class SessionStore:
         self.telemetry = telemetry
         self._sessions: dict[str, LiveSession] = {}
         self._checkpoints: dict[str, Checkpoint] = {}
+        #: session id -> (key, payload) of an applied advance whose
+        #: checkpoint write raised; written before the session answers again.
+        self._unpersisted: dict[str, tuple[str, dict]] = {}
         self._locks: dict[str, threading.Lock] = {}
         self._registry_lock = threading.Lock()
         self.recovered = 0
@@ -117,23 +124,31 @@ class SessionStore:
                 metrics=self.metrics,
                 telemetry=self.telemetry,
             )
+            if self.directory is not None:
+                path = self._path(session_id)
+                try:
+                    checkpoint = Checkpoint.open(
+                        path,
+                        self._fingerprint(session_id),
+                        meta={"session_id": session_id},
+                    )
+                    checkpoint.record(
+                        "create",
+                        {
+                            "dag": dag_payload,
+                            "name": name,
+                            "mode": session.scheduler.mode,
+                        },
+                    )
+                except BaseException:
+                    # Register nothing and leave no header-only file, so
+                    # a retried create starts afresh instead of meeting
+                    # SessionExists for a session that was never durable.
+                    path.unlink(missing_ok=True)
+                    raise
+                self._checkpoints[session_id] = checkpoint
             self._sessions[session_id] = session
             self._locks[session_id] = threading.Lock()
-            if self.directory is not None:
-                checkpoint = Checkpoint.open(
-                    self._path(session_id),
-                    self._fingerprint(session_id),
-                    meta={"session_id": session_id},
-                )
-                checkpoint.record(
-                    "create",
-                    {
-                        "dag": dag_payload,
-                        "name": name,
-                        "mode": session.scheduler.mode,
-                    },
-                )
-                self._checkpoints[session_id] = checkpoint
         return session
 
     def get(self, session_id: str) -> LiveSession | None:
@@ -159,6 +174,9 @@ class SessionStore:
         if session is None:
             raise KeyError(session_id)
         with self._lock_for(session_id):
+            # A retry must not answer from memory what the disk lacks, and
+            # the next batch must not leave a gap in the recorded seqs.
+            self._persist_pending(session_id)
             if session.last_advance is not None:
                 stored_seq, stored_delta = session.last_advance
                 if seq == stored_seq:
@@ -166,11 +184,11 @@ class SessionStore:
                         self.metrics.counter("live.advance.replayed").inc()
                     return stored_delta
             delta = session.advance(events, seq=seq)
-            checkpoint = self._checkpoints.get(session_id)
-            if checkpoint is not None:
-                checkpoint.record(
+            if session_id in self._checkpoints:
+                self._unpersisted[session_id] = (
                     f"advance:{seq:08d}", {"events": events, "delta": delta}
                 )
+                self._persist_pending(session_id)
             return delta
 
     def summary(self, session_id: str) -> dict | None:
@@ -214,6 +232,17 @@ class SessionStore:
             and bool(_SESSION_ID_RE.match(session_id))
             and self._path(session_id).exists()
         )
+
+    def _persist_pending(self, session_id: str) -> None:
+        """Record the session's unwritten advance, if any (lock held).
+
+        The entry leaves ``_unpersisted`` only once the checkpoint has
+        fsynced it; a failed write raises and keeps it pending.
+        """
+        pending = self._unpersisted.get(session_id)
+        if pending is not None:
+            self._checkpoints[session_id].record(*pending)
+            del self._unpersisted[session_id]
 
     def _lock_for(self, session_id: str) -> threading.Lock:
         with self._registry_lock:

@@ -13,15 +13,15 @@ interrupts:
   of their seeds, so every recovery action is bit-identical to a clean
   run.
 * :mod:`repro.robust.checkpoint` — fingerprinted, schema-versioned,
-  atomically-written JSONL checkpoints; ``--resume`` skips completed
+  append-only JSONL checkpoints; ``--resume`` skips completed
   cells and reproduces the uninterrupted output byte-for-byte, and a
   fingerprint mismatch is a hard error rather than silent reuse.
 * :mod:`repro.robust.faults` — :class:`FaultPlan`, the deterministic
   fault injector (kill a worker, delay a chunk, corrupt a checkpoint
   record) behind the recovery test suite and the CI chaos job.
 * :mod:`repro.robust.io` — :func:`write_atomic`, the tmp+fsync+rename
-  write used for every durable artifact (checkpoints, telemetry logs,
-  benchmark results).
+  write used for every durable artifact (checkpoint headers, telemetry
+  logs, benchmark results).
 """
 
 from .checkpoint import (

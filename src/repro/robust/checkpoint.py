@@ -15,19 +15,22 @@ Safety rules, enforced loudly:
 * fingerprint mismatch is a **hard error** (:class:`FingerprintMismatch`),
   never a silent partial reuse — resuming a sweep with a different seed
   or grid would poison its statistics;
-* the file is rewritten atomically (tmp + fsync + rename, see
-  :mod:`repro.robust.io`) on every record, so a crash can never leave a
-  torn checkpoint;
-* a checkpoint that is damaged anyway (bit rot, hand editing, the fault
-  injector) fails to load with :class:`CheckpointError` — except for a
-  single *trailing* partial line, the signature of a torn legacy append,
-  which is dropped with the work it recorded simply redone.
+* the header is written atomically (tmp + fsync + rename, see
+  :mod:`repro.robust.io`); each record is appended as one line and
+  fsynced before :meth:`Checkpoint.record` returns, so writing a record
+  costs the record, not the file.  A failed append is truncated away;
+* a crash mid-append can tear only the last line.  That torn tail is
+  dropped on open, its work simply redone, and the file is rewritten
+  once without it so the next append cannot land after the fragment;
+* a checkpoint that is damaged anywhere else (bit rot, hand editing,
+  the fault injector) fails to load with :class:`CheckpointError`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 from .io import write_atomic
@@ -78,12 +81,20 @@ def fingerprint(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _parse(path: Path) -> tuple[dict, dict]:
-    """Read and validate a checkpoint file; returns (header, records)."""
+def _parse(path: Path) -> tuple[dict, dict, bool]:
+    """Read and validate a checkpoint file.
+
+    Returns ``(header, records, torn)``.  *torn* is true when the file
+    does not end on a record boundary (a torn trailing line was dropped,
+    or the last line lacks its newline): appending to it as it stands
+    would glue the next record onto the fragment.
+    """
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"{path}: cannot read checkpoint ({exc})") from None
+    lines = text.splitlines()
+    torn = not text.endswith("\n")
     if not lines or not lines[0].strip():
         raise CheckpointError(f"{path}: empty checkpoint file")
     decoded = []
@@ -96,6 +107,7 @@ def _parse(path: Path) -> tuple[dict, dict]:
             if lineno == len(lines):
                 # A torn trailing line: the signature of a crash mid-
                 # append.  Drop it — that unit of work is simply redone.
+                torn = True
                 continue
             raise CheckpointError(
                 f"{path}: corrupt checkpoint record at line {lineno}"
@@ -126,7 +138,35 @@ def _parse(path: Path) -> tuple[dict, dict]:
                 f"{path}: corrupt checkpoint record at line {lineno}"
             )
         records[record["key"]] = record["payload"]
-    return header, records
+    return header, records, torn
+
+
+def _entry_line(key: str, payload) -> str:
+    return json.dumps(
+        {"kind": "entry", "key": key, "payload": payload}, sort_keys=True
+    )
+
+
+def _append(path: Path, data: bytes) -> None:
+    """Append *data* to *path* and fsync it, or leave the file unchanged.
+
+    If the write or the fsync raises, the file is truncated back to its
+    length before the append and the error re-raised, so a failed record
+    never leaves a fragment for the next one to land after.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+    try:
+        end = os.fstat(fd).st_size
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            os.fsync(fd)
+        except BaseException:
+            os.ftruncate(fd, end)
+            raise
+    finally:
+        os.close(fd)
 
 
 class Checkpoint:
@@ -163,7 +203,7 @@ class Checkpoint:
         """
         path = Path(path)
         if path.exists():
-            header, records = _parse(path)
+            header, records, torn = _parse(path)
             if header["fingerprint"] != fingerprint:
                 raise FingerprintMismatch(
                     f"{path}: checkpoint was written by a different "
@@ -171,7 +211,11 @@ class Checkpoint:
                     f"{header['fingerprint'][:12]}… != expected "
                     f"{fingerprint[:12]}…); refusing to resume"
                 )
-            return cls(path, fingerprint, header.get("meta") or {}, records)
+            checkpoint = cls(path, fingerprint, header.get("meta") or {}, records)
+            if torn:
+                # One-time repair: rewrite the file without the torn tail.
+                checkpoint._flush()
+            return checkpoint
         if require_existing:
             raise CheckpointError(
                 f"{path}: checkpoint not found (required for --resume)"
@@ -195,12 +239,14 @@ class Checkpoint:
     def record(self, key: str, payload) -> None:
         """Durably record one completed unit of work.
 
-        The whole file is rewritten atomically, so readers (and crashes)
-        see every prior record or every prior record plus this one —
-        never a torn tail.
+        Appends one entry line and fsyncs it before returning, so a crash
+        loses at most this record, as a torn tail the next open drops.  A
+        failed append raises with the file truncated back and *key* not
+        recorded.  Re-recording a key keeps its first position and its
+        last payload, on disk as in memory.
         """
+        _append(self.path, (_entry_line(key, payload) + "\n").encode("utf-8"))
         self._records[key] = payload
-        self._flush()
 
     def scoped(self, prefix: str) -> "_ScopedCheckpoint":
         """A view of this checkpoint with *prefix* prepended to keys."""
@@ -219,9 +265,7 @@ class Checkpoint:
             )
         ]
         lines.extend(
-            json.dumps({"kind": "entry", "key": key, "payload": payload},
-                       sort_keys=True)
-            for key, payload in self._records.items()
+            _entry_line(key, payload) for key, payload in self._records.items()
         )
         write_atomic(self.path, "\n".join(lines) + "\n")
 

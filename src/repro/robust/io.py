@@ -1,9 +1,10 @@
 """Crash-safe file writes: tmp file + fsync + atomic rename.
 
-Every durable artifact the experiments produce — checkpoint files,
-telemetry logs, ``benchmarks/results/*.json`` — goes through this module,
-so a crash (or an OOM kill, or a reboot) can never leave a truncated or
-half-written file behind.  Readers like
+Every durable artifact the experiments produce — telemetry logs,
+``benchmarks/results/*.json``, a checkpoint's header — goes through this
+module, so a crash (or an OOM kill, or a reboot) can never leave a
+truncated or half-written file behind.  (Checkpoint records are appended
+instead; :mod:`repro.robust.checkpoint` drops and repairs a torn tail.)  Readers like
 :func:`repro.obs.events.read_telemetry` are all-or-nothing by design; a
 torn artifact would make them reject an entire run's output, which is
 exactly the failure mode long sweeps cannot afford.

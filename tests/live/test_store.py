@@ -1,5 +1,7 @@
 """SessionStore: identity, idempotent replay, durable recovery."""
 
+import errno
+import os
 import threading
 
 import pytest
@@ -12,6 +14,7 @@ from repro.live.store import (
     session_token,
     valid_session_name,
 )
+from repro.robust import Checkpoint
 
 
 @pytest.fixture
@@ -164,6 +167,84 @@ def test_recovered_next_advance_matches_unkilled_twin(tmp_path, payload,
     recovered = SessionStore(directory=tmp_path / "b")  # the respawn
     delta = recovered.advance(sid, events2, seq=2)
     assert dumps_canonical(delta) == dumps_canonical(expected)
+
+
+def fail_next_fsync(monkeypatch):
+    """Make the next ``os.fsync`` raise ENOSPC, as a full disk would."""
+    real_fsync = os.fsync
+    failed = []
+
+    def flaky(fd):
+        if not failed:
+            failed.append(fd)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", flaky)
+    return failed
+
+
+def test_retry_persists_advance_whose_checkpoint_write_failed(
+    tmp_path, payload, fig3_dag, monkeypatch
+):
+    """The retry's answer comes from memory; it must also reach the disk,
+    or a respawn forgets a seq the client was told succeeded."""
+    events = [{"kind": "complete", "job": first_eligible(fig3_dag)}]
+    twin = SessionStore(directory=tmp_path / "twin")
+    sid = twin.create(payload).session_id
+    expected = twin.advance(sid, events, seq=1)
+
+    store = SessionStore(directory=tmp_path / "flaky")
+    store.create(payload)
+    failed = fail_next_fsync(monkeypatch)
+    with pytest.raises(OSError):
+        store.advance(sid, events, seq=1)
+    assert failed
+    retried = store.advance(sid, events, seq=1)
+    assert dumps_canonical(retried) == dumps_canonical(expected)
+
+    recovered = SessionStore(directory=tmp_path / "flaky")
+    summary = recovered.summary(sid)
+    assert summary["seq"] == 1
+    assert summary["priorities"] == twin.summary(sid)["priorities"]
+
+
+def test_next_advance_after_failed_write_leaves_no_seq_gap(
+    tmp_path, payload, fig3_dag, monkeypatch
+):
+    job = first_eligible(fig3_dag)
+    nxt = first_eligible(fig3_dag, {job})
+    store = SessionStore(directory=tmp_path)
+    sid = store.create(payload).session_id
+    fail_next_fsync(monkeypatch)
+    with pytest.raises(OSError):
+        store.advance(sid, [{"kind": "complete", "job": job}], seq=1)
+    # The client skips the retry; seq 1 is applied in memory, so seq 2
+    # is next — and seq 1 must land on disk before it.
+    store.advance(sid, [{"kind": "complete", "job": nxt}], seq=2)
+    recovered = SessionStore(directory=tmp_path).summary(sid)
+    assert recovered["seq"] == 2
+    assert recovered["n_executed"] == 2
+
+
+def test_failed_create_write_registers_nothing(tmp_path, payload,
+                                               monkeypatch):
+    """The header is on disk when the ``create`` record fails: that file
+    must go, or the retry meets SessionExists for a session that never
+    became durable (and whose advances would never be recorded)."""
+    store = SessionStore(directory=tmp_path)
+
+    def full_disk(self, key, payload):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Checkpoint, "record", full_disk)
+        with pytest.raises(OSError):
+            store.create(payload)
+    assert len(store) == 0
+    assert list(tmp_path.iterdir()) == []
+    sid = store.create(payload).session_id  # the retry starts afresh
+    assert SessionStore(directory=tmp_path).summary(sid)["seq"] == 0
 
 
 def test_duplicate_create_detected_on_disk(tmp_path, payload):
