@@ -1,23 +1,23 @@
 """Engineering — what the schedule cache and the batched kernel buy.
 
 Measurements, written to ``benchmarks/results/BENCH_cache.json``
-(schema 2):
+(schema 3):
 
 * **Repeated scheduling** — the sweep-cell scenario: many grid cells (and
   league entrants, report workloads, resumed runs) asking for the same
   dag's PRIO schedule.  Uncached, every cell pays the full pipeline;
   cached, the first call computes and the rest hit the in-memory LRU.
   The acceptance gate asserts at least a 3x speedup.
-* **Batched kernel vs the engines** — one sweep cell's replication batch
-  run three ways: the reference event loop, the scalar array kernel
-  (per-replication ``simulate_fast``) and the batched kernel
+* **Batched kernel vs the reference engine** — one sweep cell's
+  replication batch run two ways: the reference event loop, one
+  replication at a time, and the batched kernel
   (:func:`repro.perf.simulate_batch`, all replications in lockstep).
   Timed at two operating points: the sweep grid's *central* cell
   (``mu_bit=1.0, mu_bs=256`` — the midpoint of the paper grid's
   ``mu_bit ∈ 10^(-3..3)``, ``mu_bs ∈ 2^(0..16)``) and the legacy
   ``(1.0, 16.0)`` cell kept for cross-version comparability, plus the
   central cell under worker churn (``failure_prob=0.05``), which the
-  batched kernel runs in lockstep too.  All three paths must be
+  batched kernel runs in lockstep too.  Both paths must be
   bit-identical; the acceptance gate asserts the batched
   kernel is at least **8x** the reference engine for the PRIO/oblivious
   policy at the central clean cell.  FIFO, the legacy cell and the
@@ -95,7 +95,7 @@ def test_cache_repeated_scheduling_speedup(benchmark):
 
     kernel = _kernel_measurement(dag)
     payload = {
-        "schema": 2,
+        "schema": 3,
         "bench": "cache",
         "workload": WORKLOAD,
         "cells": cells,
@@ -118,7 +118,7 @@ def test_cache_repeated_scheduling_speedup(benchmark):
     )
     for cell in payload["kernel_cells"]:
         assert cell["bit_identical"], (
-            f"batched/scalar/reference results diverged at "
+            f"batched/reference results diverged at "
             f"mu_bit={cell['mu_bit']} mu_bs={cell['mu_bs']} "
             f"failure_prob={cell['failure_prob']} ({cell['policy']})"
         )
@@ -133,25 +133,24 @@ def test_cache_repeated_scheduling_speedup(benchmark):
 
 def _measure_cell(compiled, order, kind, mu_bit, mu_bs, failure_prob, *,
                   batch_runs, serial_runs) -> dict:
-    """Time reference / scalar kernel / batched kernel on one cell.
+    """Time the reference engine and the batched kernel on one cell.
 
-    The serial engines are timed over *serial_runs* replications and
+    The reference engine is timed over *serial_runs* replications and
     normalized per replication; the batched kernel amortizes across the
     whole batch, so it is timed at its operating size *batch_runs*.  The
-    first *serial_runs* replications share seed sequences across all
-    three paths, and their results must be bit-identical.
+    first *serial_runs* replications share seed sequences across both
+    paths, and their results must be bit-identical.
     """
     params = SimParams(mu_bit=mu_bit, mu_bs=mu_bs, failure_prob=failure_prob)
     seqs = np.random.SeedSequence(2006).spawn(batch_runs)
 
-    def serial(kernel: bool):
+    def serial():
         return [
             simulate(
                 compiled,
                 make_policy(kind, order=order),
                 params,
                 np.random.default_rng(seqs[i]),
-                kernel=kernel,
             )
             for i in range(serial_runs)
         ]
@@ -161,11 +160,8 @@ def _measure_cell(compiled, order, kind, mu_bit, mu_bs, failure_prob, *,
         return simulate_batch(compiled, kind, params, rngs, order=order)
 
     started = time.perf_counter()
-    reference = serial(False)
+    reference = serial()
     reference_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    kernel_results = serial(True)
-    kernel_seconds = time.perf_counter() - started
     # The batched call is cheap enough to repeat; take the best of three
     # so a scheduler hiccup cannot trip the gated measurement.
     started = time.perf_counter()
@@ -174,7 +170,6 @@ def _measure_cell(compiled, order, kind, mu_bit, mu_bs, failure_prob, *,
     batched_seconds = min(batched_seconds, _time(batched), _time(batched))
 
     ref_per_rep = reference_seconds / serial_runs
-    kernel_per_rep = kernel_seconds / serial_runs
     batch_per_rep = batched_seconds / batch_runs
     cell = {
         "policy": kind,
@@ -184,20 +179,14 @@ def _measure_cell(compiled, order, kind, mu_bit, mu_bs, failure_prob, *,
         "serial_runs": serial_runs,
         "batch_runs": batch_runs,
         "reference_seconds": reference_seconds,
-        "kernel_seconds": kernel_seconds,
         "batched_seconds": batched_seconds,
-        "kernel_speedup": ref_per_rep / kernel_per_rep,
         "batch_speedup": ref_per_rep / batch_per_rep,
-        "bit_identical": (
-            kernel_results == reference
-            and batch_results[:serial_runs] == reference
-        ),
+        "bit_identical": batch_results[:serial_runs] == reference,
     }
     print(
         f"  {kind:10s} mu_bit={mu_bit:<6g} mu_bs={mu_bs:<6g} "
         f"p={failure_prob:<5g} "
         f"ref {ref_per_rep * 1e3:7.2f} ms/rep  "
-        f"kernel {cell['kernel_speedup']:5.2f}x  "
         f"batched {cell['batch_speedup']:5.2f}x"
         f"{'' if cell['bit_identical'] else '  MISMATCH'}"
     )
@@ -205,7 +194,7 @@ def _measure_cell(compiled, order, kind, mu_bit, mu_bs, failure_prob, *,
 
 
 def _kernel_measurement(dag) -> dict:
-    """Reference vs scalar kernel vs batched kernel on three sweep cells."""
+    """Reference engine vs batched kernel on three sweep cells."""
     batch_runs = 512 if full_fidelity() else 256
     serial_runs = 48 if full_fidelity() else 12
 

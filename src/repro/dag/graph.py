@@ -17,10 +17,26 @@ constructors to create them.
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 
-__all__ = ["Dag", "DagBuilder", "CycleError"]
+__all__ = ["Dag", "DagBuilder", "CycleError", "fingerprint_arcs"]
+
+
+def fingerprint_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> str:
+    """The ``dag-v1`` content hash of *n* nodes and their *arcs*.
+
+    SHA-256 over ``b"dag-v1:%d" % n`` followed by ``b";%d>%d" % (u, v)``
+    per arc.  *arcs* must be in canonical order — lexicographic by
+    ``(u, v)``, no duplicates — so every producer of the same structure
+    gets the same digest: :meth:`Dag.fingerprint`, the arena dags'
+    :func:`repro.workloads.synthetic.compiled_fingerprint` and the live
+    scheduler's remnant fingerprint all encode through here.
+    """
+    h = hashlib.sha256(b"dag-v1:%d" % n)
+    h.update(b"".join([b";%d>%d" % arc for arc in arcs]))
+    return h.hexdigest()
 
 
 class CycleError(ValueError):
@@ -239,14 +255,11 @@ class Dag:
         The digest is computed once and memoized (the dag is immutable).
         """
         if self._fingerprint is None:
-            import hashlib
-
-            h = hashlib.sha256()
-            h.update(b"dag-v1:%d" % self._n)
-            for u in range(self._n):
-                for v in sorted(self._children[u]):
-                    h.update(b";%d>%d" % (u, v))
-            self._fingerprint = h.hexdigest()
+            children = self._children
+            self._fingerprint = fingerprint_arcs(
+                self._n,
+                ((u, v) for u in range(self._n) for v in sorted(children[u])),
+            )
         return self._fingerprint
 
     # ------------------------------------------------------------------

@@ -45,13 +45,12 @@ precedence-closed executed set, with default pipeline knobs.
 
 from __future__ import annotations
 
-import hashlib
 import time
 
 from ..core.component import schedule_component
 from ..core.decompose import decompose
 from ..core.greedy import greedy_combine
-from ..dag.graph import Dag
+from ..dag.graph import Dag, fingerprint_arcs
 from ..dag.transitive import remove_shortcuts
 from ..theory.priority import PriorityCache
 
@@ -200,13 +199,14 @@ class IncrementalScheduler:
         dag = self.dag
         pending = [u for u in range(dag.n) if u not in executed_set]
         local = {orig: i for i, orig in enumerate(pending)}
-        h = hashlib.sha256()
-        h.update(b"dag-v1:%d" % len(pending))
-        for u in pending:
-            lu = local[u]
-            for v in sorted(dag.children(u)):
-                h.update(b";%d>%d" % (lu, local[v]))
-        return h.hexdigest()
+        return fingerprint_arcs(
+            len(pending),
+            (
+                (local[u], local[v])
+                for u in pending
+                for v in sorted(dag.children(u))
+            ),
+        )
 
     def stats(self) -> dict:
         """Reuse counters (JSON-serializable)."""

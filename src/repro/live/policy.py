@@ -13,9 +13,9 @@ once per assignment round) by the
 The policy draws nothing from the simulation's generator, so enabling it
 changes only assignment order, never the random stream — FIFO, static
 PRIO and live PRIO remain comparable under common random numbers.  It is
-deliberately *not* kernel-compiled
-(:func:`repro.perf.kernel.kernel_supported` admits exact policy types
-only), so simulations using it always run on the reference loop.
+deliberately *not* kernel-compiled (its registry entry has no
+``batch_kind``, so the batched kernel never takes it), and simulations
+using it always run on the reference loop.
 """
 
 from __future__ import annotations

@@ -29,9 +29,8 @@ Counters: when a :class:`~repro.obs.metrics.MetricsRegistry` is attached
 (``metrics=``), every lookup lands in ``cache.hit`` / ``cache.miss``
 (disk hits additionally in ``cache.disk_hit``).
 
-The cache is one of the three reuse mechanisms benchmarked by
-``benchmarks/test_bench_cache.py`` (with the scalar and batched
-simulation kernels, :mod:`repro.perf.kernel` and
+The cache is one of the two reuse mechanisms benchmarked by
+``benchmarks/test_bench_cache.py`` (with the batched simulation kernel,
 :mod:`repro.perf.kernel_batch`); a cached PRIO schedule is exactly what
 :func:`~repro.perf.kernel_batch.simulate_batch` validates once and then
 shares across a whole replication batch.

@@ -30,9 +30,10 @@ to ~batches iterations shared by all replications, with the per-step work
 vectorized across replications (frontier merges, children decrements,
 duration blocks, makespan maxima).
 
-**Bit-identity contract.**  Same contract as :mod:`repro.perf.kernel`,
-replication by replication: each replication's generator is advanced
-through the same :class:`~repro.sim.arrivals.BatchArrivals` and
+**Bit-identity contract.**  Replication by replication, results and
+generator end states equal the reference engine's
+(:func:`repro.sim.engine.simulate`): each replication's generator is
+advanced through the same :class:`~repro.sim.arrivals.BatchArrivals` and
 :class:`~repro.sim.runtime.RuntimeSampler` refills, in the same order, at
 the same event boundaries as the reference engine, and the same IEEE
 double arithmetic is applied to the samples.  The load-bearing details:
@@ -74,10 +75,10 @@ double arithmetic is applied to the samples.  The load-bearing details:
   set updates to a sorted rank frontier reproduce it with no ordering
   reconstruction at all.
 
-``tests/perf/test_kernel_batch_equivalence.py`` enforces batched-vs-serial
-bit-identity over random dags, both policies, both batch-size
-distributions, worker churn and the paper workloads; any divergence is a
-bug in this module.
+``tests/perf/test_kernel_batch_equivalence.py`` enforces
+batched-vs-reference bit-identity over random dags, both policies, both
+batch-size distributions, worker churn and the paper workloads; any
+divergence is a bug in this module.
 
 **Dispatch rules.**  :func:`dispatch_batch` is the auto-dispatch hook used
 by :func:`repro.sim.replication.run_replications` and
@@ -89,28 +90,31 @@ by :func:`repro.sim.replication.run_replications` and
   ``dagps``; the policies whose construction ignores the replication
   generator).  Kinds with no dispatch class (``random``, ``prio-live``)
   take the documented per-replication reference fallback instead;
-* kernel dispatch is enabled (``REPRO_NO_KERNEL`` unset — the same escape
-  hatch as the scalar kernel); and
+* the parameters are batch-synchronous (:func:`batch_supported`: no
+  request rollover, no straggler injection);
+* kernel dispatch is enabled (``REPRO_NO_KERNEL`` unset — the A/B
+  switch that pins every batch to the reference loop); and
 * the caller is not collecting telemetry: per-event counters
-  (``engine.events``, heap/pool peaks) only exist on the per-event paths,
-  so metrics runs keep the scalar engines.
+  (``engine.events``, heap/pool peaks) only exist on the per-event
+  reference loop, so metrics runs keep it.
 
-Parameter sets outside the batch-synchronous regime (request rollover)
-fall back *inside* :func:`simulate_batch` to one
-:func:`repro.perf.kernel.simulate_fast` per replication — still
-bit-identical, just not vectorized across replications.  There is no
-silent approximation anywhere: every path is exact.
+Whenever :func:`dispatch_batch` declines, the caller's per-replication
+loop runs the reference engine — the only fallback, bit-identical by
+construction.  :func:`simulate_batch` itself refuses what it cannot
+run in lockstep instead of falling back.  There is no silent
+approximation anywhere: every path is exact.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
 from ..sim.arrivals import BatchArrivals
 from ..sim.compile import CompiledDag
-from ..sim.engine import SimResult, _empty_result, _kernel_default, make_policy
+from ..sim.engine import SimResult, _empty_result, make_policy
 from ..sim.runtime import RuntimeSampler
-from .kernel import simulate_fast
 
 __all__ = ["batch_supported", "dispatch_batch", "simulate_batch"]
 
@@ -158,13 +162,22 @@ _STATE_BUDGET = 2_000_000
 _INT32_LIMIT = 2**31
 
 
-def batch_supported(kind: str, params) -> bool:
-    """Whether the fully vectorized batch-synchronous path applies.
+def _kernel_default() -> bool:
+    """Whether auto-dispatch to the batched kernel is enabled.
 
-    Worker churn is inside it; request rollover is not.  Outside this
-    predicate :func:`simulate_batch` still works (and is still
-    bit-identical) — it falls back to per-replication
-    :func:`~repro.perf.kernel.simulate_fast`.
+    ``REPRO_NO_KERNEL=1`` pins every replication batch to the reference
+    loop — an escape hatch for debugging and for A/B-ing the engines;
+    results are bit-identical either way.
+    """
+    return os.environ.get("REPRO_NO_KERNEL", "") != "1"
+
+
+def batch_supported(kind: str, params) -> bool:
+    """Whether :func:`simulate_batch` can run *kind* under *params*.
+
+    Worker churn is inside the batch-synchronous regime; request
+    rollover and straggler injection are not, and only the reference
+    engine runs them.
     """
     return (
         _normalize_kind(kind) is not None
@@ -178,8 +191,9 @@ def dispatch_batch(compiled, build_policy, params, runtime_scale, seed_seqs):
 
     Returns the list of :class:`~repro.sim.engine.SimResult` (one per
     entry of *seed_seqs*, in order), or ``None`` when the batch cannot be
-    taken — unknown policy factory, kernel dispatch disabled — and the
-    caller must use the per-replication path.  See the module docstring
+    taken — unknown policy factory, rollover or straggler parameters,
+    kernel dispatch disabled — and the caller must use the
+    per-replication reference loop.  See the module docstring
     for the exact dispatch rules.
     """
     # Factories advertise their kernel dispatch class via ``batch_kind``
@@ -189,11 +203,7 @@ def dispatch_batch(compiled, build_policy, params, runtime_scale, seed_seqs):
     kind = getattr(build_policy, "batch_kind", None)
     if kind is None:
         kind = getattr(build_policy, "kind", None)
-    if kind not in _POLICY_KINDS:
-        return None
-    if params.straggler_prob > 0.0:
-        # No kernel (batched or per-replication) implements straggler
-        # injection; the whole batch must take the reference loop.
+    if kind not in _POLICY_KINDS or not batch_supported(kind, params):
         return None
     if not _kernel_default():
         return None
@@ -240,6 +250,11 @@ def simulate_batch(
             "batch kernel does not support straggler injection "
             "(straggler_prob > 0); use the reference engine"
         )
+    if params.rollover:
+        raise ValueError(
+            "batch kernel does not support request rollover "
+            "(rollover=True); use the reference engine"
+        )
     compiled = dag if isinstance(dag, CompiledDag) else CompiledDag.from_dag(dag)
     rngs = list(rngs)
     n = compiled.n
@@ -265,21 +280,6 @@ def simulate_batch(
             )
         if (scale <= 0).any():
             raise ValueError("runtime_scale entries must be positive")
-
-    if not batch_supported(kind, params):
-        # Rollover breaks batch synchrony (waiting workers are served at
-        # completion events, between arrivals).  Exact fallback: the
-        # scalar kernel, one replication at a time.
-        return [
-            simulate_fast(
-                compiled,
-                make_policy(kind, order=order),
-                params,
-                rng,
-                runtime_scale=runtime_scale,
-            )
-            for rng in rngs
-        ]
 
     slab = max(1, _STATE_BUDGET // n)
     results: list[SimResult] = []

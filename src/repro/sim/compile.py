@@ -4,8 +4,9 @@ The sweep experiments run tens of thousands of simulations over the same
 dag, so the adjacency is flattened once into CSR-style numpy arrays and the
 per-simulation state (remaining-parent counts) is a cheap array copy.
 
-The compiled form is what actually ships to worker processes and what the
-fast kernel (:mod:`repro.perf.kernel`) consumes: integer job ids, a flat
+The compiled form is what actually ships to worker processes and what both
+engines consume — the reference loop (:mod:`repro.sim.engine`) and the
+batched kernel (:mod:`repro.perf.kernel_batch`): integer job ids, a flat
 children array, an in-degree vector, plus a memoized list-of-lists view of
 the adjacency (``child_lists``) that every simulation of the same compiled
 dag shares instead of rebuilding.  The memo is process-local and excluded
@@ -89,8 +90,8 @@ class CompiledDag:
     def initial_frontier(self) -> list[int]:
         """Ids of the source jobs (in-degree zero), in id order.
 
-        Memoized alongside :meth:`child_lists`; the kernel seeds its
-        preallocated eligibility frontier from this.
+        Memoized alongside :meth:`child_lists`; the batched kernel seeds
+        every replication's eligibility frontier from this.
         """
         cached = self.__dict__.get("_initial_frontier")
         if cached is None:

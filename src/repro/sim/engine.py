@@ -23,7 +23,7 @@ The three metrics of the paper are produced per run:
   including that same batch.
 
 Beyond the paper's model (its Sec. 4.1 explicitly scopes these out; the
-conclusions call for them), two extensions are provided:
+conclusions call for them), three extensions are provided:
 
 * **worker churn** — with probability ``failure_prob`` an assigned worker
   quits partway through (after ``failure_time_fraction`` of the sampled
@@ -41,6 +41,12 @@ the waiting pool; pass a :class:`~repro.obs.metrics.MetricsRegistry` as
 ``metrics`` to collect event-loop counters.  Both are purely
 observational: they never draw from the generator, so results are
 bit-identical with or without them.
+
+This loop is the reference engine and the oracle of the one fast
+engine, the batched replication kernel
+(:mod:`repro.perf.kernel_batch`): the replication layer hands it whole
+batches of replications, and its results and generator end states are
+pinned bit-identical to this loop, replication by replication.
 """
 
 from __future__ import annotations
@@ -53,28 +59,10 @@ import numpy as np
 from ..dag.graph import Dag
 from .arrivals import BatchArrivals
 from .compile import CompiledDag
-from .policies import (
-    FifoPolicy,
-    ObliviousPolicy,
-    Policy,
-    RandomPolicy,
-    make_policy,
-)
+from .policies import Policy, make_policy
 from .runtime import RuntimeSampler
 
 __all__ = ["SimParams", "SimResult", "simulate", "make_policy"]
-
-
-def _kernel_default() -> bool:
-    """Whether auto-dispatch to the fast kernel is enabled.
-
-    ``REPRO_NO_KERNEL=1`` pins every simulation to the reference loop —
-    an escape hatch for debugging and for A/B-ing the engines; results
-    are bit-identical either way.
-    """
-    import os
-
-    return os.environ.get("REPRO_NO_KERNEL", "") != "1"
 
 
 @dataclass(frozen=True)
@@ -120,22 +108,19 @@ class SimParams:
             raise ValueError("straggler_factor must be at least 1")
 
 
-def _empty_result(trace=None, metrics=None, *, kernel: bool = False) -> "SimResult":
+def _empty_result(trace=None, metrics=None) -> "SimResult":
     """Shared epilogue for zero-job dags.
 
     The trace/telemetry conventions hold even when there is nothing to
     simulate: the documented pre-assignment t=0 snapshot (an empty
-    eligible pool, nothing running) is recorded and ``engine.runs`` (plus
-    ``engine.kernel_runs`` on the kernel path) is incremented — exactly
-    one epilogue, shared by the reference engine and the fast kernel, so
-    empty dags can never make the two diverge or vanish from telemetry.
+    eligible pool, nothing running) is recorded and ``engine.runs`` is
+    incremented, so empty dags never vanish from telemetry.  The batched
+    kernel returns the same result for each of its replications.
     """
     if trace is not None:
         trace.record(0.0, 0, 0, 0, 0, 0)
     if metrics is not None:
         metrics.counter("engine.runs").inc()
-        if kernel:
-            metrics.counter("engine.kernel_runs").inc()
     return SimResult(0.0, 0, 0, 0, 0)
 
 
@@ -183,7 +168,6 @@ def simulate(
     trace=None,
     runtime_scale: np.ndarray | None = None,
     metrics=None,
-    kernel: bool | None = None,
 ) -> SimResult:
     """Run one simulated execution of *dag* under *policy*.
 
@@ -201,47 +185,13 @@ def simulate(
     *metrics* ever touches *rng*, so enabling them cannot change the
     result.
 
-    *kernel* selects the array-compiled fast kernel
-    (:func:`repro.perf.kernel.simulate_fast`): ``None`` (the default)
-    dispatches to it whenever the policy is supported (FIFO and
-    oblivious; overridable globally with ``REPRO_NO_KERNEL=1``),
-    ``False`` forces this reference loop, ``True`` insists on the kernel
-    and raises for unsupported policies.  Both engines consume the
-    generator identically, so the choice can never change the result —
-    a guarantee the cross-engine equivalence suite enforces.
+    This is the reference engine, the oracle every fast path is pinned
+    to.  Whole replication batches reach the batched kernel
+    (:mod:`repro.perf.kernel_batch`) through
+    :func:`repro.sim.replication.run_replications`; a single call here
+    always runs this loop.
     """
     compiled = dag if isinstance(dag, CompiledDag) else CompiledDag.from_dag(dag)
-    use_kernel = _kernel_default() if kernel is None else kernel
-    # Zero-job dags still dispatch: the kernel's shared `_empty_result`
-    # epilogue records the t=0 trace snapshot and the kernel-run counter,
-    # so telemetry agrees with a direct `simulate_fast` call.
-    if params.straggler_prob > 0.0:
-        # The fast kernel does not implement straggler injection; the
-        # reference loop is the only engine for that mode.
-        if kernel is True:
-            raise ValueError(
-                "kernel=True but straggler injection "
-                "(straggler_prob > 0) runs only on the reference loop"
-            )
-        use_kernel = False
-    if use_kernel and len(policy) == 0:
-        from ..perf.kernel import kernel_supported, simulate_fast
-
-        if kernel_supported(policy):
-            return simulate_fast(
-                compiled,
-                policy,
-                params,
-                rng,
-                trace=trace,
-                runtime_scale=runtime_scale,
-                metrics=metrics,
-            )
-        if kernel is True:
-            raise ValueError(
-                f"kernel=True but {type(policy).__name__} is not supported "
-                "by the fast kernel"
-            )
     n = compiled.n
     if n == 0:
         return _empty_result(trace, metrics)

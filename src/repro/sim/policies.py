@@ -72,9 +72,10 @@ class Policy:
 
         A no-op for the paper's oblivious policies; reprioritizing
         policies (:class:`repro.live.policy.LivePrioPolicy`) use it to
-        track the executed set.  The fast kernel never calls this hook,
-        which is safe exactly because :func:`repro.perf.kernel.
-        kernel_supported` admits only policies for which it is a no-op.
+        track the executed set.  The batched kernel never calls this
+        hook, which is safe exactly because it only runs registry kinds
+        with a ``batch_kind`` (FIFO and the static-permutation orders),
+        for which it is a no-op.
         """
 
     def __len__(self) -> int:
@@ -166,8 +167,8 @@ class UpwardRankPolicy(ObliviousPolicy):
     :func:`repro.sim.rank.upward_rank_order` of the dag (ties broken by
     ascending job id), computed once at construction and then served
     exactly like :class:`ObliviousPolicy`.  Because nothing beyond the
-    order differs, the fast kernel and the batched kernel run it
-    bit-identically to the reference engine.
+    order differs, the batched kernel runs it bit-identically to the
+    reference engine.
     """
 
     __slots__ = ()
@@ -191,7 +192,8 @@ class DagpsPolicy(ObliviousPolicy):
     (troublesome set, then ancestors, descendants, rest; decreasing
     upward rank within each group, ascending job id on ties).  Like
     :class:`UpwardRankPolicy` it reduces to :class:`ObliviousPolicy`
-    with a precomputed order, so both kernels run it bit-identically.
+    with a precomputed order, so the batched kernel runs it
+    bit-identically.
     """
 
     __slots__ = ()
@@ -307,7 +309,7 @@ class PolicySpec:
     *oblivious* in the paper's sense and can be precomputed, cached by
     :class:`repro.perf.cache.ScheduleCache`, and run by the batched
     kernel.  ``batch_kind`` names the kernel dispatch class (``"fifo"``,
-    ``"oblivious"``, or ``None`` for policies the kernels cannot compile
+    ``"oblivious"``, or ``None`` for policies the kernel cannot compile
     — those take the documented per-replication reference fallback).
     ``cli`` controls whether the name is offered as a user-facing
     ``--policy`` choice (``"oblivious"`` is builder-level: it requires an

@@ -2,7 +2,7 @@
 
 Two rival priority schemes from the scheduling literature, implemented as
 pure order computations so they plug into the oblivious simulator (and its
-kernels) exactly like the PRIO schedule does:
+batched kernel) exactly like the PRIO schedule does:
 
 * **Weighted upward rank** (HEFT-style, arXiv 1903.01154): rank(u) is the
   weight of the heaviest directed path starting at *u*, inclusive —
@@ -181,8 +181,8 @@ def upward_rank_order(dag: Dag | CompiledDag, weights=None) -> list[int]:
 
     With positive weights a parent always outranks its descendants
     (``rank(u) >= w(u) + rank(child) > rank(child)``), so the order is a
-    valid topological order of the dag — the oblivious simulator, the
-    fast kernel and the batched kernel can all consume it directly.
+    valid topological order of the dag — the oblivious simulator and the
+    batched kernel can both consume it directly.
     """
     compiled = _as_compiled(dag)
     rank = upward_rank(compiled, weights)

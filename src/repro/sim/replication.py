@@ -272,9 +272,11 @@ def run_replications(
             # Whole-batch fast path: the batched kernel runs every
             # replication in lockstep (bit-identical to the loop below,
             # which it replaces whenever the policy factory advertises a
-            # supported kind and kernel dispatch is enabled).  Telemetry
-            # runs keep the per-replication path — per-event counters and
-            # per-replication wall clocks only exist there.
+            # supported kind, the parameters are batch-synchronous and
+            # kernel dispatch is enabled).  Rollover, stragglers and
+            # telemetry runs keep the per-replication reference loop —
+            # per-event counters and per-replication wall clocks only
+            # exist there.
             from ..perf.kernel_batch import dispatch_batch
 
             batched = dispatch_batch(

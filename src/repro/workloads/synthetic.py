@@ -20,12 +20,11 @@ pins the byte-for-byte parity).
 
 from __future__ import annotations
 
-import hashlib
 
 import numpy as np
 
 from ..dag.builders import layered_random
-from ..dag.graph import Dag
+from ..dag.graph import Dag, fingerprint_arcs
 from ..sim.compile import CompiledDag
 from ..theory.families import clique_dag, cycle_dag, m_dag, n_dag, w_dag
 
@@ -118,15 +117,7 @@ def compiled_fingerprint(n: int, us: np.ndarray, vs: np.ndarray) -> str:
     canonical order (lexicographic by ``(u, v)``, no duplicates), which
     is exactly what :func:`_arena_from_arcs` produces.
     """
-    h = hashlib.sha256()
-    h.update(b"dag-v1:%d" % n)
-    if len(us):
-        h.update(
-            b"".join(
-                b";%d>%d" % (u, v) for u, v in zip(us.tolist(), vs.tolist())
-            )
-        )
-    return h.hexdigest()
+    return fingerprint_arcs(n, zip(us.tolist(), vs.tolist()))
 
 
 def _arena_from_arcs(n: int, us: np.ndarray, vs: np.ndarray) -> CompiledDag:

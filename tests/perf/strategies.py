@@ -24,8 +24,9 @@ def dags(draw, max_n: int = 12, min_n: int = 0) -> Dag:
 @st.composite
 def sim_params(draw) -> SimParams:
     """Operating points spanning the regimes the sweep visits, including
-    worker churn and rollover (the paths where kernel/reference divergence
-    would hide)."""
+    worker churn and rollover (the paths where engine divergence would
+    hide; the batched kernel refuses rollover, so its suite filters it
+    out)."""
     return SimParams(
         mu_bit=draw(st.sampled_from([0.01, 0.5, 1.0, 10.0])),
         mu_bs=draw(st.sampled_from([1.0, 2.0, 16.0, 128.0])),

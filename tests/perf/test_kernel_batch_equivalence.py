@@ -1,13 +1,14 @@
-"""Batched-vs-serial equivalence: ``simulate_batch`` against the engines.
+"""Batched-vs-reference equivalence: ``simulate_batch`` against the oracle.
 
-The batched kernel's contract is the scalar kernel's, replication by
-replication: for every generator in the batch, the :class:`SimResult` and
-the generator's end state must be bit-identical to a serial
-``simulate(dag, policy, params, rng)`` with that generator — across both
-supported policies, worker churn (batched in lockstep), rollover (the
-per-replication fallback), per-job runtime scaling, both batch-size
-distributions, slab boundaries and the paper workloads.  Any divergence
-is a bug in :mod:`repro.perf.kernel_batch`.
+The batched kernel's contract, replication by replication: for every
+generator in the batch, the :class:`SimResult` and the generator's end
+state must be bit-identical to the reference engine,
+``simulate(dag, policy, params, rng)`` run serially with that generator
+— across both supported policies, worker churn (batched in lockstep),
+per-job runtime scaling, both batch-size distributions, slab boundaries
+and the paper workloads.  Rollover is refused by the kernel and runs
+per replication on the reference loop.  Any divergence is a bug in
+:mod:`repro.perf.kernel_batch`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ from .strategies import dags, sim_params
 
 WORKLOADS = ("airsn-small", "inspiral-small", "montage-small", "sdss-small")
 
+#: Batch-synchronous operating points: the kernel refuses rollover, which
+#: ``test_batch_falls_back_identically_outside_batch_sync`` covers.
+BATCH_PARAMS = sim_params().filter(lambda params: not params.rollover)
+
 #: Registered kinds that reduce to the oblivious dispatch class.
 STATIC_KINDS = ("prio", "upward-rank", "dagps")
 
@@ -43,7 +48,7 @@ def _order_for(dag, kind):
 
 
 def _assert_batch_matches_serial(dag, kind, params, count, seed, scale=None):
-    """Batched results and generator end states == serial, rep by rep."""
+    """Batched results and generator end states == reference, rep by rep."""
     compiled = CompiledDag.from_dag(dag)
     order = _order_for(dag, kind)
     seqs = np.random.SeedSequence(seed).spawn(count)
@@ -70,7 +75,7 @@ def _assert_batch_matches_serial(dag, kind, params, count, seed, scale=None):
 @settings(deadline=None, max_examples=40)
 @given(
     dags(),
-    sim_params(),
+    BATCH_PARAMS,
     st.integers(min_value=0, max_value=2**32 - 1),
     st.sampled_from(["fifo", "oblivious"]),
     st.booleans(),
@@ -85,7 +90,7 @@ def test_batch_matches_serial_on_random_dags(dag, params, seed, kind, scaled):
 @settings(deadline=None, max_examples=25)
 @given(
     dags(),
-    sim_params(),
+    BATCH_PARAMS,
     st.integers(min_value=0, max_value=2**32 - 1),
     st.sampled_from(STATIC_KINDS),
 )
@@ -146,16 +151,9 @@ def test_batch_matches_serial_under_churn(dag, params, seed, kind, scaled):
 @pytest.mark.parametrize(
     "kind", ["fifo", "oblivious", "upward-rank", "dagps"]
 )
-def test_batch_matches_serial_on_paper_workloads_under_churn(
-    workload, kind, monkeypatch
-):
+def test_batch_matches_serial_on_paper_workloads_under_churn(workload, kind):
     """Churn cells of the paper workloads run on the batched path itself
-    (no per-replication scalar kernel) and stay exact."""
-
-    def no_scalar(*args, **kwargs):  # pragma: no cover - must never run
-        raise AssertionError("churn cell fell back to simulate_fast")
-
-    monkeypatch.setattr(kernel_batch, "simulate_fast", no_scalar)
+    and stay exact."""
     dag = get_workload(workload)
     params = SimParams(mu_bit=1.0, mu_bs=16.0, failure_prob=0.3)
     _assert_batch_matches_serial(dag, kind, params, 3, seed=7)
@@ -218,13 +216,46 @@ def test_batch_churn_fifo_keys_grow_past_n_insertions(monkeypatch):
     ],
     ids=["rollover", "churn+rollover"],
 )
-def test_batch_falls_back_identically_outside_batch_sync(params):
-    """Rollover takes the per-replication fallback — still exact."""
+def test_batch_falls_back_identically_outside_batch_sync(params, monkeypatch):
+    """The kernel refuses rollover; ``run_replications`` declines the
+    batch and runs each replication on the reference loop — results and
+    generator end states equal per-replication ``simulate``."""
     dag = get_workload("airsn-small")
-    assert not batch_supported("fifo", params)
-    assert not batch_supported("upward-rank", params)
+    compiled = CompiledDag.from_dag(dag)
+    seen = []
+
+    def spy(dag, policy, params, rng, **kwargs):
+        result = simulate(dag, policy, params, rng, **kwargs)
+        seen.append((result, rng.bit_generator.state))
+        return result
+
+    monkeypatch.setattr("repro.sim.replication.simulate", spy)
     for kind in ("fifo", "oblivious", "upward-rank", "dagps"):
-        _assert_batch_matches_serial(dag, kind, params, 3, seed=7)
+        assert not batch_supported(kind, params)
+        order = _order_for(dag, kind)
+        with pytest.raises(ValueError, match="rollover"):
+            simulate_batch(
+                compiled, kind, params, [np.random.default_rng(0)],
+                order=order,
+            )
+        build = policy_factory(kind, order=order)
+        seen.clear()
+        metrics = run_replications(compiled, build, params, count=3, seed=7)
+        seqs = np.random.SeedSequence(7).spawn(3)
+        assert len(seen) == len(seqs)
+        expected = []
+        for (result, state), seq in zip(seen, seqs):
+            rng = np.random.default_rng(seq)
+            reference = simulate(compiled, build(rng), params, rng)
+            assert result == reference  # plain dataclass: exact floats
+            assert state == rng.bit_generator.state
+            expected.append(reference)
+        assert np.array_equal(
+            metrics.execution_time, [r.execution_time for r in expected]
+        )
+        assert np.array_equal(
+            metrics.utilization, [r.utilization for r in expected]
+        )
 
 
 def test_batch_matches_across_slab_boundaries(monkeypatch):

@@ -7,9 +7,11 @@ from repro.core.fifo import fifo_schedule
 from repro.core.prio import prio_schedule
 from repro.dag.builders import chain, fork_join
 from repro.dag.graph import Dag
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.compile import CompiledDag
 from repro.sim.engine import SimParams, make_policy, simulate
 from repro.sim.runtime import RuntimeSampler
+from repro.sim.trace import ExecutionTrace
 
 
 def run(dag, kind="fifo", order=None, mu_bit=1.0, mu_bs=4.0, seed=0, **kw):
@@ -27,6 +29,23 @@ class TestBasicExecution:
     def test_empty_dag(self):
         result = run(Dag(0, []))
         assert result.execution_time == 0.0
+
+    def test_empty_dag_epilogue(self):
+        """Regression: the zero-job early return used to skip the t=0
+        trace snapshot and the run counter, so an empty dag vanished
+        from telemetry."""
+        trace = ExecutionTrace()
+        registry = MetricsRegistry()
+        result = simulate(
+            Dag(0, []), make_policy("fifo"), SimParams(mu_bit=1.0, mu_bs=4.0),
+            np.random.default_rng(0), trace=trace, metrics=registry,
+        )
+        assert result.n_jobs == 0 and result.execution_time == 0.0
+        # The documented pre-assignment t=0 snapshot is still recorded.
+        assert len(trace) == 1
+        assert trace.times[0] == 0.0
+        assert trace.eligible[0] == 0 and trace.running[0] == 0
+        assert registry.snapshot()["counters"]["engine.runs"] == 1
 
     def test_single_job_takes_about_one(self):
         result = run(Dag(1, []))

@@ -112,12 +112,6 @@ class TestStragglers:
         with pytest.raises(ValueError, match="straggler_factor"):
             SimParams(mu_bit=1.0, mu_bs=1.0, straggler_factor=0.5)
 
-    def test_kernel_refuses_straggler_injection(self, diamond):
-        rng = np.random.default_rng(0)
-        params = SimParams(mu_bit=1.0, mu_bs=4.0, straggler_prob=0.3)
-        with pytest.raises(ValueError, match="straggler"):
-            simulate(diamond, make_policy("fifo"), params, rng, kernel=True)
-
 
 class TestRollover:
     def test_rollover_never_slower(self):
