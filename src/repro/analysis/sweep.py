@@ -37,10 +37,10 @@ from ..sim.parallel import (
     run_chunk,
 )
 from ..sim.policies import policy_spec
-from ..sim.replication import MetricArrays, policy_factory, run_replications
+from ..sim.replication import MetricArrays, policy_factory
 from ..stats.ratio import RatioStatistics, ratio_statistics
 from ..stats.sampling import sampling_distribution_from_values
-from ._ckpt import CollectingLogger, result_from_row, result_to_row
+from ._ckpt import result_from_row, result_to_row
 
 __all__ = [
     "METRICS",
@@ -207,12 +207,12 @@ def _cell_result(
 def _cell_specs(config: SweepConfig):
     """Per-cell (mu_bit, mu_bs, params, seed_prio, seed_fifo), row-major.
 
-    The spawn tree is built here, in grid order, so serial and parallel
-    sweeps derive identical per-cell seeds.  In ``paired`` mode the FIFO
-    seed is a clone of the PRIO seed (same entropy, no spawn history), so
-    both policies spawn *identical* replication seeds — true common random
-    numbers (spawning twice from one shared ``SeedSequence`` object would
-    hand the two policies disjoint child trees).
+    The spawn tree is built here, in grid order, so every sweep derives
+    identical per-cell seeds.  In ``paired`` mode the FIFO seed is a clone
+    of the PRIO seed (same entropy, no spawn history), so both policies
+    spawn *identical* replication seeds — true common random numbers
+    (spawning twice from one shared ``SeedSequence`` object would hand the
+    two policies disjoint child trees).
     """
     root = np.random.SeedSequence(config.seed)
     specs = []
@@ -353,7 +353,7 @@ def _record_cell(
     cell: CellResult,
     reps: dict[str, list[SimResult]] | None,
 ) -> None:
-    """Durably record one completed cell (atomic rewrite + fsync)."""
+    """Durably record one completed cell (one appended, fsynced line)."""
     checkpoint.record(f"cell/{index}", _cell_payload(cell, reps=reps))
     if telemetry is not None:
         telemetry.checkpoint(
@@ -397,11 +397,13 @@ def ratio_sweep(
     *progress*, when given, is called with ``(done_cells, total_cells)``
     after each cell.
 
-    ``jobs`` (or an explicit ``parallel`` config) fans the grid out over
-    worker processes — across cells *and* across the replications within a
-    cell, so even a single-cell sweep saturates the pool.  Results are
-    bit-identical to the serial sweep for the same config; only the order
-    in which cells *finish* (and hence progress callbacks fire) changes.
+    Each cell's PRIO and FIFO batches run as chunk tasks through
+    :func:`repro.sim.parallel.iter_chunk_results`.  At ``jobs=1`` they
+    run in-process, one chunk per batch, and cells complete row-major.
+    ``jobs`` (or an explicit ``parallel`` config) adds a worker pool that
+    fans out across cells *and* the replications within a cell.  Results
+    are bit-identical either way; only the order in which cells *finish*
+    (and hence progress callbacks fire) changes.
 
     *telemetry*, when given, is a
     :class:`~repro.obs.recorder.TelemetryRecorder`: it receives one
@@ -409,7 +411,8 @@ def ratio_sweep(
     ``"fifo"``) and one ``cell`` summary record per grid cell, and its
     registry accumulates the simulator's event-loop counters.  Telemetry
     is observational only — the sweep's results stay bit-identical with
-    it on or off, serial or parallel.
+    it on or off.  A completed cell writes its ``prio`` replications, its
+    ``fifo`` replications, then its ``cell`` record.
 
     Fault tolerance:
 
@@ -426,7 +429,7 @@ def ratio_sweep(
       :class:`~repro.robust.retry.RetryPolicy` and/or
       :class:`~repro.robust.faults.FaultPlan` for the parallel path's
       chunk executor (see :func:`repro.sim.parallel.iter_chunk_results`).
-      Recovery cannot change results; the serial path has no pool and
+      Recovery cannot change results; ``jobs=1`` has no pool and
       ignores both.
 
     *cache* (a :class:`~repro.perf.cache.ScheduleCache`) memoizes the
@@ -470,58 +473,10 @@ def ratio_sweep(
     # to reproduce the telemetry log.
     store_reps = checkpoint is not None and telemetry is not None
 
-    if not par.enabled:
-        cells: list[CellResult] = []
-        for done, (mu_bit, mu_bs, params, seed_prio, seed_fifo) in enumerate(
-            specs, start=1
-        ):
-            index = done - 1
-            if index in restored:
-                cells.append(restored[index])
-                if progress is not None:
-                    progress(done, total)
-                continue
-            loggers = {"prio": None, "fifo": None}
-            if telemetry is not None:
-                loggers = {
-                    side: telemetry.replication_logger(
-                        workload=workload, policy=side, params=params
-                    )
-                    for side in loggers
-                }
-            if store_reps:
-                loggers = {
-                    side: CollectingLogger(logger)
-                    for side, logger in loggers.items()
-                }
-            prio_metrics = run_replications(
-                compiled, prio_factory, params, count, seed_prio,
-                metrics=registry, on_replication=loggers["prio"],
-            )
-            fifo_metrics = run_replications(
-                compiled, fifo_factory, params, count, seed_fifo,
-                metrics=registry, on_replication=loggers["fifo"],
-            )
-            cells.append(
-                _cell_result(config, mu_bit, mu_bs, prio_metrics, fifo_metrics)
-            )
-            if telemetry is not None:
-                _emit_cell_telemetry(telemetry, workload, cells[-1])
-            if checkpoint is not None:
-                reps = (
-                    {side: logger.results for side, logger in loggers.items()}
-                    if store_reps
-                    else None
-                )
-                _record_cell(checkpoint, telemetry, index, cells[-1], reps)
-            if progress is not None:
-                progress(done, total)
-        return SweepResult(workload=workload, config=config, cells=cells)
-
-    # Parallel: flatten every unfinished (cell, policy) replication batch
-    # into chunk tasks over one shared pool, then reassemble per cell as
-    # chunks land (cells complete out of order; the cells list stays
-    # row-major).
+    # Flatten every unfinished (cell, policy) replication batch into chunk
+    # tasks, then reassemble per cell as chunks land (out of order with a
+    # pool).  The tasks are built lazily, so without a pool only the
+    # current cell's seeds and results are held.
     collect = telemetry is not None
     slots: dict[tuple[int, str], list] = {}
     elapsed: dict[tuple[int, str], list] = {}
@@ -533,37 +488,41 @@ def ratio_sweep(
         done += 1
         if progress is not None:
             progress(done, total)
-    tasks = []
-    for index, (mu_bit, mu_bs, params, seed_prio, seed_fifo) in enumerate(
-        specs
-    ):
-        if index in restored:
-            continue
-        sides = (
-            ("prio", prio_factory, seed_prio),
-            ("fifo", fifo_factory, seed_fifo),
-        )
-        for side, factory, seedseq in sides:
-            children = seedseq.spawn(count)
-            slots[(index, side)] = [None] * count
-            elapsed[(index, side)] = [None] * count
-            for chunk_no, chunk in enumerate(
-                par.chunked(list(enumerate(children)))
-            ):
-                tasks.append(
-                    (
-                        (index, side, chunk_no),
-                        (compiled, factory, params, None, chunk, collect),
+
+    def tasks():
+        for index, (_, _, params, seed_prio, seed_fifo) in enumerate(specs):
+            if index in restored:
+                continue
+            sides = (
+                ("prio", prio_factory, seed_prio),
+                ("fifo", fifo_factory, seed_fifo),
+            )
+            cell_tasks = []
+            for side, factory, seedseq in sides:
+                children = seedseq.spawn(count)
+                slots[(index, side)] = [None] * count
+                if collect:
+                    elapsed[(index, side)] = [None] * count
+                for chunk_no, chunk in enumerate(
+                    par.chunked(list(enumerate(children)))
+                ):
+                    cell_tasks.append(
+                        (
+                            (index, side, chunk_no),
+                            (compiled, factory, params, None, chunk, collect),
+                        )
                     )
-                )
-                pending[index] += 1
+            pending[index] = len(cell_tasks)
+            yield from cell_tasks
+
     for key, (chunk_results, snapshot) in iter_chunk_results(
-        run_chunk, tasks, par, retry=retry, faults=faults, metrics=registry
+        run_chunk, tasks(), par, retry=retry, faults=faults, metrics=registry
     ):
         index, side = key[0], key[1]
         for rep_index, result, seconds in chunk_results:
             slots[(index, side)][rep_index] = result
-            elapsed[(index, side)][rep_index] = seconds
+            if collect:
+                elapsed[(index, side)][rep_index] = seconds
         if registry is not None and snapshot is not None:
             registry.merge_snapshot(snapshot)
         pending[index] -= 1
@@ -575,6 +534,7 @@ def ratio_sweep(
             }
             if telemetry is not None:
                 for cell_side in ("prio", "fifo"):
+                    seconds = elapsed.pop((index, cell_side))
                     for rep, result in enumerate(results[cell_side]):
                         telemetry.replication(
                             workload=workload,
@@ -582,9 +542,8 @@ def ratio_sweep(
                             rep=rep,
                             params=params,
                             result=result,
-                            elapsed_seconds=elapsed[(index, cell_side)][rep],
+                            elapsed_seconds=seconds[rep],
                         )
-                    del elapsed[(index, cell_side)]
             ordered_cells[index] = _cell_result(
                 config,
                 mu_bit,

@@ -422,39 +422,32 @@ def _cmd_regions(args: argparse.Namespace) -> int:
 
 
 def _curves_for_spec(spec: str):
-    """Load one workload and compute its eligibility curves.
+    """Load one workload, compute its eligibility curves, and time both.
 
-    Module-level so curve computation can be dispatched to worker
-    processes (the spec string is the only payload either way).
+    Returns ``(curves, seconds)``.  Module-level so it can run as a task
+    of :func:`~repro.sim.parallel.iter_chunk_results` in a worker process
+    (the spec string is the only payload either way).
     """
+    import time
+
+    started = time.perf_counter()
     dag, name = _load_dag(spec)
-    return eligibility_curves(dag, name)
+    return eligibility_curves(dag, name), time.perf_counter() - started
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:
-    import time
+    from .sim.parallel import ParallelConfig, iter_chunk_results
 
     telemetry = _open_telemetry(args, "curves", workloads=list(args.dag))
-    if args.jobs > 1 and len(args.dag) > 1:
-        from .sim.parallel import ParallelConfig
-
-        config = ParallelConfig(jobs=min(args.jobs, len(args.dag)))
-        started = time.perf_counter()
-        with config.executor() as executor:
-            curves = list(executor.map(_curves_for_spec, args.dag))
+    par = ParallelConfig(jobs=min(args.jobs, len(args.dag)))
+    tasks = [(i, (spec,)) for i, spec in enumerate(args.dag)]
+    timed = dict(iter_chunk_results(_curves_for_spec, tasks, par))
+    curves = []
+    for i, spec in enumerate(args.dag):
+        result, seconds = timed[i]
+        curves.append(result)
         if telemetry is not None:
-            telemetry.stage("curves", time.perf_counter() - started)
-    else:
-        curves = []
-        for spec in args.dag:
-            started = time.perf_counter()
-            curves.append(_curves_for_spec(spec))
-            if telemetry is not None:
-                telemetry.stage(
-                    "curves",
-                    time.perf_counter() - started,
-                    workload=spec,
-                )
+            telemetry.stage("curves", seconds, workload=spec)
     _close_telemetry(args, telemetry)
     print(render_curves_table(curves))
     if args.plot:

@@ -80,9 +80,9 @@ batched-vs-reference bit-identity over random dags, both policies, both
 batch-size distributions, worker churn and the paper workloads; any
 divergence is a bug in this module.
 
-**Dispatch rules.**  :func:`dispatch_batch` is the auto-dispatch hook used
-by :func:`repro.sim.replication.run_replications` and
-:func:`repro.sim.parallel.run_chunk`.  It engages only when
+**Dispatch rules.**  :func:`dispatch_batch` is the auto-dispatch hook of
+:func:`repro.sim.parallel.run_chunk`, the task every replication batch
+runs as (in-process or in a pool worker).  It engages only when
 
 * the policy factory advertises a kernel dispatch class (``batch_kind``,
   resolved from the policy registry: ``"fifo"``, or ``"oblivious"`` for
@@ -98,7 +98,7 @@ by :func:`repro.sim.replication.run_replications` and
   (``engine.events``, heap/pool peaks) only exist on the per-event
   reference loop, so metrics runs keep it.
 
-Whenever :func:`dispatch_batch` declines, the caller's per-replication
+Whenever :func:`dispatch_batch` declines, ``run_chunk``'s per-replication
 loop runs the reference engine — the only fallback, bit-identical by
 construction.  :func:`simulate_batch` itself refuses what it cannot
 run in lockstep instead of falling back.  There is no silent

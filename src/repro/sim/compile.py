@@ -11,10 +11,10 @@ children array, an in-degree vector, plus a memoized list-of-lists view of
 the adjacency (``child_lists``) that every simulation of the same compiled
 dag shares instead of rebuilding.  The memo is process-local and excluded
 from pickling, so shipping a compiled dag to a worker stays as cheap as
-before; :func:`repro.sim.parallel.run_chunk` re-canonicalizes unpickled
-copies against a per-worker content-addressed memo keyed by
-:attr:`fingerprint` so each worker warms the adjacency view exactly once
-per unique dag.
+before.  Unpickling canonicalizes each copy against a per-process
+content-addressed memo keyed by :attr:`fingerprint`
+(:data:`repro.sim.parallel._WORKER_COMPILED`), so each pool worker warms
+the adjacency view exactly once per unique dag.
 """
 
 from __future__ import annotations
@@ -99,16 +99,13 @@ class CompiledDag:
             object.__setattr__(self, "_initial_frontier", cached)
         return cached
 
-    def __getstate__(self):
+    def __reduce__(self):
         # Ship only the arrays; the memoized adjacency views are
         # process-local and cheap to rebuild once per worker.
-        return (self.n, self.indptr, self.children, self.indegree,
-                self.fingerprint)
+        from .parallel import _unpickle_compiled
 
-    def __setstate__(self, state):
-        n, indptr, children, indegree, fingerprint = state
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "indegree", indegree)
-        object.__setattr__(self, "fingerprint", fingerprint)
+        return (
+            _unpickle_compiled,
+            (self.n, self.indptr, self.children, self.indegree,
+             self.fingerprint),
+        )

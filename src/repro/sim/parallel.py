@@ -1,31 +1,38 @@
-"""Parallel replication execution with deterministic seeding.
+"""The replication driver: chunked tasks, optionally over a worker pool.
 
 The sweep experiments run ``p * q`` independent simulations per grid cell;
 every replication depends only on its own child :class:`~numpy.random.SeedSequence`,
-so the batch is embarrassingly parallel.  This module fans replications out
-over a :class:`concurrent.futures.ProcessPoolExecutor` while keeping the
-results **bit-identical** to a serial run:
+so the batch is embarrassingly parallel.  Every batch runs as chunk tasks
+(:func:`run_chunk`) through :func:`iter_chunk_results`, the one place
+that chooses between a :class:`concurrent.futures.ProcessPoolExecutor`
+and running the tasks in-process.  Results are **bit-identical** either
+way:
 
-* the parent process spawns the child sequences from the root seed in the
-  same order a serial run would (``SeedSequence.spawn`` is stateful, so the
-  spawn tree is built exactly once, in the parent);
+* the parent process spawns the child sequences from the root seed
+  (``SeedSequence.spawn`` is stateful, so the spawn tree is built exactly
+  once, in the parent);
 * children are partitioned into contiguous index-tagged chunks, so each
   submitted task amortizes pickling one shared :class:`CompiledDag` +
   :class:`SimParams` payload over many replications;
-* workers return ``(index, SimResult)`` pairs and the parent reassembles
+* tasks return ``(index, SimResult)`` pairs and the caller reassembles
   them in index order, so out-of-order completion cannot reorder metrics.
 
-``ParallelConfig(jobs=1)`` (the default everywhere) bypasses the pool
-entirely and is exactly the historical serial code path.
+``ParallelConfig(jobs=1)`` (the default everywhere) has no pool: each
+batch is one chunk, run in-process, so the batched kernel still gets all
+of its replications in lockstep.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
+
+from .compile import CompiledDag
+from .engine import simulate
 
 __all__ = [
     "ParallelConfig",
@@ -44,9 +51,10 @@ _CHUNKS_PER_WORKER = 4
 class ParallelConfig:
     """How to fan replications out across worker processes.
 
-    ``jobs`` — worker process count (1 = serial, no pool).
+    ``jobs`` — worker process count (1 = no pool: tasks run in-process).
     ``chunk_size`` — replications per submitted task (None = automatic:
-    about :data:`_CHUNKS_PER_WORKER` chunks per worker).
+    about :data:`_CHUNKS_PER_WORKER` chunks per worker; ignored without
+    a pool, where a batch is always one chunk).
     ``start_method`` — multiprocessing start method (``"fork"``,
     ``"spawn"``, ``"forkserver"``; None = the platform default).
 
@@ -70,7 +78,13 @@ class ParallelConfig:
         return self.jobs > 1
 
     def resolve_chunk_size(self, count: int) -> int:
-        """Replications per task for a batch of *count* replications."""
+        """Replications per task for a batch of *count* replications.
+
+        Without a pool the whole batch is one task, so the batched kernel
+        runs every replication in lockstep.
+        """
+        if not self.enabled:
+            return max(1, count)
         if self.chunk_size is not None:
             return self.chunk_size
         return max(1, math.ceil(count / (self.jobs * _CHUNKS_PER_WORKER)))
@@ -105,10 +119,15 @@ def iter_chunk_results(
     fn, tasks, par: ParallelConfig, *, retry=None, faults=None, metrics=None
 ):
     """Yield ``(key, fn(*args))`` for each ``(key, args)`` task as results
-    complete, over one worker pool.
+    complete.
 
-    This is the single fan-out primitive behind ``run_replications`` and
-    the sweep drivers.  The pool's lifetime is owned here: on *any* exit —
+    The single driver behind ``run_replications``, the sweep and
+    ``prio curves``.  Without a pool the tasks run here, lazily and in
+    submission order: a consumer that stops iterating (an exception from
+    a progress callback, say) stops the remaining tasks too.  *retry* and
+    *faults* need a pool and are ignored without one.
+
+    With a pool, its lifetime is owned here: on *any* exit —
     clean completion, a worker exception, Ctrl-C in the consumer, or the
     consumer abandoning the iterator — the pool is shut down and pending
     futures are cancelled, so an error mid-batch can never leak live
@@ -122,6 +141,10 @@ def iter_chunk_results(
     are bit-identical either way — chunks are pure functions of their
     arguments, and callers reassemble by key.
     """
+    if not par.enabled:
+        for key, args in tasks:
+            yield key, fn(*args)
+        return
     if retry is not None or faults is not None:
         from ..robust.retry import run_robust_chunks
 
@@ -155,57 +178,66 @@ def clone_seedseq(seq: np.random.SeedSequence) -> np.random.SeedSequence:
     )
 
 
-#: Per-worker compiled-dag memo, keyed by content fingerprint.  Every task
-#: pickles its own copy of the (shared) compiled dag; re-canonicalizing
-#: against this memo lets all chunks for the same dag share one object —
-#: and therefore one warmed ``child_lists`` adjacency view — per worker
-#: process instead of rebuilding it chunk by chunk.
-_WORKER_COMPILED: dict[str, object] = {}
+#: Per-process memo of *unpickled* compiled dags, keyed by content
+#: fingerprint.  Every pool task pickles its own copy of the (shared)
+#: compiled dag; canonicalizing copies against this memo as they are
+#: unpickled (:meth:`CompiledDag.__reduce__`) lets all chunks for the same
+#: dag share one object — and therefore one warmed ``child_lists``
+#: adjacency view — per worker process instead of rebuilding it chunk by
+#: chunk.  In-process tasks pickle nothing, so they never fill it.
+_WORKER_COMPILED: dict[str, CompiledDag] = {}
 _WORKER_COMPILED_MAX = 64
 
 
-def _canonical_compiled(compiled):
-    """The worker-local canonical instance for *compiled*'s fingerprint."""
-    fingerprint = getattr(compiled, "fingerprint", None)
-    if fingerprint is None:
+def _unpickle_compiled(*fields):
+    """Rebuild a pickled :class:`CompiledDag`, canonical per content."""
+    compiled = CompiledDag(*fields)
+    key = compiled.fingerprint
+    if key is None:
         return compiled
-    cached = _WORKER_COMPILED.get(fingerprint)
-    if cached is not None:
+    cached = _WORKER_COMPILED.get(key)
+    # The fingerprint ignores child order, which the simulation does not:
+    # share the memoized instance only with an identical copy.
+    if (
+        cached is not None
+        and np.array_equal(cached.indptr, compiled.indptr)
+        and np.array_equal(cached.children, compiled.children)
+    ):
         return cached
-    if len(_WORKER_COMPILED) >= _WORKER_COMPILED_MAX:
+    if cached is None and len(_WORKER_COMPILED) >= _WORKER_COMPILED_MAX:
         _WORKER_COMPILED.clear()
-    _WORKER_COMPILED[fingerprint] = compiled
+    _WORKER_COMPILED[key] = compiled
     return compiled
 
 
 def run_chunk(compiled, build_policy, params, runtime_scale, entries, collect=False):
-    """Worker task: simulate one chunk of index-tagged replications.
+    """The task every replication batch runs as, in a pool worker or
+    in-process: simulate one chunk of index-tagged replications.
 
     *entries* is ``[(index, SeedSequence), ...]``; returns
     ``(results, snapshot)`` where *results* is
-    ``[(index, SimResult, elapsed_seconds), ...]`` so the parent can
+    ``[(index, SimResult, elapsed_seconds), ...]`` so the caller can
     reassemble the batch in spawn order regardless of task completion
     order.  Module-level so it is picklable under every start method.
 
     With ``collect=False`` (the default) no clock is read, every elapsed
-    slot is ``None`` and *snapshot* is ``None`` — the exact
-    pre-telemetry hot path; on it the chunk is first offered to the
-    batched kernel (:func:`repro.perf.kernel_batch.dispatch_batch`),
-    which runs all replications of the chunk in lockstep and is
-    bit-identical to the per-replication loop below.  With
-    ``collect=True`` each replication is wall-clock timed and simulated
-    under a chunk-local :class:`~repro.obs.metrics.MetricsRegistry` whose
+    slot and *snapshot* are ``None``, and the chunk is first offered to
+    the batched kernel (:func:`repro.perf.kernel_batch.dispatch_batch`),
+    which is bit-identical to the per-replication reference loop below.
+    ``collect=True`` is the one place telemetry keeps that loop, since
+    per-event counters and per-replication wall clocks only exist there:
+    each replication is timed and simulated under a chunk-local
+    :class:`~repro.obs.metrics.MetricsRegistry` whose
     :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` comes back as
-    *snapshot* (plain dicts, cheap to pickle) for the parent to merge.
-    Telemetry never touches the generator, so results are bit-identical
-    either way.
+    *snapshot* for the caller to merge.  Telemetry never touches the
+    generator, so results are bit-identical either way.
     """
-    import time
+    registry = None
+    if collect:
+        from ..obs.metrics import MetricsRegistry
 
-    from .engine import simulate
-
-    compiled = _canonical_compiled(compiled)
-    if not collect:
+        registry = MetricsRegistry()
+    else:
         from ..perf.kernel_batch import dispatch_batch
 
         batched = dispatch_batch(
@@ -223,29 +255,19 @@ def run_chunk(compiled, build_policy, params, runtime_scale, entries, collect=Fa
                 ],
                 None,
             )
-    registry = None
-    if collect:
-        from ..obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
     out = []
     for index, child_seq in entries:
         rng = np.random.default_rng(child_seq)
         policy = build_policy(rng)
-        if collect:
-            started = time.perf_counter()
-            result = simulate(
-                compiled,
-                policy,
-                params,
-                rng,
-                runtime_scale=runtime_scale,
-                metrics=registry,
-            )
-            out.append((index, result, time.perf_counter() - started))
-        else:
-            result = simulate(
-                compiled, policy, params, rng, runtime_scale=runtime_scale
-            )
-            out.append((index, result, None))
-    return out, registry.snapshot() if collect else None
+        started = time.perf_counter() if collect else None
+        result = simulate(
+            compiled,
+            policy,
+            params,
+            rng,
+            runtime_scale=runtime_scale,
+            metrics=registry,
+        )
+        elapsed = time.perf_counter() - started if collect else None
+        out.append((index, result, elapsed))
+    return out, registry.snapshot() if registry is not None else None

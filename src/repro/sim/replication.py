@@ -5,23 +5,22 @@ The sweep experiments need ``p * q`` independent replications per
 ``numpy.random.SeedSequence`` spawn tree so every replication is independent
 and the whole experiment is reproducible from a single root seed.
 
-Replications are embarrassingly parallel: pass ``jobs=N`` (or a full
-:class:`~repro.sim.parallel.ParallelConfig`) to fan them out over worker
-processes.  The spawn tree is built in the parent and results are
+Every batch runs through the chunk driver of :mod:`repro.sim.parallel`;
+pass ``jobs=N`` (or a full :class:`~repro.sim.parallel.ParallelConfig`)
+to give it a pool of worker processes.  The spawn tree is built in the parent and results are
 reassembled in spawn order, so for a fixed root seed ``jobs=1`` and
 ``jobs=N`` return **bit-identical** :class:`MetricArrays`.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from ..dag.graph import Dag
 from .compile import CompiledDag
-from .engine import SimParams, SimResult, make_policy, simulate
+from .engine import SimParams, SimResult, make_policy
 from .parallel import (
     ParallelConfig,
     iter_chunk_results,
@@ -223,8 +222,9 @@ def run_replications(
     """Run *count* independent simulations; returns per-run metrics.
 
     ``jobs`` (or an explicit ``parallel`` config, which takes precedence)
-    fans the replications out over worker processes; results are
-    bit-identical to the serial run for the same *seed*.  With worker
+    gives the chunk driver a worker pool; at ``jobs=1`` (or for a single
+    replication) the batch runs in-process as one chunk.  Results are
+    bit-identical either way for the same *seed*.  With worker
     processes, *build_policy* must be picklable — the factories from
     :func:`policy_factory` are.
 
@@ -234,18 +234,18 @@ def run_replications(
     retried with backoff against rebuilt pools, degrading to in-process
     execution when the pool is unhealthy.  Replications are pure
     functions of their seeds, so recovery never changes the metrics.
-    (Serial runs have no pool; both are ignored when ``jobs=1``.)
+    (In-process runs have no pool; both are ignored when ``jobs=1``.)
 
     Telemetry hooks (both observational — neither touches any generator,
-    so results are bit-identical with or without them, serial or
-    parallel):
+    so results are bit-identical with or without them; either keeps the
+    batch on the per-replication reference loop):
 
     * *metrics* — a :class:`~repro.obs.metrics.MetricsRegistry` receiving
-      the simulator's event-loop counters (worker-process counters are
+      the simulator's event-loop counters (each chunk's counters are
       merged back into it) plus the robust executor's recovery counters;
     * *on_replication* — called as ``on_replication(rep, result,
-      elapsed_seconds)`` once per replication, in replication order
-      (``elapsed_seconds`` is the wall-clock of that simulation).
+      elapsed_seconds)`` once per replication, in replication order, after
+      the batch (``elapsed_seconds`` is the wall-clock of that simulation).
 
     *cache* (a :class:`~repro.perf.cache.ScheduleCache`) memoizes the
     compiled form of *dag* so repeated batches over the same structure —
@@ -265,44 +265,10 @@ def run_replications(
         else np.random.SeedSequence(seed)
     )
     par = resolve_parallel(jobs, parallel)
+    if count <= 1:
+        par = ParallelConfig()  # a lone replication is not worth a pool
     children = seedseq.spawn(count)
     collect = metrics is not None or on_replication is not None
-    if not par.enabled or count <= 1:
-        if not collect:
-            # Whole-batch fast path: the batched kernel runs every
-            # replication in lockstep (bit-identical to the loop below,
-            # which it replaces whenever the policy factory advertises a
-            # supported kind, the parameters are batch-synchronous and
-            # kernel dispatch is enabled).  Rollover, stragglers and
-            # telemetry runs keep the per-replication reference loop —
-            # per-event counters and per-replication wall clocks only
-            # exist there.
-            from ..perf.kernel_batch import dispatch_batch
-
-            batched = dispatch_batch(
-                compiled, build_policy, params, runtime_scale, children
-            )
-            if batched is not None:
-                return MetricArrays(batched)
-        results: list[SimResult] = []
-        for rep, child_seq in enumerate(children):
-            rng = np.random.default_rng(child_seq)
-            policy = build_policy(rng)
-            if on_replication is not None:
-                started = time.perf_counter()
-            result = simulate(
-                compiled,
-                policy,
-                params,
-                rng,
-                runtime_scale=runtime_scale,
-                metrics=metrics,
-            )
-            results.append(result)
-            if on_replication is not None:
-                on_replication(rep, result, time.perf_counter() - started)
-        return MetricArrays(results)
-
     slots: list[SimResult | None] = [None] * count
     elapsed: list[float | None] = [None] * count
     tasks = [

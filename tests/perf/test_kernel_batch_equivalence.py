@@ -229,7 +229,7 @@ def test_batch_falls_back_identically_outside_batch_sync(params, monkeypatch):
         seen.append((result, rng.bit_generator.state))
         return result
 
-    monkeypatch.setattr("repro.sim.replication.simulate", spy)
+    monkeypatch.setattr("repro.sim.parallel.simulate", spy)
     for kind in ("fifo", "oblivious", "upward-rank", "dagps"):
         assert not batch_supported(kind, params)
         order = _order_for(dag, kind)

@@ -103,6 +103,29 @@ class TestSweepResume:
         # The resumed log reproduces every replication and cell record.
         assert comparable_records(buf) == base_records
 
+    def test_interrupt_stops_the_in_process_sweep(
+        self, monkeypatch, sweep_setup
+    ):
+        # The jobs=1 sweep runs each task only when the driver is asked
+        # for it: an exception from progress after cell 1 must leave the
+        # later cells unsimulated (an eager loop would run all of them).
+        from repro.perf import kernel_batch
+
+        dag, order, config = sweep_setup
+        batches = []
+        dispatch = kernel_batch.dispatch_batch
+
+        def spy(*args, **kwargs):
+            batches.append(args)
+            return dispatch(*args, **kwargs)
+
+        monkeypatch.setattr(kernel_batch, "dispatch_batch", spy)
+        with pytest.raises(Interrupt):
+            ratio_sweep(
+                dag, order, config, "wl", progress=interrupt_after(1)
+            )
+        assert len(batches) == 2  # cell 1's PRIO and FIFO batches
+
     def test_parallel_resume_matches_serial_baseline(
         self, tmp_path, sweep_setup, baseline
     ):

@@ -14,8 +14,14 @@ from repro.analysis.league import Entrant, league
 from repro.analysis.sweep import SweepConfig, ratio_sweep
 from repro.core.prio import prio_schedule
 from repro.dag.builders import fork_join
+from repro.sim import parallel as parallel_mod
+from repro.sim.compile import CompiledDag
 from repro.sim.engine import SimParams
-from repro.sim.parallel import ParallelConfig, clone_seedseq
+from repro.sim.parallel import (
+    ParallelConfig,
+    clone_seedseq,
+    iter_chunk_results,
+)
 from repro.sim.replication import policy_factory, run_replications
 from repro.workloads.airsn import airsn
 
@@ -49,6 +55,13 @@ class TestParallelConfig:
         entries = list(range(10))
         chunks = cfg.chunked(entries)
         assert chunks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+
+    def test_one_chunk_without_a_pool(self):
+        # jobs=1 runs a batch as one in-process task, so the batched
+        # kernel sees every replication; chunk_size only splits pool work.
+        for cfg in (ParallelConfig(), ParallelConfig(chunk_size=3)):
+            assert cfg.chunked(list(range(10))) == [list(range(10))]
+            assert cfg.chunked([]) == []
 
     def test_automatic_chunk_size(self):
         cfg = ParallelConfig(jobs=4)
@@ -124,6 +137,57 @@ class TestRunReplicationsParallel:
         a = run_replications(dag, factory, params, 1, seed=1)
         b = run_replications(dag, factory, params, 1, seed=1, jobs=4)
         assert metrics_equal(a, b)
+
+
+class TestInProcessDriver:
+    def test_tasks_run_lazily_in_submission_order(self):
+        ran = []
+
+        def task(x):
+            ran.append(x)
+            return 2 * x
+
+        tasks = [(key, (key,)) for key in range(3)]
+        results = iter_chunk_results(task, tasks, ParallelConfig())
+        assert ran == []
+        assert next(results) == (0, 0)
+        assert ran == [0]
+        assert list(results) == [(1, 2), (2, 4)]
+        assert ran == [0, 1, 2]
+
+    def test_in_process_batches_leave_the_worker_memo_empty(
+        self, params, monkeypatch
+    ):
+        from repro.obs.metrics import MetricsRegistry
+
+        monkeypatch.setattr(parallel_mod, "_WORKER_COMPILED", {})
+        compiled = CompiledDag.from_dag(fork_join(6))
+        factory = policy_factory("fifo")
+        run_replications(compiled, factory, params, 5, seed=1)
+        run_replications(
+            compiled, factory, params, 5, seed=1, metrics=MetricsRegistry()
+        )
+        assert parallel_mod._WORKER_COMPILED == {}
+        # Only unpickled copies (what pool workers receive) are memoized,
+        # and copies of one dag share one canonical instance.
+        first, second = (
+            pickle.loads(pickle.dumps(compiled)) for _ in range(2)
+        )
+        assert first is second and first is not compiled
+        assert parallel_mod._WORKER_COMPILED == {compiled.fingerprint: first}
+
+    def test_worker_memo_keeps_child_order(self, monkeypatch):
+        # Equal fingerprints (arc order ignored) but different child order,
+        # which FIFO's eligibility order depends on: no sharing.
+        from repro.dag.graph import Dag
+
+        monkeypatch.setattr(parallel_mod, "_WORKER_COMPILED", {})
+        a = CompiledDag.from_dag(Dag(3, [(0, 1), (0, 2)]))
+        b = CompiledDag.from_dag(Dag(3, [(0, 2), (0, 1)]))
+        assert a.fingerprint == b.fingerprint
+        for compiled in (a, b, a):
+            clone = pickle.loads(pickle.dumps(compiled))
+            assert clone.child_lists() == compiled.child_lists()
 
 
 class TestAnalysisParallel:
@@ -241,7 +305,7 @@ class TestTelemetryDoesNotPerturb:
         assert [r.execution_time for _, r, _ in seen] == list(
             metered.execution_time
         )
-        assert all(el is None or el >= 0.0 for _, _, el in seen)
+        assert all(type(el) is float and el >= 0.0 for _, _, el in seen)
 
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_parallel_with_telemetry_bit_identical_to_plain_serial(

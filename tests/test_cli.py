@@ -152,6 +152,25 @@ class TestCurvesCommand:
         out = capsys.readouterr().out
         assert "# airsn-small: t, E_PRIO, E_FIFO, diff" in out
 
+    def test_telemetry_stage_per_workload_with_or_without_pool(
+        self, tmp_path, capsys
+    ):
+        from repro.obs.events import read_telemetry
+
+        specs = ["airsn-small", "inspiral-small"]
+        outputs, stages = [], []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"curves-{jobs}.jsonl"
+            argv = ["curves", *specs, "-j", jobs, "--telemetry", str(path)]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+            records = [r for r in read_telemetry(path) if r["kind"] == "stage"]
+            assert all(r.pop("seconds") >= 0.0 for r in records)
+            stages.append(records)
+        assert outputs[0] == outputs[1]
+        assert stages[0] == stages[1]
+        assert [r["workload"] for r in stages[0]] == specs
+
 
 class TestSimulateCommand:
     def test_prints_metrics(self, capsys):
