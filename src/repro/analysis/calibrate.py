@@ -23,9 +23,10 @@ import numpy as np
 from ..dag.graph import Dag
 from ..sim.compile import CompiledDag
 from ..sim.engine import SimParams
-from ..sim.replication import policy_factory, run_replications
+from ..sim.parallel import resolve_parallel
+from ..sim.replication import MetricArrays, iter_units, policy_factory
 from ..stats.ratio import RatioStatistics, ratio_statistics
-from ._ckpt import CollectingLogger, result_from_row, result_to_row
+from ._ckpt import UnitLedger
 
 __all__ = ["CalibrationStep", "CalibrationResult", "calibrate_cell"]
 
@@ -109,9 +110,10 @@ def calibrate_cell(
     Each step reuses all previously simulated runs, so the total cost is
     at most ~2x the final step's.  With ``stop_when_excludes_one`` the
     trajectory also stops once the CI lies entirely on one side of 1 —
-    enough to certify the direction of the effect.  *jobs* fans each
-    step's new replications out over worker processes (bit-identical to
-    the serial trajectory).
+    enough to certify the direction of the effect.  Each step's new
+    PRIO and FIFO replications are one unit of
+    :func:`repro.sim.replication.iter_units`; *jobs* gives each step one
+    worker pool for both sides (bit-identical to the serial trajectory).
 
     *progress*, when given, is called with each completed
     :class:`CalibrationStep` as the trajectory unfolds (the CLI prints a
@@ -124,9 +126,10 @@ def calibrate_cell(
     the cumulative metric vectors after each doubling; a resumed
     trajectory restores completed steps (advancing the seed spawn tree
     exactly as a fresh run would, so later steps stay bit-identical) and
-    simulates only what is missing.  *retry* / *faults* configure the
-    fault-tolerant parallel executor (see
-    :func:`repro.sim.replication.run_replications`).
+    simulates only what is missing; a resumed run writes one
+    ``checkpoint`` ``restore`` record with the restored step count.
+    *retry* / *faults* configure the fault-tolerant parallel executor
+    (see :func:`repro.sim.parallel.iter_chunk_results`).
 
     *cache* (a :class:`~repro.perf.cache.ScheduleCache`) memoizes the
     compiled dag across calibration runs; bit-identical either way.
@@ -148,13 +151,13 @@ def calibrate_cell(
     steps: list[CalibrationStep] = []
     q = start_q
     converged = False
-    store_reps = checkpoint is not None and telemetry is not None
+    par = resolve_parallel(jobs, None)
+    ledger = UnitLedger(checkpoint, telemetry, workload)
     while True:
         step_started = time.perf_counter()
         need = p * q - len(prio_vals)
-        payload = (
-            checkpoint.get(f"step/q{q}") if checkpoint is not None else None
-        )
+        key = f"step/q{q}"
+        payload = ledger.restore(key, ("prio", "fifo"), params)
         if payload is not None:
             # Restored step: advance the spawn tree exactly as a fresh
             # run would (spawning is stateful), then reuse its values.
@@ -163,72 +166,29 @@ def calibrate_cell(
                 seq_fifo = seq_fifo.spawn(2)[1]
             prio_vals[:] = payload["prio_vals"]
             fifo_vals[:] = payload["fifo_vals"]
-            if telemetry is not None:
-                replications = payload.get("replications", {})
-                # prio first, matching a fresh step's emission order (the
-                # JSON object's key order is sorted, i.e. fifo first).
-                for side in sorted(replications, key=lambda s: s != "prio"):
-                    for rep, row in enumerate(replications[side]):
-                        telemetry.replication(
-                            workload=workload,
-                            policy=side,
-                            rep=rep,
-                            params=params,
-                            result=result_from_row(row),
-                            elapsed_seconds=None,
-                        )
-                telemetry.checkpoint(
-                    event="restore", path=checkpoint.path, done=len(steps) + 1
-                )
         elif need > 0:
             extra_p, seq_prio = seq_prio.spawn(2)
             extra_f, seq_fifo = seq_fifo.spawn(2)
-            loggers = {"prio": None, "fifo": None}
-            registry = None
-            if telemetry is not None:
-                registry = telemetry.registry
-                loggers = {
-                    side: telemetry.replication_logger(
-                        workload=workload, policy=side, params=params
-                    )
-                    for side in loggers
-                }
-            if store_reps:
-                loggers = {
-                    side: CollectingLogger(logger)
-                    for side, logger in loggers.items()
-                }
-            prio_vals.extend(
-                run_replications(
-                    compiled, prio_factory, params, need, extra_p, jobs=jobs,
-                    metrics=registry, on_replication=loggers["prio"],
-                    retry=retry, faults=faults,
-                ).metric(metric)
+            ((_, results, elapsed),) = iter_units(
+                [(key, [
+                    (compiled, prio_factory, params, None, extra_p, need),
+                    (compiled, fifo_factory, params, None, extra_f, need),
+                ])],
+                par,
+                collect=telemetry is not None,
+                retry=retry,
+                faults=faults,
+                metrics=telemetry.registry if telemetry is not None else None,
             )
-            fifo_vals.extend(
-                run_replications(
-                    compiled, fifo_factory, params, need, extra_f, jobs=jobs,
-                    metrics=registry, on_replication=loggers["fifo"],
-                    retry=retry, faults=faults,
-                ).metric(metric)
-            )
-            if checkpoint is not None:
-                step_payload = {
+            prio_vals.extend(MetricArrays(results[0]).metric(metric))
+            fifo_vals.extend(MetricArrays(results[1]).metric(metric))
+            ledger.complete(
+                key, ("prio", "fifo"), params, results, elapsed,
+                {
                     "prio_vals": [float(v) for v in prio_vals],
                     "fifo_vals": [float(v) for v in fifo_vals],
-                }
-                if store_reps:
-                    step_payload["replications"] = {
-                        side: [result_to_row(r) for r in logger.results]
-                        for side, logger in loggers.items()
-                    }
-                checkpoint.record(f"step/q{q}", step_payload)
-                if telemetry is not None:
-                    telemetry.checkpoint(
-                        event="record",
-                        path=checkpoint.path,
-                        done=checkpoint.n_done,
-                    )
+                },
+            )
         # Interleave so each of the p samples mixes old and new runs.
         s_prio = np.asarray(prio_vals).reshape(q, p).mean(axis=0)
         s_fifo = np.asarray(fifo_vals).reshape(q, p).mean(axis=0)
@@ -262,6 +222,7 @@ def calibrate_cell(
         if q >= max_q:
             break
         q = min(2 * q, max_q)
+    ledger.restored_all()
     return CalibrationResult(
         steps=tuple(steps), target_width=target_width, converged=converged
     )

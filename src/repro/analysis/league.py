@@ -28,10 +28,16 @@ import numpy as np
 from ..dag.graph import Dag
 from ..sim.compile import CompiledDag
 from ..sim.engine import SimParams
+from ..sim.parallel import resolve_parallel
 from ..sim.policies import policy_spec
-from ..sim.replication import MetricArrays, policy_factory, run_replications
+from ..sim.replication import (
+    MetricArrays,
+    iter_units,
+    policy_factory,
+    run_replications,
+)
 from ..stats.tests import sign_test
-from ._ckpt import CollectingLogger, result_from_row, result_to_row
+from ._ckpt import UnitLedger
 
 __all__ = [
     "Entrant",
@@ -92,23 +98,27 @@ def league(
 
     *baseline* names the entrant paired comparisons are made against
     (default: the last entrant, conventionally FIFO).  Rows come back
-    sorted by mean execution time, best first.  *jobs* fans each entrant's
-    replications out over worker processes (bit-identical results; see
-    :func:`repro.sim.replication.run_replications`).
+    sorted by mean execution time, best first.  Each entrant is one unit
+    of :func:`repro.sim.replication.iter_units`, and all of them run in
+    one call: *jobs* gives that call one worker pool, shared by every
+    entrant's replications (bit-identical results).
 
     *progress*, when given, is called with ``(entrants_done,
-    total_entrants)`` after each entrant's batch.  *telemetry*, when
-    given, is a :class:`~repro.obs.recorder.TelemetryRecorder` that
-    receives one ``replication`` record per simulation (``policy`` set to
-    the entrant's name); observational only, results are unchanged.
+    total_entrants)`` after each entrant's batch (in completion order
+    with a pool).  *telemetry*, when given, is a
+    :class:`~repro.obs.recorder.TelemetryRecorder` that receives one
+    ``replication`` record per simulation (``policy`` set to the
+    entrant's name), an entrant's records contiguous; observational
+    only, results are unchanged.
 
     *checkpoint* (a :class:`~repro.robust.checkpoint.Checkpoint`) records
     each completed entrant's metric vectors durably; entrants already
     recorded are restored instead of re-simulated (bit-identical — every
     entrant derives its seeds from the shared root independently, so
-    skipping one cannot shift another's streams).  *retry* / *faults*
+    skipping one cannot shift another's streams).  Restored entrants
+    replay their telemetry first, then the rest run.  *retry* / *faults*
     configure the fault-tolerant parallel executor (see
-    :func:`repro.sim.replication.run_replications`).
+    :func:`repro.sim.parallel.iter_chunk_results`).
 
     *cache* (a :class:`~repro.perf.cache.ScheduleCache`) memoizes the
     compiled dag across league runs over the same structure (entrant
@@ -126,78 +136,53 @@ def league(
     compiled = (
         cache.compiled(dag) if cache is not None else CompiledDag.from_dag(dag)
     )
-    store_reps = checkpoint is not None and telemetry is not None
-    metrics = {}
-    restored = 0
-    for done, e in enumerate(entrants, start=1):
-        payload = (
-            checkpoint.get(f"entrant/{e.name}")
-            if checkpoint is not None
-            else None
-        )
+    ledger = UnitLedger(checkpoint, telemetry, workload)
+    metrics: dict[str, MetricArrays] = {}
+    for e in entrants:
+        payload = ledger.restore(f"entrant/{e.name}", (e.name,), params)
         if payload is not None:
             metrics[e.name] = MetricArrays.from_arrays(
                 payload["execution_time"],
                 payload["stalling_probability"],
                 payload["utilization"],
             )
-            restored += 1
-            if telemetry is not None:
-                for rep, row in enumerate(payload.get("replications", [])):
-                    telemetry.replication(
-                        workload=workload,
-                        policy=e.name,
-                        rep=rep,
-                        params=params,
-                        result=result_from_row(row),
-                        elapsed_seconds=None,
-                    )
             if progress is not None:
-                progress(done, len(entrants))
-            continue
-        factory = policy_factory(
-            e.kind,
-            order=list(e.order) if e.order else None,
-            dag=dag if e.kind == "prio-live" else None,
-        )
-        on_replication = None
-        registry = None
-        if telemetry is not None:
-            registry = telemetry.registry
-            on_replication = telemetry.replication_logger(
-                workload=workload, policy=e.name, params=params
-            )
-        if store_reps:
-            on_replication = CollectingLogger(on_replication)
-        m = run_replications(
-            compiled, factory, params, n_runs, seed=seed, jobs=jobs,
-            metrics=registry, on_replication=on_replication,
-            retry=retry, faults=faults,
-        )
-        metrics[e.name] = m
-        if checkpoint is not None:
-            payload = {
+                progress(len(metrics), len(entrants))
+    ledger.restored_all()
+
+    def units():
+        # Every entrant replays the same seed streams: a fresh root each.
+        for e in entrants:
+            if e.name not in metrics:
+                factory = policy_factory(
+                    e.kind,
+                    order=list(e.order) if e.order else None,
+                    dag=dag if e.kind == "prio-live" else None,
+                )
+                seedseq = np.random.SeedSequence(seed)
+                yield e.name, [
+                    (compiled, factory, params, None, seedseq, n_runs)
+                ]
+
+    for name, results, elapsed in iter_units(
+        units(),
+        resolve_parallel(jobs, None),
+        collect=telemetry is not None,
+        retry=retry,
+        faults=faults,
+        metrics=telemetry.registry if telemetry is not None else None,
+    ):
+        m = metrics[name] = MetricArrays(results[0])
+        ledger.complete(
+            f"entrant/{name}", (name,), params, results, elapsed,
+            {
                 "execution_time": m.execution_time.tolist(),
                 "stalling_probability": m.stalling_probability.tolist(),
                 "utilization": m.utilization.tolist(),
-            }
-            if store_reps:
-                payload["replications"] = [
-                    result_to_row(r) for r in on_replication.results
-                ]
-            checkpoint.record(f"entrant/{e.name}", payload)
-            if telemetry is not None:
-                telemetry.checkpoint(
-                    event="record",
-                    path=checkpoint.path,
-                    done=checkpoint.n_done,
-                )
-        if progress is not None:
-            progress(done, len(entrants))
-    if telemetry is not None and restored:
-        telemetry.checkpoint(
-            event="restore", path=checkpoint.path, done=restored
+            },
         )
+        if progress is not None:
+            progress(len(metrics), len(entrants))
     base_times = metrics[baseline].execution_time
     rows = []
     for e in entrants:

@@ -51,12 +51,8 @@ def _format_mu(value: float) -> str:
 def render_sweep(result: SweepResult) -> str:
     """Figure-style rendering: one section per mu_BIT, one row per mu_BS."""
     config = result.config
-    if getattr(config, "live", False):
-        numerator = "PRIO-LIVE"
-    else:
-        numerator = getattr(config, "policy", "prio").upper()
     lines = [
-        f"{numerator}/FIFO performance ratios for {result.workload} "
+        f"{config.policy.upper()}/FIFO performance ratios for {result.workload} "
         f"(p={config.p}, q={config.q}, 95% CI)",
     ]
     header = (

@@ -28,19 +28,13 @@ import numpy as np
 
 from ..dag.graph import Dag
 from ..sim.compile import CompiledDag
-from ..sim.engine import SimParams, SimResult
-from ..sim.parallel import (
-    ParallelConfig,
-    clone_seedseq,
-    iter_chunk_results,
-    resolve_parallel,
-    run_chunk,
-)
+from ..sim.engine import SimParams
+from ..sim.parallel import ParallelConfig, clone_seedseq, resolve_parallel
 from ..sim.policies import policy_spec
-from ..sim.replication import MetricArrays, policy_factory
+from ..sim.replication import MetricArrays, iter_units, policy_factory
 from ..stats.ratio import RatioStatistics, ratio_statistics
 from ..stats.sampling import sampling_distribution_from_values
-from ._ckpt import result_from_row, result_to_row
+from ._ckpt import UnitLedger
 
 __all__ = [
     "METRICS",
@@ -54,6 +48,9 @@ __all__ = [
 
 #: Metric names, in the order the figures present them (panels a, b, c).
 METRICS = ("execution_time", "stalling_probability", "utilization")
+
+#: A cell's two replication batches, in the order they are run and logged.
+_SIDES = ("prio", "fifo")
 
 
 def paper_grid() -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -90,18 +87,14 @@ class SweepConfig:
     failure_time_fraction: float = 0.5
     straggler_prob: float = 0.0
     straggler_factor: float = 10.0
-    #: Replace the static PRIO side with the live rescheduling policy
-    #: (:class:`repro.live.policy.LivePrioPolicy`): the ratio becomes
-    #: PRIO-with-rescheduling / FIFO, so static-vs-live is two sweeps
-    #: over identical seed streams.
-    live: bool = False
     #: The numerator policy (any registered kind from
     #: :func:`repro.sim.policies.policy_names`): the ratio becomes
     #: policy / FIFO.  ``"prio"`` (the default) keeps the paper's sweep;
     #: static-permutation kinds (``upward-rank``, ``dagps``) derive their
     #: order from the dag, other kinds ignore ``prio_order`` entirely.
-    #: Mutually exclusive with ``live`` (which pins PRIO-with-
-    #: rescheduling as the numerator).
+    #: ``"prio-live"`` is PRIO with live rescheduling
+    #: (:class:`repro.live.policy.LivePrioPolicy`), so static-vs-live is
+    #: two sweeps over identical seed streams.
     policy: str = "prio"
     #: Common random numbers: give PRIO and FIFO identical seed streams
     #: (identical batch arrivals) and compare *matched* samples x_i / y_i
@@ -243,8 +236,9 @@ def _cell_specs(config: SweepConfig):
 # A checkpointed cell stores exactly what an uninterrupted run would have
 # produced: the ratio statistics (always) and, when telemetry is active,
 # the per-replication SimResult rows needed to re-emit the replication
-# records on resume.  Floats survive the JSON round trip exactly, so
-# restored cells are bit-identical to freshly computed ones.
+# records on resume (``UnitLedger`` adds those).  Floats survive the JSON
+# round trip exactly, so restored cells are bit-identical to freshly
+# computed ones.
 
 
 def _stats_to_dict(stats: RatioStatistics | None) -> dict | None:
@@ -266,20 +260,12 @@ def _stats_from_dict(payload: dict | None) -> RatioStatistics | None:
     return RatioStatistics(**payload)
 
 
-def _cell_payload(
-    cell: CellResult, reps: dict[str, list[SimResult]] | None = None
-) -> dict:
-    payload = {
+def _cell_payload(cell: CellResult) -> dict:
+    return {
         "mu_bit": cell.mu_bit,
         "mu_bs": cell.mu_bs,
         "ratios": {m: _stats_to_dict(s) for m, s in cell.ratios.items()},
     }
-    if reps is not None:
-        payload["replications"] = {
-            side: [result_to_row(result) for result in results]
-            for side, results in reps.items()
-        }
-    return payload
 
 
 def _cell_from_payload(payload: dict) -> CellResult:
@@ -291,74 +277,6 @@ def _cell_from_payload(payload: dict) -> CellResult:
             for metric, stats in payload["ratios"].items()
         },
     )
-
-
-def _emit_restored_cell(
-    telemetry, workload: str, params: SimParams, payload: dict, cell: CellResult
-) -> None:
-    """Re-emit a restored cell's telemetry so a resumed run's log matches
-    an uninterrupted one (modulo wall-clock fields, which are ``None`` for
-    restored replications — the work was not redone)."""
-    replications = payload.get("replications", {})
-    # Emit in the order a fresh cell would (the JSON object's key order is
-    # sorted, which would put fifo first).
-    for side in sorted(replications, key=lambda s: s != "prio"):
-        for rep, row in enumerate(replications[side]):
-            telemetry.replication(
-                workload=workload,
-                policy=side,
-                rep=rep,
-                params=params,
-                result=result_from_row(row),
-                elapsed_seconds=None,
-            )
-    _emit_cell_telemetry(telemetry, workload, cell)
-
-
-def _restore_cells(
-    checkpoint, telemetry, workload: str, specs
-) -> dict[int, CellResult]:
-    """Load completed cells from the checkpoint (empty dict without one)."""
-    if checkpoint is None:
-        return {}
-    restored: dict[int, CellResult] = {}
-    for index, (mu_bit, mu_bs, params, _, _) in enumerate(specs):
-        payload = checkpoint.get(f"cell/{index}")
-        if payload is None:
-            continue
-        if payload["mu_bit"] != mu_bit or payload["mu_bs"] != mu_bs:
-            from ..robust.checkpoint import CheckpointError
-
-            raise CheckpointError(
-                f"checkpoint cell {index} is for "
-                f"(mu_bit={payload['mu_bit']}, mu_bs={payload['mu_bs']}), "
-                f"expected ({mu_bit}, {mu_bs})"
-            )
-        restored[index] = _cell_from_payload(payload)
-        if telemetry is not None:
-            _emit_restored_cell(
-                telemetry, workload, params, payload, restored[index]
-            )
-    if telemetry is not None and restored:
-        telemetry.checkpoint(
-            event="restore", path=checkpoint.path, done=len(restored)
-        )
-    return restored
-
-
-def _record_cell(
-    checkpoint,
-    telemetry,
-    index: int,
-    cell: CellResult,
-    reps: dict[str, list[SimResult]] | None,
-) -> None:
-    """Durably record one completed cell (one appended, fsynced line)."""
-    checkpoint.record(f"cell/{index}", _cell_payload(cell, reps=reps))
-    if telemetry is not None:
-        telemetry.checkpoint(
-            event="record", path=checkpoint.path, done=checkpoint.n_done
-        )
 
 
 def _emit_cell_telemetry(telemetry, workload: str, cell: CellResult) -> None:
@@ -397,12 +315,12 @@ def ratio_sweep(
     *progress*, when given, is called with ``(done_cells, total_cells)``
     after each cell.
 
-    Each cell's PRIO and FIFO batches run as chunk tasks through
-    :func:`repro.sim.parallel.iter_chunk_results`.  At ``jobs=1`` they
-    run in-process, one chunk per batch, and cells complete row-major.
-    ``jobs`` (or an explicit ``parallel`` config) adds a worker pool that
-    fans out across cells *and* the replications within a cell.  Results
-    are bit-identical either way; only the order in which cells *finish*
+    Each cell is one unit of :func:`repro.sim.replication.iter_units`:
+    its PRIO and FIFO batches.  At ``jobs=1`` they run in-process, one
+    chunk per batch, and cells complete row-major.  ``jobs`` (or an
+    explicit ``parallel`` config) adds one worker pool that fans out
+    across cells *and* the replications within a cell.  Results are
+    bit-identical either way; only the order in which cells *finish*
     (and hence progress callbacks fire) changes.
 
     *telemetry*, when given, is a
@@ -424,7 +342,9 @@ def ratio_sweep(
       telemetry is active, each cell's per-replication results ride
       along in the checkpoint so restored cells re-emit their
       ``replication`` records too (``elapsed_seconds`` becomes ``None``
-      — the work was not redone).
+      — the work was not redone).  Restore and record go through
+      :class:`~repro.analysis._ckpt.UnitLedger`, as in the league and
+      the calibration.
     * *retry* / *faults* — a
       :class:`~repro.robust.retry.RetryPolicy` and/or
       :class:`~repro.robust.faults.FaultPlan` for the parallel path's
@@ -439,12 +359,7 @@ def ratio_sweep(
     with or without it.
     """
     par = resolve_parallel(jobs, parallel)
-    if config.live and config.policy != "prio":
-        raise ValueError(
-            "live sweeps pin PRIO-with-rescheduling as the numerator; "
-            "drop live or keep the default policy"
-        )
-    live = config.live or config.policy == "prio-live"
+    live = config.policy == "prio-live"
     if live and isinstance(dag, CompiledDag):
         raise TypeError(
             "live sweeps need the Dag itself (the rescheduler reuses "
@@ -454,116 +369,67 @@ def ratio_sweep(
         cache.compiled(dag) if cache is not None else CompiledDag.from_dag(dag)
     )
     count = config.p * config.q
-    if live:
-        prio_factory = policy_factory("prio-live", dag=dag)
-    elif config.policy == "prio":
+    if config.policy == "prio":
         prio_factory = policy_factory("oblivious", order=list(prio_order))
-    elif policy_spec(config.policy).static_order is not None:
-        # upward-rank / dagps: the order comes from the dag, not from the
-        # caller's PRIO schedule.
+    elif live or policy_spec(config.policy).static_order is not None:
+        # prio-live reschedules over the dag; upward-rank / dagps derive
+        # their order from it, not from the caller's PRIO schedule.
         prio_factory = policy_factory(config.policy, dag=dag)
     else:
         prio_factory = policy_factory(config.policy)
     fifo_factory = policy_factory("fifo")
     specs = _cell_specs(config)
     total = len(specs)
-    registry = telemetry.registry if telemetry is not None else None
-    restored = _restore_cells(checkpoint, telemetry, workload, specs)
-    # Store per-replication rows only when a resumed run will need them
-    # to reproduce the telemetry log.
-    store_reps = checkpoint is not None and telemetry is not None
-
-    # Flatten every unfinished (cell, policy) replication batch into chunk
-    # tasks, then reassemble per cell as chunks land (out of order with a
-    # pool).  The tasks are built lazily, so without a pool only the
-    # current cell's seeds and results are held.
-    collect = telemetry is not None
-    slots: dict[tuple[int, str], list] = {}
-    elapsed: dict[tuple[int, str], list] = {}
-    pending = [0] * total
-    ordered_cells: list[CellResult | None] = [None] * total
+    ledger = UnitLedger(checkpoint, telemetry, workload)
+    cells: list[CellResult | None] = [None] * total
     done = 0
-    for index, cell in restored.items():
-        ordered_cells[index] = cell
+    for index, (mu_bit, mu_bs, params, _, _) in enumerate(specs):
+        payload = ledger.restore(f"cell/{index}", _SIDES, params)
+        if payload is None:
+            continue
+        if payload["mu_bit"] != mu_bit or payload["mu_bs"] != mu_bs:
+            from ..robust.checkpoint import CheckpointError
+
+            raise CheckpointError(
+                f"checkpoint cell {index} is for "
+                f"(mu_bit={payload['mu_bit']}, mu_bs={payload['mu_bs']}), "
+                f"expected ({mu_bit}, {mu_bs})"
+            )
+        cells[index] = _cell_from_payload(payload)
+        if telemetry is not None:
+            _emit_cell_telemetry(telemetry, workload, cells[index])
         done += 1
         if progress is not None:
             progress(done, total)
+    ledger.restored_all()
 
-    def tasks():
+    def units():
         for index, (_, _, params, seed_prio, seed_fifo) in enumerate(specs):
-            if index in restored:
-                continue
-            sides = (
-                ("prio", prio_factory, seed_prio),
-                ("fifo", fifo_factory, seed_fifo),
-            )
-            cell_tasks = []
-            for side, factory, seedseq in sides:
-                children = seedseq.spawn(count)
-                slots[(index, side)] = [None] * count
-                if collect:
-                    elapsed[(index, side)] = [None] * count
-                for chunk_no, chunk in enumerate(
-                    par.chunked(list(enumerate(children)))
-                ):
-                    cell_tasks.append(
-                        (
-                            (index, side, chunk_no),
-                            (compiled, factory, params, None, chunk, collect),
-                        )
-                    )
-            pending[index] = len(cell_tasks)
-            yield from cell_tasks
+            if cells[index] is None:
+                yield index, [
+                    (compiled, prio_factory, params, None, seed_prio, count),
+                    (compiled, fifo_factory, params, None, seed_fifo, count),
+                ]
 
-    for key, (chunk_results, snapshot) in iter_chunk_results(
-        run_chunk, tasks(), par, retry=retry, faults=faults, metrics=registry
+    for index, results, elapsed in iter_units(
+        units(),
+        par,
+        collect=telemetry is not None,
+        retry=retry,
+        faults=faults,
+        metrics=telemetry.registry if telemetry is not None else None,
     ):
-        index, side = key[0], key[1]
-        for rep_index, result, seconds in chunk_results:
-            slots[(index, side)][rep_index] = result
-            if collect:
-                elapsed[(index, side)][rep_index] = seconds
-        if registry is not None and snapshot is not None:
-            registry.merge_snapshot(snapshot)
-        pending[index] -= 1
-        if pending[index] == 0:
-            mu_bit, mu_bs, params, _, _ = specs[index]
-            results = {
-                cell_side: slots.pop((index, cell_side))
-                for cell_side in ("prio", "fifo")
-            }
-            if telemetry is not None:
-                for cell_side in ("prio", "fifo"):
-                    seconds = elapsed.pop((index, cell_side))
-                    for rep, result in enumerate(results[cell_side]):
-                        telemetry.replication(
-                            workload=workload,
-                            policy=cell_side,
-                            rep=rep,
-                            params=params,
-                            result=result,
-                            elapsed_seconds=seconds[rep],
-                        )
-            ordered_cells[index] = _cell_result(
-                config,
-                mu_bit,
-                mu_bs,
-                MetricArrays(results["prio"]),
-                MetricArrays(results["fifo"]),
-            )
-            if telemetry is not None:
-                _emit_cell_telemetry(
-                    telemetry, workload, ordered_cells[index]
-                )
-            if checkpoint is not None:
-                _record_cell(
-                    checkpoint,
-                    telemetry,
-                    index,
-                    ordered_cells[index],
-                    results if store_reps else None,
-                )
-            done += 1
-            if progress is not None:
-                progress(done, total)
-    return SweepResult(workload=workload, config=config, cells=ordered_cells)
+        mu_bit, mu_bs, params, _, _ = specs[index]
+        cells[index] = _cell_result(
+            config, mu_bit, mu_bs, *map(MetricArrays, results)
+        )
+        ledger.complete(
+            f"cell/{index}", _SIDES, params, results, elapsed,
+            _cell_payload(cells[index]),
+        )
+        if telemetry is not None:
+            _emit_cell_telemetry(telemetry, workload, cells[index])
+        done += 1
+        if progress is not None:
+            progress(done, total)
+    return SweepResult(workload=workload, config=config, cells=cells)

@@ -266,10 +266,15 @@ def _config_payload(config) -> dict:
     """A SweepConfig as a JSON-safe dict (for checkpoint fingerprints)."""
     from dataclasses import asdict
 
-    return {
+    payload = {
         key: list(value) if isinstance(value, tuple) else value
         for key, value in asdict(config).items()
     }
+    # The retired ``live`` field (now ``policy="prio-live"``) stays in the
+    # fingerprint, so checkpoints of other sweeps from older versions
+    # still resume; older ``--live`` checkpoints no longer match.
+    payload["live"] = False
+    return payload
 
 
 def _open_checkpoint(args: argparse.Namespace, payload: dict):
@@ -511,19 +516,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         mu_bits = tuple(args.mu_bit)
         mu_bss = tuple(args.mu_bs)
+    if args.live and args.policy not in ("prio", "prio-live"):
+        raise CliError(
+            "--live pins PRIO-with-rescheduling as the numerator; "
+            "drop --live or --policy"
+        )
     config = SweepConfig(
         mu_bits=mu_bits, mu_bss=mu_bss, p=args.p, q=args.q, seed=args.seed,
         failure_prob=args.failure_prob,
         straggler_prob=args.straggler_prob,
         straggler_factor=args.straggler_factor,
-        live=args.live,
-        policy=args.policy,
+        policy="prio-live" if args.live else args.policy,
     )
-    if args.live and args.policy != "prio":
-        raise CliError(
-            "--live pins PRIO-with-rescheduling as the numerator; "
-            "drop --live or --policy"
-        )
     from .perf.cache import cached_schedule
 
     cache = _schedule_cache(args)
@@ -1317,7 +1321,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "replace the static PRIO side with live rescheduling "
             "(re-prioritize the remnant after every completion); the "
-            "ratio becomes live-PRIO / FIFO"
+            "ratio becomes live-PRIO / FIFO (an alias of --policy "
+            "prio-live)"
         ),
     )
     p.add_argument(

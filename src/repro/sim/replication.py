@@ -32,6 +32,7 @@ from .policies import Policy
 __all__ = [
     "IncompleteBatchError",
     "MetricArrays",
+    "iter_units",
     "run_replications",
     "policy_factory",
 ]
@@ -203,6 +204,71 @@ def policy_factory(
     return PolicyFactory(kind, order, dag)
 
 
+def iter_units(
+    units,
+    par: ParallelConfig,
+    *,
+    collect: bool = False,
+    retry=None,
+    faults=None,
+    metrics=None,
+):
+    """Run units of replication batches through the chunk driver.
+
+    *units* is an iterable of ``(key, batches)``; each batch is
+    ``(compiled, build_policy, params, runtime_scale, seedseq, count)``.
+    A unit's batches spawn their *count* child seeds only when the
+    driver pulls the unit's chunk tasks, so without a pool one unit's
+    seeds and results are held at a time, and a consumer that stops
+    iterating stops the remaining units.  With a pool every unit's
+    chunks share that one pool.
+
+    Yields ``(key, results, elapsed)`` once a unit's last chunk lands
+    (in completion order with a pool, in *units* order without):
+    *results* holds one list of :class:`SimResult` per batch in spawn
+    order; *elapsed* one list of per-replication wall clocks per batch,
+    all ``None`` unless *collect* (the telemetry flag of
+    :func:`~repro.sim.parallel.run_chunk`).  *retry*, *faults* and
+    *metrics* pass through to
+    :func:`~repro.sim.parallel.iter_chunk_results`; each chunk's
+    registry snapshot is merged into *metrics*.
+    """
+    state: dict[int, tuple] = {}  # unit -> (key, results, elapsed)
+    pending: dict[int, int] = {}  # unit -> chunks still out
+
+    def tasks():
+        for unit, (key, batches) in enumerate(units):
+            results, elapsed, unit_tasks = [], [], []
+            # shared: (compiled, build_policy, params, runtime_scale)
+            for number, (*shared, seedseq, count) in enumerate(batches):
+                results.append([None] * count)
+                elapsed.append([None] * count)
+                chunks = par.chunked(list(enumerate(seedseq.spawn(count))))
+                # An empty batch still runs one (empty) chunk, so its
+                # unit reports back.
+                unit_tasks += [
+                    ((unit, number, chunk_no), (*shared, chunk, collect))
+                    for chunk_no, chunk in enumerate(chunks or [[]])
+                ]
+            state[unit] = (key, results, elapsed)
+            pending[unit] = len(unit_tasks)
+            yield from unit_tasks
+
+    for (unit, number, _), (chunk_results, snapshot) in iter_chunk_results(
+        run_chunk, tasks(), par, retry=retry, faults=faults, metrics=metrics
+    ):
+        _, results, elapsed = state[unit]
+        for index, result, seconds in chunk_results:
+            results[number][index] = result
+            elapsed[number][index] = seconds
+        if metrics is not None and snapshot is not None:
+            metrics.merge_snapshot(snapshot)
+        pending[unit] -= 1
+        if not pending[unit]:
+            del pending[unit]
+            yield state.pop(unit)
+
+
 def run_replications(
     dag: Dag | CompiledDag,
     build_policy: Callable[[np.random.Generator], Policy],
@@ -221,8 +287,9 @@ def run_replications(
 ) -> MetricArrays:
     """Run *count* independent simulations; returns per-run metrics.
 
-    ``jobs`` (or an explicit ``parallel`` config, which takes precedence)
-    gives the chunk driver a worker pool; at ``jobs=1`` (or for a single
+    The one-unit, one-batch case of :func:`iter_units`.  ``jobs`` (or an
+    explicit ``parallel`` config, which takes precedence) gives the
+    chunk driver a worker pool; at ``jobs=1`` (or for a single
     replication) the batch runs in-process as one chunk.  Results are
     bit-identical either way for the same *seed*.  With worker
     processes, *build_policy* must be picklable — the factories from
@@ -267,23 +334,16 @@ def run_replications(
     par = resolve_parallel(jobs, parallel)
     if count <= 1:
         par = ParallelConfig()  # a lone replication is not worth a pool
-    children = seedseq.spawn(count)
-    collect = metrics is not None or on_replication is not None
-    slots: list[SimResult | None] = [None] * count
-    elapsed: list[float | None] = [None] * count
-    tasks = [
-        (i, (compiled, build_policy, params, runtime_scale, chunk, collect))
-        for i, chunk in enumerate(par.chunked(list(enumerate(children))))
-    ]
-    for _key, (chunk_results, snapshot) in iter_chunk_results(
-        run_chunk, tasks, par, retry=retry, faults=faults, metrics=metrics
-    ):
-        for index, result, seconds in chunk_results:
-            slots[index] = result
-            elapsed[index] = seconds
-        if metrics is not None and snapshot is not None:
-            metrics.merge_snapshot(snapshot)
+    batch = (compiled, build_policy, params, runtime_scale, seedseq, count)
+    ((_, (results,), (elapsed,)),) = iter_units(
+        [(None, [batch])],
+        par,
+        collect=metrics is not None or on_replication is not None,
+        retry=retry,
+        faults=faults,
+        metrics=metrics,
+    )
     if on_replication is not None:
-        for rep, result in enumerate(slots):
+        for rep, result in enumerate(results):
             on_replication(rep, result, elapsed[rep])
-    return MetricArrays(slots)
+    return MetricArrays(results)

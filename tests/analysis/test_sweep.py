@@ -129,7 +129,7 @@ class TestFailureAndLiveSweeps:
         order = prio_schedule(dag).schedule
         base = dict(mu_bits=(1.0,), mu_bss=(4.0,), p=6, q=2, seed=7)
         live = ratio_sweep(
-            dag, order, SweepConfig(**base, live=True), "x"
+            dag, order, SweepConfig(**base, policy="prio-live"), "x"
         )
         ratio = live.cells[0].ratios["execution_time"]
         assert np.isfinite(ratio.median) and ratio.median > 0
@@ -139,7 +139,7 @@ class TestFailureAndLiveSweeps:
         order = prio_schedule(dag).schedule
         cfg = SweepConfig(
             mu_bits=(1.0,), mu_bss=(4.0,), p=6, q=2, seed=7,
-            live=True, failure_prob=0.3, straggler_prob=0.2,
+            policy="prio-live", failure_prob=0.3, straggler_prob=0.2,
         )
         result = ratio_sweep(dag, order, cfg, "x")
         ratio = result.cells[0].ratios["execution_time"]
@@ -151,6 +151,6 @@ class TestFailureAndLiveSweeps:
         dag = airsn(8)
         order = prio_schedule(dag).schedule
         cfg = SweepConfig(mu_bits=(1.0,), mu_bss=(4.0,), p=2, q=1,
-                          live=True)
+                          policy="prio-live")
         with pytest.raises(TypeError, match="live sweeps"):
             ratio_sweep(CompiledDag.from_dag(dag), order, cfg, "x")

@@ -212,42 +212,94 @@ class TestFaultInjectedSweep:
         assert faulty.cells == base_result.cells
 
 
+def unit_blocks(records):
+    """Replication records grouped into maximal runs of one policy."""
+    blocks = []
+    for record in records:
+        if record["kind"] != "replication":
+            continue
+        if not blocks or blocks[-1][0] != record["policy"]:
+            blocks.append((record["policy"], []))
+        blocks[-1][1].append(record)
+    return blocks
+
+
+def league_setup():
+    dag = fork_join(6)
+    order = prio_schedule(dag).schedule
+    entrants = [
+        Entrant.from_schedule("prio", order),
+        Entrant("random", "random"),
+        Entrant("fifo", "fifo"),
+    ]
+    return dag, entrants, SimParams(mu_bit=1.0, mu_bs=4.0)
+
+
 class TestLeagueResume:
-    def test_interrupt_then_resume(self, tmp_path):
-        dag = fork_join(6)
-        order = prio_schedule(dag).schedule
-        params = SimParams(mu_bit=1.0, mu_bs=4.0)
-        entrants = [
-            Entrant.from_schedule("prio", order),
-            Entrant("fifo", "fifo"),
-        ]
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupt_then_resume(self, tmp_path, jobs):
+        dag, entrants, params = league_setup()
+        kwargs = dict(n_runs=8, seed=3, workload="wl", jobs=jobs)
         telemetry, base_buf = open_telemetry()
         base = league(
-            dag, entrants, params, n_runs=8, seed=3, workload="wl",
-            telemetry=telemetry,
+            dag, entrants, params, telemetry=telemetry,
+            **{**kwargs, "jobs": 1},
         )
         path = tmp_path / "ck.jsonl"
         checkpoint = Checkpoint.open(path, FP)
         telemetry, _ = open_telemetry()
         with pytest.raises(Interrupt):
             league(
-                dag, entrants, params, n_runs=8, seed=3, workload="wl",
-                telemetry=telemetry, checkpoint=checkpoint,
-                progress=interrupt_after(1),
+                dag, entrants, params, telemetry=telemetry,
+                checkpoint=checkpoint, progress=interrupt_after(1), **kwargs,
             )
         assert checkpoint.n_done == 1
         telemetry, buf = open_telemetry()
         resumed = league(
-            dag, entrants, params, n_runs=8, seed=3, workload="wl",
-            telemetry=telemetry,
+            dag, entrants, params, telemetry=telemetry,
             checkpoint=Checkpoint.open(path, FP, require_existing=True),
+            **kwargs,
         )
         assert resumed == base
-        assert comparable_records(buf) == comparable_records(base_buf)
+        records, base_records = comparable_records(buf), comparable_records(
+            base_buf
+        )
+        # With a pool any entrant may finish first, so the restored one
+        # replays first; each entrant's records stay one contiguous run
+        # in replication order.
+        blocks = unit_blocks(records)
+        assert len(blocks) == len(entrants)
+        assert sorted(blocks, key=lambda b: b[0]) == sorted(
+            unit_blocks(base_records), key=lambda b: b[0]
+        )
+        if jobs == 1:
+            assert records == base_records
+
+    def test_older_row_layout_refused(self, tmp_path):
+        # Older versions stored an entrant's rows as a bare list; with
+        # telemetry on, resuming from one is refused, never misread.
+        dag, entrants, params = league_setup()
+        checkpoint = Checkpoint.open(tmp_path / "ck.jsonl", FP)
+        checkpoint.record(
+            "entrant/prio",
+            {
+                "execution_time": [1.0],
+                "stalling_probability": [0.0],
+                "utilization": [1.0],
+                "replications": [[1.0, 6, 1, 0, 1, 0, 0]],
+            },
+        )
+        telemetry, _ = open_telemetry()
+        with pytest.raises(CheckpointError, match="older layout"):
+            league(
+                dag, entrants, params, n_runs=1, telemetry=telemetry,
+                checkpoint=checkpoint,
+            )
 
 
 class TestCalibrateResume:
-    def test_interrupt_then_resume(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupt_then_resume(self, tmp_path, jobs):
         dag = fork_join(6)
         order = prio_schedule(dag).schedule
         params = SimParams(mu_bit=1.0, mu_bs=4.0)
@@ -268,15 +320,77 @@ class TestCalibrateResume:
         with pytest.raises(Interrupt):
             calibrate_cell(
                 dag, order, params, checkpoint=checkpoint,
-                telemetry=telemetry, progress=stop_at_q2, **kwargs,
+                telemetry=telemetry, progress=stop_at_q2, jobs=jobs,
+                **kwargs,
             )
         assert checkpoint.n_done == 2
         telemetry, buf = open_telemetry()
         resumed = calibrate_cell(
             dag, order, params, telemetry=telemetry,
             checkpoint=Checkpoint.open(path, FP, require_existing=True),
-            **kwargs,
+            jobs=jobs, **kwargs,
         )
         assert resumed.steps == base.steps
         assert resumed.converged == base.converged
+        # Steps run one after another, so even with a pool the log is
+        # the uninterrupted one: per step, its prio run, its fifo run.
         assert comparable_records(buf) == comparable_records(base_buf)
+        assert [policy for policy, _ in unit_blocks(
+            comparable_records(buf)
+        )] == ["prio", "fifo"] * 3
+
+
+def run_sweep(checkpoint, telemetry, progress=None):
+    dag = fork_join(6)
+    config = SweepConfig(mu_bits=(1.0,), mu_bss=(1.0, 4.0, 16.0), p=4, q=2)
+    ratio_sweep(
+        dag, prio_schedule(dag).schedule, config, "wl",
+        telemetry=telemetry, checkpoint=checkpoint, progress=progress,
+    )
+
+
+def run_league(checkpoint, telemetry, progress=None):
+    dag, entrants, params = league_setup()
+    league(
+        dag, entrants, params, n_runs=8, seed=3, workload="wl",
+        telemetry=telemetry, checkpoint=checkpoint, progress=progress,
+    )
+
+
+def run_calibrate(checkpoint, telemetry, progress=None):
+    def step_progress(step):
+        if progress is not None:
+            progress(step.q.bit_length(), 3)  # q = 1, 2, 4: steps 1, 2, 3
+
+    dag = fork_join(6)
+    calibrate_cell(
+        dag, prio_schedule(dag).schedule, SimParams(mu_bit=1.0, mu_bs=4.0),
+        p=4, start_q=1, max_q=4, target_width=1e-6, seed=5, workload="wl",
+        telemetry=telemetry, checkpoint=checkpoint, progress=step_progress,
+    )
+
+
+@pytest.mark.parametrize("run", [run_sweep, run_league, run_calibrate])
+def test_checkpoint_telemetry_counts_on_resume(tmp_path, run):
+    # Every driver has three units; interrupt after two, then resume.
+    path = tmp_path / "ck.jsonl"
+    telemetry, buf = open_telemetry()
+    with pytest.raises(Interrupt):
+        run(Checkpoint.open(path, FP), telemetry, interrupt_after(2))
+    events = [
+        (r["event"], r["done"])
+        for r in map(json.loads, buf.getvalue().splitlines())
+        if r["kind"] == "checkpoint"
+    ]
+    assert events == [("record", 1), ("record", 2)]
+
+    telemetry, buf = open_telemetry()
+    run(Checkpoint.open(path, FP, require_existing=True), telemetry)
+    events = [
+        (r["event"], r["done"])
+        for r in map(json.loads, buf.getvalue().splitlines())
+        if r["kind"] == "checkpoint"
+    ]
+    # One restore record per run with the restored count, one record
+    # per freshly completed unit.
+    assert sorted(events) == [("record", 3), ("restore", 2)]

@@ -22,13 +22,32 @@ from repro.sim.parallel import (
     clone_seedseq,
     iter_chunk_results,
 )
-from repro.sim.replication import policy_factory, run_replications
+from repro.sim.replication import (
+    MetricArrays,
+    iter_units,
+    policy_factory,
+    run_replications,
+)
 from repro.workloads.airsn import airsn
 
 
 @pytest.fixture
 def params():
     return SimParams(mu_bit=1.0, mu_bs=4.0)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Count the worker pools opened through ``ParallelConfig.executor``."""
+    opened = []
+    executor = ParallelConfig.executor
+
+    def spy(self):
+        opened.append(self.jobs)
+        return executor(self)
+
+    monkeypatch.setattr(ParallelConfig, "executor", spy)
+    return opened
 
 
 def metrics_equal(a, b):
@@ -131,12 +150,52 @@ class TestRunReplicationsParallel:
         )
         assert metrics_equal(serial, forced_serial)
 
-    def test_single_replication_stays_serial(self, params):
+    def test_single_replication_stays_serial(self, params, pools):
         dag = fork_join(3)
         factory = policy_factory("fifo")
         a = run_replications(dag, factory, params, 1, seed=1)
         b = run_replications(dag, factory, params, 1, seed=1, jobs=4)
         assert metrics_equal(a, b)
+        assert pools == []
+
+
+class TestIterUnits:
+    def test_units_match_run_replications_in_spawn_order(self, params):
+        compiled = CompiledDag.from_dag(fork_join(5))
+        fifo = policy_factory("fifo")
+        rand = policy_factory("random")
+        seeds = [np.random.SeedSequence(s) for s in (1, 2, 3)]
+        units = [
+            ("a", [(compiled, fifo, params, None, seeds[0], 6),
+                   (compiled, rand, params, None, seeds[1], 3)]),
+            ("b", [(compiled, fifo, params, None, seeds[2], 0)]),
+        ]
+        par = ParallelConfig(jobs=2, chunk_size=2)
+        done = {key: results for key, results, _ in iter_units(units, par)}
+        assert sorted(done) == ["a", "b"]
+        for results, (factory, seed, count) in zip(
+            done["a"], ((fifo, 1, 6), (rand, 2, 3))
+        ):
+            expected = run_replications(compiled, factory, params, count, seed)
+            assert metrics_equal(MetricArrays(results), expected)
+        # An empty batch still reports its unit back.
+        assert done["b"] == [[]]
+
+    def test_units_are_pulled_one_at_a_time_without_a_pool(self, params):
+        compiled = CompiledDag.from_dag(fork_join(3))
+        pulled = []
+
+        def units():
+            for key in range(3):
+                pulled.append(key)
+                seed = np.random.SeedSequence(key)
+                yield key, [(compiled, policy_factory("fifo"), params, None,
+                             seed, 2)]
+
+        runner = iter_units(units(), ParallelConfig())
+        assert next(runner)[0] == 0
+        assert pulled == [0]
+        assert [key for key, _, _ in runner] == [1, 2]
 
 
 class TestInProcessDriver:
@@ -267,6 +326,27 @@ class TestAnalysisParallel:
         serial = calibrate_cell(dag, list(order), params, **kwargs)
         parallel = calibrate_cell(dag, list(order), params, jobs=2, **kwargs)
         assert serial == parallel
+
+    def test_league_opens_one_pool_per_call(self, workload, pools):
+        dag, order = workload
+        entrants = [
+            Entrant.from_schedule("prio", order),
+            Entrant("random", "random"),
+            Entrant("fifo", "fifo"),
+        ]
+        params = SimParams(mu_bit=1.0, mu_bs=8.0)
+        league(dag, entrants, params, n_runs=4, seed=2, jobs=2)
+        assert pools == [2]
+
+    def test_calibrate_opens_one_pool_per_step(self, workload, pools):
+        dag, order = workload
+        params = SimParams(mu_bit=1.0, mu_bs=8.0)
+        result = calibrate_cell(
+            dag, list(order), params, target_width=0.0, p=2, start_q=1,
+            max_q=8, seed=3, jobs=2,
+        )
+        assert len(result.steps) == 4
+        assert pools == [2] * 4
 
 
 class TestTelemetryDoesNotPerturb:

@@ -199,6 +199,19 @@ class TestSweepCommand:
         assert "mu_BIT = 1" in out
         assert out.count("|") >= 6
 
+    def test_live_is_an_alias_of_policy_prio_live(self, capsys):
+        argv = ["sweep", "airsn-small", "--mu-bit", "1", "--mu-bs", "4",
+                "-p", "2", "-q", "1"]
+        outputs = []
+        for extra in (["--live"], ["--policy", "prio-live"],
+                      ["--live", "--policy", "prio-live"]):
+            assert main([*argv, *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0].startswith("PRIO-LIVE/FIFO")
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert main([*argv, "--live", "--policy", "fifo"]) == 2
+        assert "--live pins" in capsys.readouterr().err
+
 
 class TestDecomposeCommand:
     def test_lists_blocks_and_families(self, capsys):
