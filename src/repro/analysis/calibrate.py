@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dag.graph import Dag
-from ..sim.compile import CompiledDag
+from ..sim.compile import as_compiled
 from ..sim.engine import SimParams
 from ..sim.parallel import resolve_parallel
 from ..sim.replication import MetricArrays, iter_units, policy_factory
@@ -138,9 +138,7 @@ def calibrate_cell(
         raise ValueError("p must be at least 2")
     if start_q < 1 or max_q < start_q:
         raise ValueError("need 1 <= start_q <= max_q")
-    compiled = (
-        cache.compiled(dag) if cache is not None else CompiledDag.from_dag(dag)
-    )
+    compiled = cache.compiled(dag) if cache is not None else as_compiled(dag)
     prio_factory = policy_factory("oblivious", order=order)
     fifo_factory = policy_factory("fifo")
     root = np.random.SeedSequence(seed)

@@ -20,13 +20,13 @@ time, mirroring the paper's amortization argument.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from ..dag.graph import Dag
-from ..sim.compile import CompiledDag
+from ..sim.compile import CompiledDag, as_compiled
 from ..sim.engine import SimParams
 from ..sim.parallel import resolve_parallel
 from ..sim.policies import policy_spec
@@ -56,7 +56,8 @@ class Entrant:
     """One competitor: a policy kind plus (for oblivious) its order."""
 
     name: str
-    kind: str  # "oblivious" | "fifo" | "random" | "prio-live"
+    kind: str  # any registered kind
+    #: ``None`` lets a static kind resolve its order from the league's dag
     order: tuple[int, ...] | None = None
 
     @classmethod
@@ -133,9 +134,7 @@ def league(
     baseline = baseline if baseline is not None else names[-1]
     if baseline not in names:
         raise ValueError(f"unknown baseline {baseline!r}")
-    compiled = (
-        cache.compiled(dag) if cache is not None else CompiledDag.from_dag(dag)
-    )
+    compiled = cache.compiled(dag) if cache is not None else as_compiled(dag)
     ledger = UnitLedger(checkpoint, telemetry, workload)
     metrics: dict[str, MetricArrays] = {}
     for e in entrants:
@@ -155,9 +154,7 @@ def league(
         for e in entrants:
             if e.name not in metrics:
                 factory = policy_factory(
-                    e.kind,
-                    order=list(e.order) if e.order else None,
-                    dag=dag if e.kind == "prio-live" else None,
+                    e.kind, e.order or None, dag=dag, cache=cache
                 )
                 seedseq = np.random.SeedSequence(seed)
                 yield e.name, [
@@ -227,16 +224,11 @@ class GrandCell:
 
 @dataclass(frozen=True)
 class GrandLeagueResult:
-    """All cells of a grand tournament, plus the cells that could not run."""
+    """All cells of a grand tournament: every workload x every policy."""
 
     cells: tuple[GrandCell, ...]
     n_runs: int
     seed: int
-    #: ``(workload, policy)`` pairs skipped because the policy cannot run
-    #: on that dag form (``prio``/``prio-live`` need the object
-    #: :class:`~repro.dag.graph.Dag`; arena-built synthetic dags only
-    #: exist as :class:`~repro.sim.compile.CompiledDag`).
-    skipped: tuple[tuple[str, str], ...] = field(default=())
 
     def policies(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
@@ -256,27 +248,6 @@ class GrandLeagueResult:
         for c in self.cells:
             totals.setdefault(c.policy, []).append(c.win_rate)
         return {p: float(np.mean(v)) for p, v in totals.items()}
-
-
-def _grand_factory(kind: str, dag, cache):
-    """A policy factory for *kind* over *dag*, or ``None`` if impossible.
-
-    ``prio`` and ``prio-live`` consume the object dag (the PRIO pipeline
-    walks labels and components), so they sit out workloads that only
-    exist in compiled (arena) form.  Static orders resolve through
-    *cache* when one is given, so tournament rounds over the same
-    structure share them.
-    """
-    spec = policy_spec(kind)
-    if isinstance(dag, CompiledDag) and kind in ("prio", "prio-live"):
-        return None
-    if spec.static_order is not None:
-        if cache is not None and isinstance(dag, Dag):
-            return policy_factory(kind, order=cache.schedule(dag, kind))
-        return policy_factory(kind, dag=dag)
-    if kind == "prio-live":
-        return policy_factory(kind, dag=dag)
-    return policy_factory(kind)
 
 
 def grand_league(
@@ -303,11 +274,13 @@ def grand_league(
 
     *workloads* maps display names to dags — object dags
     (:class:`~repro.dag.graph.Dag`) or arena-built compiled dags
-    (:class:`~repro.sim.compile.CompiledDag`); ``prio``/``prio-live``
-    sit out compiled-only workloads (recorded in ``skipped``).
-    *progress*, when given, is called with ``(done_cells, total_cells)``.
-    *cache* (a :class:`~repro.perf.cache.ScheduleCache`) memoizes orders
-    and compiled dags across rounds.
+    (:class:`~repro.sim.compile.CompiledDag`); every policy plays every
+    workload (:func:`~repro.sim.replication.policy_factory` converts a
+    compiled dag once for the kinds that need the object dag, and that
+    conversion counts toward their ``order_seconds``).  *progress*, when
+    given, is called with ``(done_cells, total_cells)``.  *cache* (a
+    :class:`~repro.perf.cache.ScheduleCache`) memoizes orders and
+    compiled dags across rounds.
     """
     policies = list(policies)
     if not policies:
@@ -319,26 +292,17 @@ def grand_league(
     total = len(workloads) * len(policies)
     done = 0
     cells: list[GrandCell] = []
-    skipped: list[tuple[str, str]] = []
     for wname, dag in workloads.items():
-        if cache is not None:
-            compiled = cache.compiled(dag)
-        elif isinstance(dag, CompiledDag):
-            compiled = dag
-        else:
-            compiled = CompiledDag.from_dag(dag)
+        compiled = (
+            cache.compiled(dag) if cache is not None else as_compiled(dag)
+        )
         times: dict[str, np.ndarray] = {}
         stats: dict[str, tuple[MetricArrays, float, float]] = {}
         for kind in policies:
             t0 = time.perf_counter()
-            factory = _grand_factory(kind, dag, cache)
+            factory = policy_factory(kind, dag=dag, cache=cache)
             order_seconds = time.perf_counter() - t0
             done += 1
-            if factory is None:
-                skipped.append((wname, kind))
-                if progress is not None:
-                    progress(done, total)
-                continue
             t0 = time.perf_counter()
             m = run_replications(
                 compiled, factory, params, n_runs, seed=seed, jobs=jobs
@@ -348,8 +312,6 @@ def grand_league(
             stats[kind] = (m, order_seconds, sim_seconds)
             if progress is not None:
                 progress(done, total)
-        if not times:
-            continue
         # Matched contests: stack the competitors' execution times and
         # split each replication's win among the policies attaining the
         # minimum.
@@ -371,12 +333,7 @@ def grand_league(
                     sim_seconds=sim_seconds,
                 )
             )
-    return GrandLeagueResult(
-        cells=tuple(cells),
-        n_runs=n_runs,
-        seed=seed,
-        skipped=tuple(skipped),
-    )
+    return GrandLeagueResult(cells=tuple(cells), n_runs=n_runs, seed=seed)
 
 
 def render_grand_league(result: GrandLeagueResult) -> str:
@@ -394,9 +351,6 @@ def render_grand_league(result: GrandLeagueResult) -> str:
                 f"{c.mean_execution_time:>10.2f} {c.win_rate:>9.3f} "
                 f"{c.order_seconds:>8.3f} {c.sim_seconds:>7.2f}"
             )
-    if result.skipped:
-        pairs = ", ".join(f"{w}:{p}" for w, p in result.skipped)
-        lines.append(f"skipped (needs object dag): {pairs}")
     return "\n".join(lines)
 
 

@@ -27,10 +27,9 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..dag.graph import Dag
-from ..sim.compile import CompiledDag
+from ..sim.compile import CompiledDag, as_compiled
 from ..sim.engine import SimParams
 from ..sim.parallel import ParallelConfig, clone_seedseq, resolve_parallel
-from ..sim.policies import policy_spec
 from ..sim.replication import MetricArrays, iter_units, policy_factory
 from ..stats.ratio import RatioStatistics, ratio_statistics
 from ..stats.sampling import sampling_distribution_from_values
@@ -294,7 +293,7 @@ def _emit_cell_telemetry(telemetry, workload: str, cell: CellResult) -> None:
 
 
 def ratio_sweep(
-    dag: Dag,
+    dag: Dag | CompiledDag,
     prio_order: Sequence[int],
     config: SweepConfig = SweepConfig(),
     workload: str = "dag",
@@ -311,7 +310,11 @@ def ratio_sweep(
     """Run the PRIO-vs-FIFO sweep for one dag.
 
     ``prio_order`` is the PRIO schedule (from
-    :func:`repro.core.prio.prio_schedule`); FIFO needs no order.
+    :func:`repro.core.prio.prio_schedule`); FIFO needs no order.  *dag*
+    may be a :class:`~repro.dag.graph.Dag` or a
+    :class:`~repro.sim.compile.CompiledDag`: any other numerator kind
+    resolves from it through
+    :func:`~repro.sim.replication.policy_factory` (and *cache*).
     *progress*, when given, is called with ``(done_cells, total_cells)``
     after each cell.
 
@@ -359,24 +362,14 @@ def ratio_sweep(
     with or without it.
     """
     par = resolve_parallel(jobs, parallel)
-    live = config.policy == "prio-live"
-    if live and isinstance(dag, CompiledDag):
-        raise TypeError(
-            "live sweeps need the Dag itself (the rescheduler reuses "
-            "its structure), not a CompiledDag"
-        )
-    compiled = (
-        cache.compiled(dag) if cache is not None else CompiledDag.from_dag(dag)
-    )
+    compiled = cache.compiled(dag) if cache is not None else as_compiled(dag)
     count = config.p * config.q
     if config.policy == "prio":
-        prio_factory = policy_factory("oblivious", order=list(prio_order))
-    elif live or policy_spec(config.policy).static_order is not None:
-        # prio-live reschedules over the dag; upward-rank / dagps derive
-        # their order from it, not from the caller's PRIO schedule.
-        prio_factory = policy_factory(config.policy, dag=dag)
+        prio_factory = policy_factory("oblivious", order=prio_order)
     else:
-        prio_factory = policy_factory(config.policy)
+        # Every other kind resolves from the dag, not from the caller's
+        # PRIO schedule.
+        prio_factory = policy_factory(config.policy, dag=dag, cache=cache)
     fifo_factory = policy_factory("fifo")
     specs = _cell_specs(config)
     total = len(specs)

@@ -66,7 +66,8 @@ from .dag.graph import Dag
 from .dagman.importer import DagmanImportError
 from .dagman.parser import DagmanParseError, parse_dagman_file
 from .sim.engine import SimParams, make_policy, simulate
-from .sim.policies import cli_policy_names, policy_spec
+from .sim.policies import cli_policy_names
+from .sim.replication import policy_factory
 from .workloads.registry import get_workload, workload_names
 
 __all__ = ["main"]
@@ -403,8 +404,6 @@ def _cmd_regions(args: argparse.Namespace) -> int:
     from .perf.cache import cached_schedule
 
     dag, name = _load_dag(args.dag)
-    cache = _schedule_cache(args)
-    order = cached_schedule(dag, "prio", cache=cache)
     config = SweepConfig(
         mu_bits=tuple(args.mu_bit),
         mu_bss=tuple(args.mu_bs),
@@ -413,9 +412,9 @@ def _cmd_regions(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     telemetry = _open_telemetry(args, "regions", workload=name, seed=args.seed)
-    if cache is not None and telemetry is not None:
-        cache.attach_metrics(telemetry.registry)
     try:
+        cache = _schedule_cache(args, telemetry)
+        order = cached_schedule(dag, "prio", cache=cache)
         result = ratio_sweep(
             dag, order, config, name, jobs=args.jobs, telemetry=telemetry,
             cache=cache,
@@ -475,8 +474,6 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .perf.cache import cached_schedule
-
     dag, name = _load_dag(args.dag)
     params = SimParams(
         mu_bit=args.mu_bit,
@@ -486,16 +483,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         straggler_factor=args.straggler_factor,
     )
     rng = np.random.default_rng(args.seed)
-    if policy_spec(args.algorithm).static_order is not None:
-        # Static-permutation policies (prio, upward-rank, dagps) resolve
-        # their order through the schedule cache — policy name == cache
-        # algorithm name.
-        order = cached_schedule(
-            dag, args.algorithm, cache=_schedule_cache(args)
-        )
-        policy = make_policy(args.algorithm, order=order)
-    else:
-        policy = make_policy(args.algorithm, rng=rng, dag=dag)
+    policy = policy_factory(
+        args.algorithm, dag=dag, cache=_schedule_cache(args)
+    )(rng)
     result = simulate(dag, policy, params, rng)
     print(f"workload            : {name} ({dag.n} jobs)")
     print(f"algorithm           : {args.algorithm}")
@@ -516,7 +506,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         mu_bits = tuple(args.mu_bit)
         mu_bss = tuple(args.mu_bs)
-    if args.live and args.policy not in ("prio", "prio-live"):
+    # ``--live`` stores its kind; it conflicts with any other --policy.
+    if args.live and args.policy not in ("prio", args.live):
         raise CliError(
             "--live pins PRIO-with-rescheduling as the numerator; "
             "drop --live or --policy"
@@ -526,14 +517,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         failure_prob=args.failure_prob,
         straggler_prob=args.straggler_prob,
         straggler_factor=args.straggler_factor,
-        policy="prio-live" if args.live else args.policy,
+        policy=args.live or args.policy,
     )
-    from .perf.cache import cached_schedule
-
-    cache = _schedule_cache(args)
-    order = cached_schedule(dag, "prio", cache=cache)
-
     from .obs.progress import ProgressMeter
+    from .perf.cache import cached_schedule
 
     checkpoint = _open_checkpoint(
         args,
@@ -547,9 +534,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     telemetry = _open_telemetry(
         args, "sweep", workload=name, p=args.p, q=args.q, seed=args.seed
     )
-    if cache is not None and telemetry is not None:
-        cache.attach_metrics(telemetry.registry)
     try:
+        cache = _schedule_cache(args, telemetry)
+        order = cached_schedule(dag, "prio", cache=cache)
         with ProgressMeter(f"sweep {name}", unit="cell") as meter:
             result = ratio_sweep(
                 dag, order, config, name,
@@ -603,85 +590,80 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _league_entrant(kind, dag, cache):
     """One league entrant for a registered policy kind.
 
-    Static-order kinds race their cached total order (so the schedule is
-    computed once, not once per replication); dynamic kinds race live.
+    Static-order kinds race the total order the resolver derives (so the
+    schedule is computed once, not once per replication, and the order
+    is part of the checkpoint fingerprint); dynamic kinds race live.
     """
     from .analysis.league import Entrant
-    from .perf.cache import cached_schedule
 
-    if policy_spec(kind).static_order is not None:
-        return Entrant.from_schedule(
-            kind, cached_schedule(dag, kind, cache=cache)
-        )
+    order = policy_factory(kind, dag=dag, cache=cache).order
+    if order is not None:
+        return Entrant.from_schedule(kind, order)
     return Entrant(kind, kind)
 
 
 def _cmd_league(args: argparse.Namespace) -> int:
     from .analysis.league import Entrant, league, render_league
-    from .sim.engine import SimParams
-
+    from .obs.progress import ProgressMeter
     from .perf.cache import cached_schedule
 
     dag, name = _load_dag(args.dag)
-    cache = _schedule_cache(args)
-    if args.policy:
-        chosen = list(dict.fromkeys(args.policy))
-        bad = [k for k in chosen if k not in cli_policy_names()]
-        if bad:
-            raise CliError(
-                f"unknown policy {bad[0]!r}; choose from "
-                f"{', '.join(cli_policy_names())}"
-            )
-        entrants = [_league_entrant(k, dag, cache) for k in chosen]
-    else:
-        # Default roster: every CLI-visible registry policy, plus the
-        # prio-topological ablation (a prio variant, not a registry kind).
-        entrants = [
-            _league_entrant(k, dag, cache) for k in cli_policy_names()
-        ]
-        entrants.insert(
-            1,
-            Entrant.from_schedule(
-                "prio-topological",
-                cached_schedule(
-                    dag, "prio", cache=cache, combine="topological"
-                ),
-            ),
+    chosen = list(dict.fromkeys(args.policy or ()))
+    bad = [k for k in chosen if k not in cli_policy_names()]
+    if bad:
+        raise CliError(
+            f"unknown policy {bad[0]!r}; choose from "
+            f"{', '.join(cli_policy_names())}"
         )
-    # league() defaults its baseline to the *last* entrant; the roster is
-    # now in registry order, so pin the paper's FIFO baseline explicitly
-    # whenever it races (a --policy roster without fifo keeps the
-    # last-entrant default).
-    baseline = (
-        "fifo" if any(e.name == "fifo" for e in entrants) else None
-    )
-    from .obs.progress import ProgressMeter
-
-    checkpoint = _open_checkpoint(
-        args,
-        {
-            "driver": "league",
-            "workload": name,
-            "entrants": [
-                [e.name, e.kind, list(e.order) if e.order else None]
-                for e in entrants
-            ],
-            "mu_bit": args.mu_bit,
-            "mu_bs": args.mu_bs,
-            "failure_prob": args.failure_prob,
-            "straggler_prob": args.straggler_prob,
-            "straggler_factor": args.straggler_factor,
-            "runs": args.runs,
-            "seed": args.seed,
-            "telemetry": bool(getattr(args, "telemetry", None)),
-        },
-    )
     telemetry = _open_telemetry(
         args, "league", workload=name, runs=args.runs, seed=args.seed
     )
-    if cache is not None and telemetry is not None:
-        cache.attach_metrics(telemetry.registry)
+    checkpoint = None
     try:
+        cache = _schedule_cache(args, telemetry)
+        if chosen:
+            entrants = [_league_entrant(k, dag, cache) for k in chosen]
+        else:
+            # Default roster: every CLI-visible registry policy, plus the
+            # prio-topological ablation (a prio variant, not a registry kind).
+            entrants = [
+                _league_entrant(k, dag, cache) for k in cli_policy_names()
+            ]
+            entrants.insert(
+                1,
+                Entrant.from_schedule(
+                    "prio-topological",
+                    cached_schedule(
+                        dag, "prio", cache=cache, combine="topological"
+                    ),
+                ),
+            )
+        # league() defaults its baseline to the *last* entrant; the roster is
+        # now in registry order, so pin the paper's FIFO baseline explicitly
+        # whenever it races (a --policy roster without fifo keeps the
+        # last-entrant default).
+        baseline = (
+            "fifo" if any(e.name == "fifo" for e in entrants) else None
+        )
+        checkpoint = _open_checkpoint(
+            args,
+            {
+                "driver": "league",
+                "workload": name,
+                "entrants": [
+                    [e.name, e.kind, list(e.order) if e.order else None]
+                    for e in entrants
+                ],
+                "mu_bit": args.mu_bit,
+                "mu_bs": args.mu_bs,
+                "failure_prob": args.failure_prob,
+                "straggler_prob": args.straggler_prob,
+                "straggler_factor": args.straggler_factor,
+                "runs": args.runs,
+                "seed": args.seed,
+                "telemetry": bool(getattr(args, "telemetry", None)),
+            },
+        )
         with ProgressMeter(f"league {name}", unit="entrant") as meter:
             rows = league(
                 dag,
@@ -720,8 +702,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     from .perf.cache import cached_schedule
 
     dag, name = _load_dag(args.dag)
-    cache = _schedule_cache(args)
-    order = cached_schedule(dag, "prio", cache=cache)
     params = SimParams(mu_bit=args.mu_bit, mu_bs=args.mu_bs)
 
     def step_progress(step) -> None:
@@ -752,9 +732,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     telemetry = _open_telemetry(
         args, "calibrate", workload=name, metric=args.metric, seed=args.seed
     )
-    if cache is not None and telemetry is not None:
-        cache.attach_metrics(telemetry.registry)
     try:
+        cache = _schedule_cache(args, telemetry)
+        order = cached_schedule(dag, "prio", cache=cache)
         result = calibrate_cell(
             dag,
             order,
@@ -1317,7 +1297,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_failure_arguments(p)
     p.add_argument(
         "--live",
-        action="store_true",
+        action="store_const",
+        const="prio-live",
         help=(
             "replace the static PRIO side with live rescheduling "
             "(re-prioritize the remnant after every completion); the "

@@ -8,6 +8,16 @@ dag.  :class:`ScheduleCache` keys schedules by
 :meth:`repro.dag.graph.Dag.fingerprint` (a canonical hash of the
 adjacency, label-invariant but id-sensitive) so any consumer asking for
 the same algorithm over the same structure gets the memoized order back.
+Either dag form works: a :class:`~repro.sim.compile.CompiledDag` carries
+the same fingerprint as the object dag it was built from (arena dags
+compute it directly), so both forms share entries.
+
+The fingerprint hashes the arcs in sorted order, but FIFO and the
+topological order enqueue children in *stored* order, and so does the
+compiled CSR.  Those entries add a digest of the stored child order to
+their key (:data:`_CHILD_ORDER`), so two dags with the same arcs listed
+differently never share them.  PRIO, upward rank and DAGPS depend on the
+arc set alone and pay nothing extra.
 
 Two tiers:
 
@@ -20,10 +30,11 @@ Two tiers:
   can never tear an entry; a damaged or stale entry is treated as a miss
   and rewritten.
 
-Because the key pins the exact adjacency over node ids *and* every
-algorithm knob, a cache hit returns byte-for-byte the order the compute
-path would have produced — cached and uncached runs are interchangeable,
-which the equivalence suite asserts end to end.
+Because the key pins everything the algorithm reads — the adjacency over
+node ids, the child order where it matters, and every algorithm knob — a
+cache hit returns byte-for-byte the order the compute path would have
+produced: cached and uncached runs are interchangeable, which the
+equivalence suite asserts end to end.
 
 Counters: when a :class:`~repro.obs.metrics.MetricsRegistry` is attached
 (``metrics=``), every lookup lands in ``cache.hit`` / ``cache.miss``
@@ -42,53 +53,58 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from pathlib import Path
 
+import numpy as np
+
 from ..dag.graph import Dag
-from ..sim.compile import CompiledDag
+from ..sim.compile import CompiledDag, as_compiled, as_dag
 
 __all__ = ["ScheduleCache", "cached_schedule", "schedule_algorithms"]
 
 _SCHEMA = 1
 
 
-def _compute_prio(dag: Dag, **kwargs) -> list[int]:
+def _compute_prio(dag: Dag | CompiledDag, **kwargs) -> list[int]:
     from ..core.prio import prio_schedule
 
-    return prio_schedule(dag, **kwargs).schedule
+    return prio_schedule(as_dag(dag), **kwargs).schedule
 
 
-def _compute_fifo(dag: Dag, **kwargs) -> list[int]:
+def _compute_fifo(dag: Dag | CompiledDag, **kwargs) -> list[int]:
     from ..core.fifo import fifo_schedule
 
-    return fifo_schedule(dag, **kwargs)
+    return fifo_schedule(as_dag(dag), **kwargs)
 
 
-def _compute_topological(dag: Dag, **kwargs) -> list[int]:
-    return dag.topological_order()
+def _compute_topological(dag: Dag | CompiledDag, **kwargs) -> list[int]:
+    return as_dag(dag).topological_order()
 
 
-def _compute_upward_rank(dag: Dag, **kwargs) -> list[int]:
+def _compute_upward_rank(dag: Dag | CompiledDag, **kwargs) -> list[int]:
     from ..sim.rank import upward_rank_order
 
     return upward_rank_order(dag, **kwargs)
 
 
-def _compute_dagps(dag: Dag, **kwargs) -> list[int]:
+def _compute_dagps(dag: Dag | CompiledDag, **kwargs) -> list[int]:
     from ..sim.rank import dagps_order
 
     return dagps_order(dag, **kwargs)
 
 
-#: Algorithm name -> ``fn(dag, **kwargs) -> order``.  ``prio`` accepts the
-#: full :func:`repro.core.prio.prio_schedule` knob set; ``upward-rank``
-#: and ``dagps`` accept the :mod:`repro.sim.rank` knobs (``weights``,
-#: ``troublesome_quantile``).  Every knob is part of the cache key, so
-#: ablation variants never collide — and because the *algorithm name* is
-#: part of the key too, each policy's identity keys its own entries: the
-#: same dag under ``prio``, ``upward-rank`` and ``dagps`` occupies three
-#: distinct cache slots.
+#: Algorithm name -> ``fn(dag, **kwargs) -> order``, the one table of
+#: order computations (a registered policy marked ``static`` is served
+#: from the entry under its own name).  Every function accepts either
+#: dag form: ``upward-rank`` and ``dagps`` run on the CSR directly, the
+#: others convert a compiled dag once with ``CompiledDag.to_dag``.
+#: ``prio`` accepts the full :func:`repro.core.prio.prio_schedule` knob
+#: set; ``upward-rank`` and ``dagps`` accept the :mod:`repro.sim.rank`
+#: knobs (``weights``, ``troublesome_quantile``).  Every knob is part of
+#: the cache key, so ablation variants never collide — and because the
+#: *algorithm name* is part of the key too, the same dag under ``prio``,
+#: ``upward-rank`` and ``dagps`` occupies three distinct cache slots.
 _ALGORITHMS: dict[str, Callable[..., list[int]]] = {
     "prio": _compute_prio,
     "fifo": _compute_fifo,
@@ -96,6 +112,41 @@ _ALGORITHMS: dict[str, Callable[..., list[int]]] = {
     "upward-rank": _compute_upward_rank,
     "dagps": _compute_dagps,
 }
+
+#: Algorithms that read each job's children in stored order.
+_CHILD_ORDER = frozenset({"fifo", "topological"})
+
+
+def _compute(algorithm: str) -> Callable[..., list[int]]:
+    try:
+        return _ALGORITHMS[algorithm]
+    except KeyError:
+        raise ValueError(
+            f"unknown schedule algorithm {algorithm!r}; "
+            f"choose from {schedule_algorithms()}"
+        ) from None
+
+
+def _fingerprint(dag: Dag | CompiledDag) -> str | None:
+    if isinstance(dag, CompiledDag):
+        return dag.fingerprint
+    return dag.fingerprint()
+
+
+def _child_order(dag: Dag | CompiledDag) -> str:
+    """Digest of every job's children in stored order.
+
+    Together with the fingerprint (which pins the arc set, hence the
+    out-degrees) it pins the CSR ``children`` array, so a dag and its
+    compiled form get the same digest.
+    """
+    if isinstance(dag, CompiledDag):
+        kids = np.ascontiguousarray(dag.children, dtype=np.int32)
+    else:
+        kids = np.fromiter(
+            (v for _, v in dag.arcs()), dtype=np.int32, count=dag.narcs
+        )
+    return hashlib.sha256(kids.tobytes()).hexdigest()
 
 
 def schedule_algorithms() -> tuple[str, ...]:
@@ -254,20 +305,25 @@ class ScheduleCache:
 
     # -- public API ----------------------------------------------------
 
-    def schedule(self, dag: Dag, algorithm: str = "prio", **kwargs) -> list[int]:
-        """The *algorithm* order for *dag*, computed at most once.
+    def schedule(
+        self, dag: Dag | CompiledDag, algorithm: str = "prio", **kwargs
+    ) -> list[int]:
+        """The *algorithm* order for *dag* (either form), computed at most
+        once.
 
         Returns a fresh list on every call (callers mutate orders — e.g.
-        appending sinks — so the cached copy must stay pristine).
+        appending sinks — so the cached copy must stay pristine).  A
+        compiled dag built by hand from raw arrays has no fingerprint to
+        key it by, so its order is computed every time.
         """
-        try:
-            compute = _ALGORITHMS[algorithm]
-        except KeyError:
-            raise ValueError(
-                f"unknown schedule algorithm {algorithm!r}; "
-                f"choose from {schedule_algorithms()}"
-            ) from None
-        key = self._key(dag.fingerprint(), algorithm, kwargs)
+        compute = _compute(algorithm)
+        fingerprint = _fingerprint(dag)
+        if fingerprint is None:
+            self._count(hit=False)
+            return list(compute(dag, **kwargs))
+        key = self._key(fingerprint, algorithm, kwargs)
+        if algorithm in _CHILD_ORDER:
+            key += (_child_order(dag),)
         order = self._memory_get(key)
         if order is not None:
             self._count(hit=True)
@@ -288,39 +344,34 @@ class ScheduleCache:
     def compiled(self, dag: Dag | CompiledDag) -> CompiledDag:
         """The :class:`~repro.sim.compile.CompiledDag` for *dag*, memoized.
 
-        Already-compiled dags pass through (re-canonicalized against the
-        memo when their fingerprint is known, so warmed adjacency views
-        are shared).  Compiled dags stay in memory only.
+        Keyed by fingerprint and child order, so an object dag and its
+        compiled form share one entry (and its warmed adjacency views),
+        and a hit has exactly the CSR arrays of *dag*.  A compiled dag
+        without a fingerprint passes through.  Compiled dags stay in
+        memory only.
         """
-        if isinstance(dag, CompiledDag):
-            if dag.fingerprint is None:
-                return dag
-            key = ("__compiled__", dag.fingerprint)
-            cached = self._memory_get(key)
-            if cached is not None:
-                self._count(hit=True)
-                return cached
-            self._memory_put(key, dag)
-            self._count(hit=False)
+        fingerprint = _fingerprint(dag)
+        if fingerprint is None:
             return dag
-        key = ("__compiled__", dag.fingerprint())
+        key = ("__compiled__", fingerprint, _child_order(dag))
         cached = self._memory_get(key)
         if cached is not None:
             self._count(hit=True)
             return cached
-        compiled = CompiledDag.from_dag(dag)
+        compiled = as_compiled(dag)
         self._memory_put(key, compiled)
         self._count(hit=False)
         return compiled
 
 
 def cached_schedule(
-    dag: Dag,
+    dag: Dag | CompiledDag,
     algorithm: str = "prio",
     cache: ScheduleCache | None = None,
     **kwargs,
 ) -> list[int]:
-    """The *algorithm* order for *dag*, through *cache* when given.
+    """The *algorithm* order for *dag* (either form), through *cache*
+    when given.
 
     With ``cache=None`` this is exactly the direct compute path — the
     helper exists so call sites can thread an optional cache without
@@ -328,11 +379,4 @@ def cached_schedule(
     """
     if cache is not None:
         return cache.schedule(dag, algorithm, **kwargs)
-    try:
-        compute = _ALGORITHMS[algorithm]
-    except KeyError:
-        raise ValueError(
-            f"unknown schedule algorithm {algorithm!r}; "
-            f"choose from {schedule_algorithms()}"
-        ) from None
-    return list(compute(dag, **kwargs))
+    return list(_compute(algorithm)(dag, **kwargs))

@@ -112,7 +112,7 @@ import os
 import numpy as np
 
 from ..sim.arrivals import BatchArrivals
-from ..sim.compile import CompiledDag
+from ..sim.compile import CompiledDag, as_compiled
 from ..sim.engine import SimResult, _empty_result, make_policy
 from ..sim.runtime import RuntimeSampler
 
@@ -255,7 +255,7 @@ def simulate_batch(
             "batch kernel does not support request rollover "
             "(rollover=True); use the reference engine"
         )
-    compiled = dag if isinstance(dag, CompiledDag) else CompiledDag.from_dag(dag)
+    compiled = as_compiled(dag)
     rngs = list(rngs)
     n = compiled.n
     if n == 0:

@@ -42,8 +42,8 @@ from ..dag.io_json import dag_from_json, dumps_canonical
 from ..live.session import EventError, validate_events
 from ..live.store import valid_session_name
 from ..perf.cache import ScheduleCache, cached_schedule, schedule_algorithms
-from ..sim.engine import SimParams, make_policy, simulate
-from ..sim.policies import cli_policy_names, policy_spec
+from ..sim.engine import SimParams, simulate
+from ..sim.policies import cli_policy_names
 from ..sim.replication import policy_factory, run_replications
 from . import errors
 
@@ -368,26 +368,13 @@ def simulate_payload(
         "n": dag.n,
         "fingerprint": dag.fingerprint(),
     }
-    order = None
-    if policy_spec(policy).static_order is not None:
-        # Static-order kinds resolve their total order once, through the
-        # schedule cache — policy identity keys the cache entry.
-        order = cached_schedule(dag, policy, cache=cache)
+    build = policy_factory(policy, dag=dag, cache=cache)
     if replications == 1:
         rng = np.random.default_rng(seed)
-        if order is not None:
-            sim_policy = make_policy(policy, order=order)
-        else:
-            sim_policy = make_policy(policy, rng=rng, dag=dag)
         compiled = cache.compiled(dag) if cache is not None else dag
-        result = simulate(compiled, sim_policy, params, rng, metrics=metrics)
+        result = simulate(compiled, build(rng), params, rng, metrics=metrics)
         head["result"] = _result_fields(result)
         return head
-    build = policy_factory(
-        policy,
-        order=order,
-        dag=dag if policy == "prio-live" else None,
-    )
     arrays = run_replications(
         dag,
         build,

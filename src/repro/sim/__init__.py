@@ -9,14 +9,12 @@ from .arrivals import BATCH_SIZE_DISTRIBUTIONS, BatchArrivals
 from .compile import CompiledDag
 from .engine import SimParams, SimResult, make_policy, simulate
 from .policies import (
-    DagpsPolicy,
     FifoPolicy,
     ObliviousPolicy,
     Policy,
     PolicySpec,
     RandomPolicy,
     UnknownPolicyError,
-    UpwardRankPolicy,
     cli_policy_names,
     policy_names,
     policy_spec,
@@ -37,7 +35,6 @@ __all__ = [
     "BATCH_SIZE_DISTRIBUTIONS",
     "BatchArrivals",
     "CompiledDag",
-    "DagpsPolicy",
     "FifoPolicy",
     "MetricArrays",
     "ObliviousPolicy",
@@ -49,7 +46,6 @@ __all__ = [
     "SimParams",
     "SimResult",
     "UnknownPolicyError",
-    "UpwardRankPolicy",
     "cli_policy_names",
     "dagps_order",
     "downward_rank",

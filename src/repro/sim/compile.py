@@ -25,7 +25,7 @@ import numpy as np
 
 from ..dag.graph import Dag
 
-__all__ = ["CompiledDag"]
+__all__ = ["CompiledDag", "as_compiled", "as_dag"]
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,26 @@ class CompiledDag:
             children=children,
             indegree=indegree,
             fingerprint=dag.fingerprint(),
+        )
+
+    def to_dag(self) -> Dag:
+        """The same structure as an unlabelled object :class:`Dag`.
+
+        Children keep their CSR order, so ``CompiledDag.from_dag`` of the
+        result reproduces these arrays and the fingerprints agree.
+        Acyclicity is not re-checked: every compiled dag comes from an
+        acyclic source (an object dag or an arena generator).
+        """
+        indptr = self.indptr.tolist()
+        children = self.children.tolist()
+        return Dag(
+            self.n,
+            [
+                (u, v)
+                for u in range(self.n)
+                for v in children[indptr[u]: indptr[u + 1]]
+            ],
+            check_acyclic=False,
         )
 
     def child_lists(self) -> list[list[int]]:
@@ -109,3 +129,13 @@ class CompiledDag:
             (self.n, self.indptr, self.children, self.indegree,
              self.fingerprint),
         )
+
+
+def as_compiled(dag: Dag | CompiledDag) -> CompiledDag:
+    """*dag* itself when already compiled, else its compiled form."""
+    return dag if isinstance(dag, CompiledDag) else CompiledDag.from_dag(dag)
+
+
+def as_dag(dag: Dag | CompiledDag) -> Dag:
+    """*dag* itself when an object dag, else :meth:`CompiledDag.to_dag`."""
+    return dag.to_dag() if isinstance(dag, CompiledDag) else dag

@@ -58,7 +58,7 @@ import numpy as np
 
 from ..dag.graph import Dag
 from .arrivals import BatchArrivals
-from .compile import CompiledDag
+from .compile import CompiledDag, as_compiled
 from .policies import Policy, make_policy
 from .runtime import RuntimeSampler
 
@@ -191,7 +191,7 @@ def simulate(
     :func:`repro.sim.replication.run_replications`; a single call here
     always runs this loop.
     """
-    compiled = dag if isinstance(dag, CompiledDag) else CompiledDag.from_dag(dag)
+    compiled = as_compiled(dag)
     n = compiled.n
     if n == 0:
         return _empty_result(trace, metrics)

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..dag.graph import Dag
 from .arrivals import BatchArrivals
-from .compile import CompiledDag
+from .compile import CompiledDag, as_compiled
 from .engine import SimParams
 from .policies import Policy
 from .runtime import RuntimeSampler
@@ -70,10 +70,7 @@ def simulate_shared(
         raise ValueError("need one policy per dag and at least one dag")
     if params.failure_prob or params.rollover:
         raise ValueError("shared simulation supports the basic model only")
-    compiled = [
-        d if isinstance(d, CompiledDag) else CompiledDag.from_dag(d)
-        for d in dags
-    ]
+    compiled = [as_compiled(d) for d in dags]
     k = len(compiled)
     children = [c.child_lists() for c in compiled]
     remaining = [c.indegree.copy() for c in compiled]

@@ -10,12 +10,11 @@ The policy zoo:
   newly eligible jobs join the tail.
 * :class:`RandomPolicy` — an extra baseline (not in the paper's headline
   figures): serve a uniformly random eligible job.
-* :class:`UpwardRankPolicy` — HEFT-style weighted upward rank (arXiv
-  1903.01154): serve by decreasing length of the heaviest chain the job
-  heads (see :func:`repro.sim.rank.upward_rank_order`).
-* :class:`DagpsPolicy` — DAGPS/Graphene-style packing order (arXiv
-  1604.07371): troublesome (heaviest-path) jobs first, then their
-  ancestors, descendants, and the rest (see
+* ``"prio"``, ``"upward-rank"`` (HEFT-style weighted upward rank, arXiv
+  1903.01154) and ``"dagps"`` (DAGPS/Graphene-style packing, arXiv
+  1604.07371) — *static* kinds: an :class:`ObliviousPolicy` over the
+  order :mod:`repro.perf.cache` computes for the dag under the kind's
+  name (see :func:`repro.sim.rank.upward_rank_order` and
   :func:`repro.sim.rank.dagps_order`).
 * ``"prio-live"`` (:class:`repro.live.policy.LivePrioPolicy`) — PRIO
   recomputed over the remnant dag after every completion.
@@ -27,8 +26,10 @@ tier derive their ``--policy`` choices from it, so registering a policy
 here is the *only* step needed to expose it everywhere).
 
 A policy instance holds the eligible-and-unassigned set for one simulation;
-create a fresh one per run (or use :func:`repro.sim.replication.
-policy_factory`).
+create a fresh one per run.  :func:`repro.sim.replication.policy_factory`
+is the one place a kind plus a dag becomes a policy: it resolves static
+orders (through the schedule cache when given one) and hands the dag to
+the kinds that consume it.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ __all__ = [
     "ObliviousPolicy",
     "FifoPolicy",
     "RandomPolicy",
-    "UpwardRankPolicy",
-    "DagpsPolicy",
     "PolicySpec",
     "UnknownPolicyError",
     "make_policy",
@@ -160,65 +159,6 @@ class RandomPolicy(Policy):
         return len(self._jobs)
 
 
-class UpwardRankPolicy(ObliviousPolicy):
-    """Serve by decreasing weighted upward rank (HEFT-style).
-
-    A static-permutation policy: the order is
-    :func:`repro.sim.rank.upward_rank_order` of the dag (ties broken by
-    ascending job id), computed once at construction and then served
-    exactly like :class:`ObliviousPolicy`.  Because nothing beyond the
-    order differs, the batched kernel runs it bit-identically to the
-    reference engine.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, dag=None, *, order: Sequence[int] | None = None, weights=None):
-        if order is None:
-            if dag is None:
-                raise ValueError(
-                    "upward-rank policy needs the dag (or a precomputed order)"
-                )
-            from .rank import upward_rank_order
-
-            order = upward_rank_order(dag, weights)
-        super().__init__(order)
-
-
-class DagpsPolicy(ObliviousPolicy):
-    """DAGPS-style packing-aware order: troublesome subgraph first.
-
-    A static-permutation policy over :func:`repro.sim.rank.dagps_order`
-    (troublesome set, then ancestors, descendants, rest; decreasing
-    upward rank within each group, ascending job id on ties).  Like
-    :class:`UpwardRankPolicy` it reduces to :class:`ObliviousPolicy`
-    with a precomputed order, so the batched kernel runs it
-    bit-identically.
-    """
-
-    __slots__ = ()
-
-    def __init__(
-        self,
-        dag=None,
-        *,
-        order: Sequence[int] | None = None,
-        weights=None,
-        troublesome_quantile: float = 0.75,
-    ):
-        if order is None:
-            if dag is None:
-                raise ValueError(
-                    "dagps policy needs the dag (or a precomputed order)"
-                )
-            from .rank import dagps_order
-
-            order = dagps_order(
-                dag, weights, troublesome_quantile=troublesome_quantile
-            )
-        super().__init__(order)
-
-
 # --------------------------------------------------------------------------
 # Policy registry
 
@@ -240,31 +180,16 @@ class UnknownPolicyError(ValueError):
         )
 
 
-def _prio_order(dag) -> list[int]:
-    from ..perf.cache import cached_schedule
-
-    return cached_schedule(dag, "prio")
-
-
-def _upward_rank_order(dag) -> list[int]:
-    from .rank import upward_rank_order
-
-    return upward_rank_order(dag)
-
-
-def _dagps_order(dag) -> list[int]:
-    from .rank import dagps_order
-
-    return dagps_order(dag)
-
-
 def _build_fifo(*, order, rng, dag) -> Policy:
     return FifoPolicy()
 
 
 def _build_oblivious(*, order, rng, dag) -> Policy:
     if order is None:
-        raise ValueError("oblivious policy needs a job order")
+        raise ValueError(
+            "policy needs a job order (policy_factory derives a static "
+            "kind's order from the dag)"
+        )
     return ObliviousPolicy(order)
 
 
@@ -272,14 +197,6 @@ def _build_random(*, order, rng, dag) -> Policy:
     if rng is None:
         raise ValueError("random policy needs an rng")
     return RandomPolicy(rng)
-
-
-def _build_prio(*, order, rng, dag) -> Policy:
-    if order is None:
-        if dag is None:
-            raise ValueError("prio policy needs the dag (or a precomputed order)")
-        order = _prio_order(dag)
-    return ObliviousPolicy(order)
 
 
 def _build_prio_live(*, order, rng, dag) -> Policy:
@@ -290,27 +207,21 @@ def _build_prio_live(*, order, rng, dag) -> Policy:
     return LivePrioPolicy(dag)
 
 
-def _build_upward_rank(*, order, rng, dag) -> Policy:
-    return UpwardRankPolicy(dag, order=order)
-
-
-def _build_dagps(*, order, rng, dag) -> Policy:
-    return DagpsPolicy(dag, order=order)
-
-
 @dataclass(frozen=True)
 class PolicySpec:
     """Registry entry for one policy kind.
 
     ``build(order=..., rng=..., dag=...)`` constructs a fresh instance
     (raising :class:`ValueError` when a required ingredient is missing).
-    ``static_order``, when set, derives the policy's full priority
-    permutation from a dag alone — the marker that the policy is
-    *oblivious* in the paper's sense and can be precomputed, cached by
-    :class:`repro.perf.cache.ScheduleCache`, and run by the batched
-    kernel.  ``batch_kind`` names the kernel dispatch class (``"fifo"``,
-    ``"oblivious"``, or ``None`` for policies the kernel cannot compile
-    — those take the documented per-replication reference fallback).
+    ``static`` marks a kind whose full priority permutation is a
+    function of the dag alone — *oblivious* in the paper's sense: its
+    name is a :mod:`repro.perf.cache` algorithm, so the order is
+    computed once per dag, cached, and run by the batched kernel.
+    ``consumes_dag`` marks a kind whose instances need the object dag
+    itself (``"prio-live"`` reschedules over it).  ``batch_kind`` names
+    the kernel dispatch class (``"fifo"``, ``"oblivious"``, or ``None``
+    for policies the kernel cannot compile — those take the documented
+    per-replication reference fallback).
     ``cli`` controls whether the name is offered as a user-facing
     ``--policy`` choice (``"oblivious"`` is builder-level: it requires an
     explicit order, so it stays out of the CLI menus).
@@ -320,12 +231,9 @@ class PolicySpec:
     summary: str
     build: Callable[..., Policy]
     cli: bool = True
-    static_order: Callable[..., list[int]] | None = None
+    static: bool = False
+    consumes_dag: bool = False
     batch_kind: str | None = None
-
-    def needs_dag_for_order(self) -> bool:
-        """Whether ``static_order`` exists but requires a dag to run."""
-        return self.static_order is not None
 
 
 _REGISTRY: dict[str, PolicySpec] = {}
@@ -367,10 +275,11 @@ def make_policy(
 ) -> Policy:
     """Fresh policy instance by registered kind.
 
-    ``"fifo"``, ``"oblivious"`` (needs *order*), ``"random"`` (needs
-    *rng*), ``"prio"`` / ``"upward-rank"`` / ``"dagps"`` (need *dag*
-    unless a precomputed *order* is given), or ``"prio-live"`` (needs
-    *dag*: PRIO re-prioritized over the remnant after every completion).
+    ``"fifo"``, ``"oblivious"`` / ``"prio"`` / ``"upward-rank"`` /
+    ``"dagps"`` (need *order*; :func:`repro.sim.replication.
+    policy_factory` derives a static kind's order from the dag),
+    ``"random"`` (needs *rng*), or ``"prio-live"`` (needs *dag*: PRIO
+    re-prioritized over the remnant after every completion).
     Unknown kinds raise :class:`UnknownPolicyError` listing the valid
     choices.
     """
@@ -381,8 +290,8 @@ register_policy(
     PolicySpec(
         name="prio",
         summary="the paper's PRIO schedule, served obliviously",
-        build=_build_prio,
-        static_order=_prio_order,
+        build=_build_oblivious,
+        static=True,
         batch_kind="oblivious",
     )
 )
@@ -406,14 +315,15 @@ register_policy(
         name="prio-live",
         summary="PRIO recomputed over the remnant after each completion",
         build=_build_prio_live,
+        consumes_dag=True,
     )
 )
 register_policy(
     PolicySpec(
         name="upward-rank",
         summary="HEFT-style weighted upward rank, decreasing",
-        build=_build_upward_rank,
-        static_order=_upward_rank_order,
+        build=_build_oblivious,
+        static=True,
         batch_kind="oblivious",
     )
 )
@@ -421,8 +331,8 @@ register_policy(
     PolicySpec(
         name="dagps",
         summary="DAGPS-style packing: troublesome subgraph first",
-        build=_build_dagps,
-        static_order=_dagps_order,
+        build=_build_oblivious,
+        static=True,
         batch_kind="oblivious",
     )
 )

@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dag.graph import CycleError, Dag
-from .compile import CompiledDag
+from .compile import CompiledDag, as_compiled
 
 __all__ = [
     "upward_rank",
@@ -45,10 +45,6 @@ __all__ = [
     "dagps_order",
     "topological_levels",
 ]
-
-
-def _as_compiled(dag: Dag | CompiledDag) -> CompiledDag:
-    return dag if isinstance(dag, CompiledDag) else CompiledDag.from_dag(dag)
 
 
 def _check_weights(n: int, weights) -> np.ndarray:
@@ -113,7 +109,7 @@ def topological_levels(dag: Dag | CompiledDag) -> list[np.ndarray]:
     frontier expansion per level), so depth — not node count — is the
     Python loop bound.
     """
-    compiled = _as_compiled(dag)
+    compiled = as_compiled(dag)
     n = compiled.n
     indeg = compiled.indegree.astype(np.int64)
     frontier = np.flatnonzero(indeg == 0)
@@ -143,7 +139,7 @@ def upward_rank(dag: Dag | CompiledDag, weights=None) -> np.ndarray:
     (the paper's homogeneous runtime model).  One backward sweep over the
     topological levels.
     """
-    compiled = _as_compiled(dag)
+    compiled = as_compiled(dag)
     w = _check_weights(compiled.n, weights)
     rank = w.copy()
     for level in reversed(topological_levels(compiled)):
@@ -162,7 +158,7 @@ def downward_rank(dag: Dag | CompiledDag, weights=None) -> np.ndarray:
     ``rank[v] = max(rank[u] + weights[u] for u in parents(v))``, one
     forward sweep over the topological levels via the reverse CSR.
     """
-    compiled = _as_compiled(dag)
+    compiled = as_compiled(dag)
     n = compiled.n
     w = _check_weights(n, weights)
     rank = np.zeros(n, dtype=np.float64)
@@ -184,7 +180,7 @@ def upward_rank_order(dag: Dag | CompiledDag, weights=None) -> list[int]:
     valid topological order of the dag — the oblivious simulator and the
     batched kernel can both consume it directly.
     """
-    compiled = _as_compiled(dag)
+    compiled = as_compiled(dag)
     rank = upward_rank(compiled, weights)
     order = np.lexsort((np.arange(compiled.n), -rank))
     return order.tolist()
@@ -236,7 +232,7 @@ def dagps_order(
     """
     if not 0.0 <= troublesome_quantile < 1.0:
         raise ValueError("troublesome_quantile must be in [0, 1)")
-    compiled = _as_compiled(dag)
+    compiled = as_compiled(dag)
     n = compiled.n
     if n == 0:
         return []

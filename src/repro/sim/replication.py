@@ -19,7 +19,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from ..dag.graph import Dag
-from .compile import CompiledDag
+from .compile import CompiledDag, as_compiled, as_dag
 from .engine import SimParams, SimResult, make_policy
 from .parallel import (
     ParallelConfig,
@@ -27,7 +27,7 @@ from .parallel import (
     resolve_parallel,
     run_chunk,
 )
-from .policies import Policy
+from .policies import Policy, policy_spec
 
 __all__ = [
     "IncompleteBatchError",
@@ -124,45 +124,19 @@ class PolicyFactory:
     The replication's generator is passed in so the random policy draws
     from the same reproducible stream as the rest of its simulation.  A
     plain class (not a closure) so instances survive the pickling boundary
-    of the worker-process pool.
-
-    Static-permutation kinds (``prio``, ``upward-rank``, ``dagps`` — any
-    registered spec with a ``static_order``) given a *dag* but no *order*
-    compute their order **eagerly, once per factory**: every replication
-    then shares the precomputed permutation (the paper's amortization
-    argument), worker processes receive the order instead of re-deriving
-    it, and :attr:`batch_kind` can advertise the batched kernel's
-    oblivious dispatch class.  The dag itself is dropped after the order
-    is derived — the permutation fully determines the policy.
+    of the worker-process pool.  Build one with :func:`policy_factory`,
+    which resolves *order* and *dag* for the kind.
     """
 
     __slots__ = ("kind", "order", "dag")
 
-    def __init__(
-        self,
-        kind: str,
-        order: Sequence[int] | None = None,
-        dag: Dag | None = None,
-    ):
+    def __init__(self, kind: str, order: list[int] | None, dag: Dag | None):
         self.kind = kind
-        self.order = list(order) if order is not None else None
-        if self.order is None and dag is not None:
-            spec = self._spec()
-            if spec is not None and spec.static_order is not None:
-                self.order = list(spec.static_order(dag))
-                dag = None
-        #: only for dag-consuming kinds (``"prio-live"``);
+        self.order = order
+        #: only for dag-consuming kinds (``consumes_dag`` in the registry);
         #: :class:`~repro.dag.graph.Dag` is plain picklable data, so the
         #: factory still crosses the worker-process boundary.
         self.dag = dag
-
-    def _spec(self):
-        from .policies import UnknownPolicyError, policy_spec
-
-        try:
-            return policy_spec(self.kind)
-        except UnknownPolicyError:
-            return None
 
     @property
     def batch_kind(self) -> str | None:
@@ -171,15 +145,12 @@ class PolicyFactory:
         ``"fifo"`` for FIFO; ``"oblivious"`` for any static-permutation
         kind whose order is materialized on this factory; ``None`` when
         the batched kernel must not engage (random draws, live
-        reprioritization, unregistered kinds, or a static kind whose
-        order could not be precomputed).
+        reprioritization, or an oblivious kind without an order).
         """
-        spec = self._spec()
-        if spec is None:
+        batch_kind = policy_spec(self.kind).batch_kind
+        if batch_kind == "oblivious" and self.order is None:
             return None
-        if spec.batch_kind == "oblivious" and self.order is None:
-            return None
-        return spec.batch_kind
+        return batch_kind
 
     def __call__(self, rng: np.random.Generator) -> Policy:
         return make_policy(self.kind, order=self.order, rng=rng, dag=self.dag)
@@ -195,13 +166,40 @@ def policy_factory(
     kind: str,
     order: Sequence[int] | None = None,
     *,
-    dag: Dag | None = None,
-) -> Callable[[np.random.Generator], Policy]:
-    """A factory producing a fresh policy per replication.
+    dag: Dag | CompiledDag | None = None,
+    cache=None,
+) -> PolicyFactory:
+    """A factory producing a fresh *kind* policy per replication.
 
-    For static-permutation kinds, pass either a precomputed *order* or
-    the *dag* to derive it from (see :class:`PolicyFactory`)."""
-    return PolicyFactory(kind, order, dag)
+    The one place a registered kind becomes a policy.  A static kind
+    (``static`` in the registry: ``prio``, ``upward-rank``, ``dagps``)
+    given a *dag* but no *order* resolves its order **once**, through
+    :func:`repro.perf.cache.cached_schedule` under its own name: every
+    replication shares the permutation (the paper's amortization
+    argument), worker processes receive the order instead of
+    re-deriving it, and :attr:`PolicyFactory.batch_kind` advertises the
+    batched kernel's oblivious dispatch class.  The factory keeps the
+    dag only for kinds that consume it (``prio-live``), as an object
+    :class:`~repro.dag.graph.Dag` — a :class:`CompiledDag` is converted
+    once with :meth:`CompiledDag.to_dag`.
+
+    *dag* may be either form.  *cache* (a
+    :class:`~repro.perf.cache.ScheduleCache`) memoizes the order, as in
+    :func:`run_replications`; policies are identical with or without it.
+    Unknown kinds raise :class:`~repro.sim.policies.UnknownPolicyError`.
+    """
+    spec = policy_spec(kind)
+    if order is None and spec.static and dag is not None:
+        from ..perf.cache import cached_schedule
+
+        order = cached_schedule(dag, kind, cache=cache)
+    if not spec.consumes_dag:
+        dag = None
+    return PolicyFactory(
+        kind,
+        list(order) if order is not None else None,
+        as_dag(dag) if dag is not None else None,
+    )
 
 
 def iter_units(
@@ -320,12 +318,7 @@ def run_replications(
     :class:`CompiledDag` and its warmed adjacency views.  Caching is
     purely structural reuse: metrics are bit-identical with or without it.
     """
-    if cache is not None:
-        compiled = cache.compiled(dag)
-    elif isinstance(dag, CompiledDag):
-        compiled = dag
-    else:
-        compiled = CompiledDag.from_dag(dag)
+    compiled = cache.compiled(dag) if cache is not None else as_compiled(dag)
     seedseq = (
         seed
         if isinstance(seed, np.random.SeedSequence)

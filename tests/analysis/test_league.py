@@ -168,14 +168,30 @@ class TestGrandLeague:
             seed=4,
         )
 
-    def test_cell_grid_minus_skips(self, result):
-        # prio sits out the compiled-only arena workload.
-        assert len(result.cells) == 2 * 4 - 1
-        assert result.skipped == (("chain-bundle-64", "prio"),)
+    def test_full_cell_grid(self, result):
+        # Every policy plays every workload, prio on the arena dag too.
+        assert len(result.cells) == 2 * 4
         assert result.workloads() == ("airsn-20", "chain-bundle-64")
         assert set(result.policies()) == {
             "prio", "fifo", "upward-rank", "dagps"
         }
+        assert {c.policy for c in result.cells
+                if c.workload == "chain-bundle-64"} == set(result.policies())
+
+    def test_arena_prio_matches_object_twin(self):
+        """prio on a compiled arena dag races exactly as on the object
+        dag of the same structure."""
+        compiled = arena_family("layered", 80, rng=np.random.default_rng(3))
+        params = SimParams(mu_bit=1.0, mu_bs=8.0)
+        arena, twin = (
+            grand_league({"w": dag}, ["prio", "prio-live", "fifo"], params,
+                         n_runs=4, seed=5)
+            for dag in (compiled, compiled.to_dag())
+        )
+        for a, b in zip(arena.cells, twin.cells):
+            assert a.policy == b.policy
+            assert a.mean_execution_time == b.mean_execution_time
+            assert a.win_rate == b.win_rate
 
     def test_win_rates_sum_to_one_per_workload(self, result):
         for wname in result.workloads():
@@ -217,9 +233,10 @@ class TestGrandLeague:
 
     def test_render(self, result):
         text = render_grand_league(result)
-        assert "chain-bundle-64" in text
-        assert "skipped (needs object dag): chain-bundle-64:prio" in text
         assert "win rate" in text
+        rows = [line.split() for line in text.splitlines()[1:]]
+        assert len(rows) == len(result.cells)
+        assert ["chain-bundle-64", "prio"] in [row[:2] for row in rows]
 
     def test_validation(self):
         params = SimParams(mu_bit=1.0, mu_bs=4.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.report import render_sweep
 from repro.analysis.sweep import (
     METRICS,
     SweepConfig,
@@ -145,12 +146,14 @@ class TestFailureAndLiveSweeps:
         ratio = result.cells[0].ratios["execution_time"]
         assert np.isfinite(ratio.median) and ratio.median > 0
 
-    def test_live_sweep_rejects_compiled_dag(self):
+    def test_live_sweep_runs_on_compiled_dag(self):
         from repro.sim.compile import CompiledDag
 
         dag = airsn(8)
         order = prio_schedule(dag).schedule
-        cfg = SweepConfig(mu_bits=(1.0,), mu_bss=(4.0,), p=2, q=1,
+        cfg = SweepConfig(mu_bits=(1.0,), mu_bss=(4.0,), p=2, q=2,
                           policy="prio-live")
-        with pytest.raises(TypeError, match="live sweeps"):
-            ratio_sweep(CompiledDag.from_dag(dag), order, cfg, "x")
+        compiled = ratio_sweep(CompiledDag.from_dag(dag), order, cfg, "x")
+        assert render_sweep(compiled) == render_sweep(
+            ratio_sweep(dag, order, cfg, "x")
+        )

@@ -171,6 +171,8 @@ def test_compiled_without_fingerprint_passes_through(dag):
         indegree=np.zeros(1, dtype=np.int32),
     )
     assert cache.compiled(raw) is raw
+    # Nothing keys its schedules either: computed, never stored.
+    assert cache.schedule(raw, "upward-rank") == [0]
     assert len(cache) == 0
 
 

@@ -10,15 +10,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.league import Entrant, league
 from repro.analysis.report import render_sweep
 from repro.analysis.sweep import SweepConfig, ratio_sweep
+from repro.core.fifo import fifo_schedule
 from repro.core.prio import prio_schedule
-from repro.perf import ScheduleCache, cached_schedule
+from repro.dag.graph import Dag
+from repro.perf import ScheduleCache, cached_schedule, schedule_algorithms
+from repro.sim.compile import CompiledDag
 from repro.sim.engine import SimParams
 from repro.sim.replication import policy_factory, run_replications
 from repro.workloads.registry import get_workload
+
+from .strategies import dags
 
 CONFIG = SweepConfig(mu_bits=(1.0,), mu_bss=(2.0, 16.0), p=4, q=2)
 
@@ -98,3 +105,48 @@ def test_cached_league_matches_uncached(dag):
     baseline_rows = league(dag, entrants, params, n_runs=6, seed=3)
     cached_rows = league(dag, entrants, params, n_runs=6, seed=3, cache=cache)
     assert cached_rows == baseline_rows
+
+
+@st.composite
+def child_order_twins(draw):
+    """A dag and the same arcs inserted in another order, so jobs list
+    their children differently while the fingerprint agrees."""
+    dag = draw(dags(max_n=10))
+    arcs = draw(st.permutations(list(dag.arcs())))
+    return dag, Dag(dag.n, arcs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(child_order_twins())
+def test_hits_follow_the_dag_child_order(twins):
+    """A hit answers for the dag asked about, never for a twin with the
+    same arcs in another child order (FIFO, the topological order and
+    the compiled CSR read stored child order)."""
+    a, b = twins
+    assert a.fingerprint() == b.fingerprint()
+    cache = ScheduleCache()
+    for algorithm in schedule_algorithms():
+        cache.schedule(a, algorithm)
+    cache.compiled(a)
+    for algorithm in schedule_algorithms():
+        expected = cached_schedule(b, algorithm)
+        assert cache.schedule(b, algorithm) == expected, algorithm
+        compiled = CompiledDag.from_dag(b)
+        assert cache.schedule(compiled, algorithm) == expected, algorithm
+    assert np.array_equal(
+        cache.compiled(b).children, CompiledDag.from_dag(b).children
+    )
+
+
+def test_fifo_twins_get_their_own_schedules_and_replications():
+    a = Dag(6, [(0, 1), (0, 2), (1, 3), (3, 4), (4, 5)])
+    b = Dag(6, [(0, 2), (0, 1), (1, 3), (3, 4), (4, 5)])
+    cache = ScheduleCache()
+    assert cache.schedule(a, "fifo") == fifo_schedule(a)
+    assert cache.schedule(b, "fifo") == fifo_schedule(b) == [0, 2, 1, 3, 4, 5]
+    cache.compiled(a)
+    params = SimParams(mu_bit=1.0, mu_bs=2.0)
+    fifo = policy_factory("fifo")
+    plain = run_replications(b, fifo, params, 64, seed=0)
+    cached = run_replications(b, fifo, params, 64, seed=0, cache=cache)
+    assert np.array_equal(plain.execution_time, cached.execution_time)

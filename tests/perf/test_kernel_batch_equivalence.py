@@ -24,7 +24,6 @@ from repro.perf import batch_supported, simulate_batch
 from repro.perf import kernel_batch
 from repro.sim.compile import CompiledDag
 from repro.sim.engine import SimParams, make_policy, simulate
-from repro.sim.policies import policy_spec
 from repro.sim.replication import policy_factory, run_replications
 from repro.workloads.registry import get_workload
 
@@ -43,8 +42,7 @@ STATIC_KINDS = ("prio", "upward-rank", "dagps")
 def _order_for(dag, kind):
     if kind == "oblivious":
         return prio_schedule(dag).schedule
-    spec = policy_spec(kind)
-    return spec.static_order(dag) if spec.static_order is not None else None
+    return policy_factory(kind, dag=dag).order
 
 
 def _assert_batch_matches_serial(dag, kind, params, count, seed, scale=None):

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.dag.graph import Dag
 from repro.sim.compile import CompiledDag
-from repro.sim.policies import make_policy, policy_names, policy_spec
+from repro.sim.policies import policy_names
 from repro.sim.rank import (
     dagps_order,
     downward_rank,
@@ -35,6 +35,7 @@ from repro.sim.rank import (
     upward_rank,
     upward_rank_order,
 )
+from repro.sim.replication import policy_factory
 from repro.workloads.synthetic import arena_families, arena_family
 
 from ..perf.strategies import dags
@@ -44,12 +45,7 @@ KINDS = tuple(k for k in policy_names() if k != "oblivious")
 
 def _build(kind, dag, seed=0):
     """A fresh policy of *kind* for *dag* (seeded where randomness exists)."""
-    spec = policy_spec(kind)
-    if kind == "random":
-        return make_policy(kind, rng=np.random.default_rng(seed))
-    if spec.static_order is not None or kind == "prio-live":
-        return make_policy(kind, dag=dag)
-    return make_policy(kind)
+    return policy_factory(kind, dag=dag)(np.random.default_rng(seed))
 
 
 def _drain(dag, policy):
@@ -126,10 +122,6 @@ def test_policy_does_not_mutate_dag(kind, dag):
 def test_drain_over_every_arena_family(kind, family):
     """Every policy × every synthetic size distribution, compiled path."""
     compiled = arena_family(family, 60, rng=np.random.default_rng(7))
-    if kind in ("prio", "prio-live"):
-        # The PRIO decomposition needs the object-dag API; registered
-        # static kinds and the dynamic baselines accept CompiledDag.
-        pytest.skip("prio decomposition needs an object Dag")
     indptr = compiled.indptr.copy()
     children = compiled.children.copy()
     indegree = compiled.indegree.copy()

@@ -14,8 +14,9 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.dag.graph import Dag
-from repro.perf.cache import schedule_algorithms
+from repro.perf.cache import ScheduleCache, schedule_algorithms
 from repro.serve.protocol import POLICIES
+from repro.sim.compile import CompiledDag
 from repro.sim.policies import (
     Policy,
     PolicySpec,
@@ -26,6 +27,9 @@ from repro.sim.policies import (
     policy_spec,
     register_policy,
 )
+from repro.sim.replication import policy_factory
+
+STATIC_KINDS = tuple(k for k in policy_names() if policy_spec(k).static)
 
 
 @pytest.fixture
@@ -43,15 +47,13 @@ class TestMakePolicyRoundTrip:
             assert isinstance(policy, Policy), kind
 
     def test_static_kinds_build_from_dag_alone(self, dag):
-        for kind in policy_names():
-            spec = policy_spec(kind)
-            if spec.static_order is None:
-                continue
-            order = spec.static_order(dag)
+        for kind in STATIC_KINDS:
+            factory = policy_factory(kind, dag=dag)
+            order = factory.order
             assert sorted(order) == list(range(dag.n)), kind
             # A precomputed order and a dag-derived build serve identically.
             a = make_policy(kind, order=order)
-            b = make_policy(kind, dag=dag)
+            b = factory(np.random.default_rng(0))
             for job in range(dag.n):
                 a.push(job)
                 b.push(job)
@@ -110,9 +112,49 @@ class TestRegistryShape:
     def test_static_kinds_are_cacheable_algorithms(self):
         """Every static-order policy is a schedule-cache algorithm, so
         its identity keys cache entries."""
-        for kind in policy_names():
-            if policy_spec(kind).static_order is not None and kind != "oblivious":
-                assert kind in schedule_algorithms(), kind
+        assert STATIC_KINDS == ("prio", "upward-rank", "dagps")
+        for kind in STATIC_KINDS:
+            assert kind in schedule_algorithms(), kind
+
+
+class TestResolver:
+    """``policy_factory`` is the one place a kind plus a dag becomes a
+    policy, from either dag form, with or without the schedule cache."""
+
+    @pytest.mark.parametrize("kind", STATIC_KINDS)
+    def test_static_order_same_from_either_form_and_cache(self, kind):
+        dag = Dag(6, [(0, 2), (0, 1), (1, 3), (2, 3), (3, 5), (2, 4)])
+        compiled = CompiledDag.from_dag(dag)
+        plain = policy_factory(kind, dag=dag)
+        assert plain.batch_kind == "oblivious"
+        cache = ScheduleCache()
+        for factory in (
+            policy_factory(kind, dag=compiled),
+            policy_factory(kind, dag=dag, cache=cache),
+            # The second resolve, from the other form, is a cache hit.
+            policy_factory(kind, dag=compiled, cache=cache),
+        ):
+            assert factory.order == plain.order, kind
+            assert factory.batch_kind == plain.batch_kind
+            assert factory.dag is None
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    @pytest.mark.parametrize("kind", policy_names())
+    def test_factory_holds_a_dag_only_for_consumers(self, kind, dag):
+        for form in (dag, CompiledDag.from_dag(dag)):
+            factory = policy_factory(kind, dag=form)
+            if policy_spec(kind).consumes_dag:
+                assert type(factory.dag) is Dag, kind
+                assert factory.dag.fingerprint() == dag.fingerprint()
+            else:
+                assert factory.dag is None, kind
+            if kind != "oblivious":  # needs a caller-supplied order
+                policy = factory(np.random.default_rng(0))
+                assert isinstance(policy, Policy), kind
+
+    def test_unknown_kind_raises_typed_error(self, dag):
+        with pytest.raises(UnknownPolicyError):
+            policy_factory("lifo", dag=dag)
 
 
 class TestCliContract:

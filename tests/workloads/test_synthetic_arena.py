@@ -31,20 +31,8 @@ from repro.workloads.synthetic import (
 )
 
 
-def _object_twin(compiled: CompiledDag) -> Dag:
-    """The same structure rebuilt through the object-dag constructor."""
-    arcs = [
-        (u, int(v))
-        for u in range(compiled.n)
-        for v in compiled.children[
-            compiled.indptr[u] : compiled.indptr[u + 1]
-        ]
-    ]
-    return Dag(compiled.n, arcs, check_acyclic=False)
-
-
 def _assert_matches_object_path(compiled: CompiledDag):
-    twin = _object_twin(compiled)
+    twin = compiled.to_dag()
     assert compiled.fingerprint == twin.fingerprint()
     recompiled = CompiledDag.from_dag(twin)
     assert np.array_equal(compiled.indptr, recompiled.indptr)
