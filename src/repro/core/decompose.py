@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 from ..dag.graph import Dag
 
-__all__ = ["Component", "Decomposition", "decompose"]
+__all__ = ["Component", "Decomposition", "Remnant", "decompose"]
 
 
 @dataclass(frozen=True)
@@ -182,32 +182,97 @@ def _smallest_closure(
     return S, set(best) - S
 
 
-def decompose(dag: Dag) -> Decomposition:
+@dataclass(slots=True)
+class Remnant:
+    """The alive part of a dag during decomposition, in the dag's own ids.
+
+    ``apc[u]`` counts *u*'s alive parents, ``bpc[u]`` its *bad* alive
+    parents (those with ``apc != 0``); ``sources`` holds the alive jobs
+    with ``apc == 0``.  Counts of dead jobs are stale and never read.
+    :meth:`remove` is the one death update: decompose runs it per detached
+    block, the live rescheduler on each tick's newly completed jobs.
+    """
+
+    alive: bytearray
+    apc: list[int]
+    bpc: list[int]
+    sources: set[int]
+    n_alive: int
+
+    @classmethod
+    def of(cls, dag: Dag) -> "Remnant":
+        """The all-alive state of *dag*."""
+        n = dag.n
+        children_of = dag.children
+        apc = [dag.in_degree(u) for u in range(n)]
+        # A child is absorbable into a bipartite block iff bpc == 0, so the
+        # bipartiteness check is O(1) per pulled job instead of O(parents).
+        bpc = [0] * n
+        for p in range(n):
+            if apc[p]:
+                for c in children_of(p):
+                    bpc[c] += 1
+        sources = {u for u in range(n) if apc[u] == 0}
+        return cls(bytearray(b"\x01" * n), apc, bpc, sources, n)
+
+    def copy(self) -> "Remnant":
+        return Remnant(bytearray(self.alive), self.apc.copy(),
+                       self.bpc.copy(), set(self.sources), self.n_alive)
+
+    def remove(self, children_of: Callable[[int], Sequence[int]],
+               jobs: Sequence[int]) -> None:
+        """Mark the alive, distinct *jobs* dead and update the counts.
+
+        Every job dies before any count moves, so "was it bad at death"
+        reads its count from before the batch; the two kinds of ``bpc``
+        decrement (a bad parent dies; a parent turns source) hit disjoint
+        arcs, so the final counts do not depend on the order of *jobs*.
+        """
+        alive, apc, bpc, sources = self.alive, self.apc, self.bpc, self.sources
+        for u in jobs:
+            alive[u] = 0
+            sources.discard(u)
+        self.n_alive -= len(jobs)
+        for u in jobs:
+            was_bad = apc[u] != 0
+            for c in children_of(u):
+                if not alive[c]:
+                    continue
+                if was_bad:
+                    # A dying non-source stops counting against its children.
+                    bpc[c] -= 1
+                apc[c] -= 1
+                if apc[c] == 0:
+                    sources.add(c)
+                    # c turned source: no longer bad for its children.
+                    for d in children_of(c):
+                        if alive[d]:
+                            bpc[d] -= 1
+
+
+def decompose(dag: Dag, remnant: Remnant | None = None) -> Decomposition:
     """Decompose *dag* into building blocks plus their superdag.
 
     The input is expected to be shortcut-free (apply
     :func:`repro.dag.remove_shortcuts` first); shortcuts do not break the
     algorithm but degrade the block structure, exactly as the paper warns.
+
+    *remnant* (default: all alive) restricts the run to its alive jobs; a
+    copy is consumed, never the caller's state.  The caller owes two
+    invariants: its counts describe *dag* minus the dead jobs (as
+    :meth:`Remnant.remove` keeps them), and every child of an alive job
+    is alive.  The result then equals ``decompose`` of the alive-induced
+    subgraph under the monotone renumbering, with ``comp_of`` over
+    *dag*'s ids (``-1`` for dead jobs).
     """
     n = dag.n
     children_of = dag.children
     parents_of = dag.parents
-    alive = bytearray(b"\x01" * n)
-    apc = [dag.in_degree(u) for u in range(n)]  # alive-parent count
-    # bad-alive-parent count: bpc[c] = alive parents of c with apc != 0.
-    # A child is absorbable into a bipartite block iff bpc == 0, so the
-    # bipartiteness check is O(1) per pulled job instead of O(parents);
-    # detach keeps the counts current (deaths and non-source -> source
-    # transitions both decrement children's counts).
-    bpc = [0] * n
-    for p in range(n):
-        if apc[p]:
-            for c in children_of(p):
-                bpc[c] += 1
-    source_set = {u for u in range(n) if apc[u] == 0}
+    state = Remnant.of(dag) if remnant is None else remnant.copy()
+    alive, apc, bpc = state.alive, state.apc, state.bpc
+    source_set = state.sources
     components: list[Component] = []
     comp_of = [-1] * n
-    removed = 0
     # Sources absorbed by a failed bipartite probe since the last detach.
     # A failed probe's partial S lies in one connected closure, so every
     # source in it fails too while the remnant is unchanged — but any
@@ -246,7 +311,6 @@ def decompose(dag: Dag) -> Decomposition:
         return S, T
 
     def detach(S: set[int], T: set[int], bipartite: bool) -> None:
-        nonlocal removed
         members = S | T
         nonsinks: list[int] = []
         shared: list[int] = []
@@ -263,7 +327,7 @@ def decompose(dag: Dag) -> Decomposition:
                         nonsinks.append(u)
                     else:
                         globals_.append(u)
-                elif dag.is_sink(u):
+                elif not children_of(u):
                     globals_.append(u)
                 else:
                     shared.append(u)  # stays alive for a later component
@@ -272,40 +336,14 @@ def decompose(dag: Dag) -> Decomposition:
                 has_child_inside = any(c in members for c in children_of(u))
                 if has_child_inside:
                     nonsinks.append(u)
-                elif dag.is_sink(u):
+                elif not children_of(u):
                     globals_.append(u)
                 else:
                     shared.append(u)  # stays alive for a later component
         index = len(components)
         for u in nonsinks:
             comp_of[u] = index
-        to_remove = nonsinks + globals_
-        for u in to_remove:
-            alive[u] = 0
-            source_set.discard(u)
-            removed += 1
-        # One pass per dying node.  apc of to_remove members is never
-        # decremented here (they are already dead, and only alive children
-        # are touched), so the "was u bad at death" test reads the same
-        # value a separate first pass would; the two kinds of bpc
-        # decrement (bad parent dies; alive parent turns source) hit
-        # disjoint edge events, and only the final counts are observed
-        # (probes run strictly between detaches).
-        for u in to_remove:
-            was_bad = apc[u] != 0
-            for c in children_of(u):
-                if not alive[c]:
-                    continue
-                if was_bad:
-                    # A dying non-source stops counting against its children.
-                    bpc[c] -= 1
-                apc[c] -= 1
-                if apc[c] == 0:
-                    source_set.add(c)
-                    # c turned source: no longer bad for its children.
-                    for d in children_of(c):
-                        if alive[d]:
-                            bpc[d] -= 1
+        state.remove(children_of, nonsinks + globals_)
         failed_since_detach.clear()
         if nonsinks or shared or globals_:
             components.append(
@@ -318,7 +356,7 @@ def decompose(dag: Dag) -> Decomposition:
                 )
             )
 
-    while removed < n:
+    while state.n_alive:
         # Fast path: detach every bipartite block discovered this round.
         # bipartite_block aborts in O(1) on deep-closure sources, so rounds
         # dominated by bipartite structure never pay for the general step.
@@ -348,11 +386,14 @@ def decompose(dag: Dag) -> Decomposition:
     super_children: list[list[int]] = [[] for _ in range(k)]
     super_parents: list[list[int]] = [[] for _ in range(k)]
     seen_arcs: set[tuple[int, int]] = set()
-    for u, v in dag.arcs():
-        ci, cj = comp_of[u], comp_of[v]
-        if ci == -1 or cj == -1 or ci == cj:
+    for u in range(n):
+        ci = comp_of[u]
+        if ci == -1:
             continue
-        if (ci, cj) not in seen_arcs:
+        for v in children_of(u):
+            cj = comp_of[v]
+            if cj == -1 or cj == ci or (ci, cj) in seen_arcs:
+                continue
             seen_arcs.add((ci, cj))
             super_children[ci].append(cj)
             super_parents[cj].append(ci)

@@ -45,12 +45,13 @@ class CombineResult:
 
 
 class _ClassRegistry:
-    """Active superdag sources, grouped by profile class."""
+    """Active superdag sources, grouped by profile class: ``heaps[key]``
+    holds the class's component indices (a min-heap, so its head is the
+    earliest detached), and a class leaves both dicts when it empties."""
 
     def __init__(self):
         self.heaps: dict[bytes, list[int]] = {}
         self.profiles: dict[bytes, object] = {}
-        self._size = 0
 
     def add(self, sc: ScheduledComponent) -> None:
         key = sc.profile_key
@@ -58,24 +59,13 @@ class _ClassRegistry:
             self.heaps[key] = []
             self.profiles[key] = sc.profile
         heapq.heappush(self.heaps[key], sc.index)
-        self._size += 1
 
     def pop(self, key: bytes) -> int:
         index = heapq.heappop(self.heaps[key])
         if not self.heaps[key]:
             del self.heaps[key]
             del self.profiles[key]
-        self._size -= 1
         return index
-
-    def multiplicity(self, key: bytes) -> int:
-        return len(self.heaps[key])
-
-    def peek(self, key: bytes) -> int:
-        return self.heaps[key][0]
-
-    def __len__(self) -> int:
-        return self._size
 
 
 def greedy_combine(
@@ -99,20 +89,26 @@ def greedy_combine(
     the quadratic class-scoring loop almost entirely.
     """
     cache = cache or PriorityCache()
-    by_index = {sc.index: sc for sc in scheduled}
     indeg = [len(ps) for ps in decomposition.super_parents]
     registry = _ClassRegistry()
-    for sc in scheduled:
-        if indeg[sc.index] == 0:
+    heaps = registry.heaps
+    for i, sc in enumerate(scheduled):
+        if sc.index != i:
+            raise AssertionError(
+                f"scheduled component {i} has index {sc.index}; "
+                "components must arrive in index order"
+            )
+        if indeg[i] == 0:
             registry.add(sc)
 
     component_order: list[int] = []
     nonsink_schedule: list[int] = []
     emitted = 0
     total = len(scheduled)
-    while len(registry):
-        keys = list(registry.heaps)
-        if len(keys) == 1 and registry.multiplicity(keys[0]) >= 1:
+    super_children = decomposition.super_children
+    while heaps:
+        keys = list(heaps)
+        if len(keys) == 1:
             # A single class: all candidates tie; emit in detachment order.
             best_key = keys[0]
         else:
@@ -122,7 +118,7 @@ def greedy_combine(
                 ordered = sorted(keys)
                 signature = (
                     tuple(ordered),
-                    tuple(registry.multiplicity(k) >= 2 for k in ordered),
+                    tuple([len(heaps[k]) >= 2 for k in ordered]),
                 )
                 winners = memo.get(signature)
             if winners is None:
@@ -136,7 +132,7 @@ def greedy_combine(
                                 key, profile, other, registry.profiles[other]
                             )
                             for other in keys
-                            if other != key or registry.multiplicity(key) >= 2
+                            if other != key or len(heaps[key]) >= 2
                         ),
                         default=1.0,
                     )
@@ -156,17 +152,17 @@ def greedy_combine(
             for key in keys:
                 if key not in winners:
                     continue
-                peek = registry.peek(key)
+                peek = heaps[key][0]
                 if best_key is None or peek < best_peek:
                     best_key, best_peek = key, peek
         index = registry.pop(best_key)
         component_order.append(index)
-        nonsink_schedule.extend(by_index[index].schedule)
+        nonsink_schedule.extend(scheduled[index].schedule)
         emitted += 1
-        for child in decomposition.super_children[index]:
+        for child in super_children[index]:
             indeg[child] -= 1
             if indeg[child] == 0:
-                registry.add(by_index[child])
+                registry.add(scheduled[child])
     if emitted != total:
         raise AssertionError(
             f"superdag combine emitted {emitted} of {total} components; "

@@ -26,16 +26,22 @@ Consequences, each load-bearing below:
   tuples, skipping recognition/profile work entirely.  Misses go through
   a session-long shape table, so a new block of a known shape is not
   solved again either.
-* *Renumbering is monotone.*  Pending jobs are kept in ascending id order,
-  so remnant-local ids order exactly like original ids and every id
-  tie-break in decompose/combine — and hence every output byte — matches
-  a from-scratch run on ``Dag.induced_subgraph(pending)``.
+* *Removal is monotone.*  Each tick's executed set contains the last
+  one's, so the scheduler carries one :class:`~repro.core.decompose.Remnant`
+  over the reduced dag, in original ids, and applies its death update to
+  the newly completed jobs only.  An executed set that is not a superset
+  of the carried one rebuilds the state (counted as
+  ``live.remnant.rebuilds``).
 
 The decomposition itself is re-run per recompute (its detach order is
-history-sensitive, so patching it is unsound), but over a lightweight
-:class:`_RemnantView` instead of a freshly constructed :class:`Dag`, and
-the combine phase shares one :class:`~repro.theory.priority.PriorityCache`
-plus a round-decision memo across the session.
+history-sensitive, so patching it is unsound), as ``decompose(reduced,
+remnant=state)``: no remnant dag is built and no job renumbered.
+Original ids order like the ascending renumbering of
+``Dag.induced_subgraph(pending)``, so every id tie-break, hence every
+output byte, matches a from-scratch run.  Component-cache hits need no
+remap, and the combine phase shares one
+:class:`~repro.theory.priority.PriorityCache` plus a round-decision memo
+across the session.
 
 The contract — pinned by the property suite in ``tests/live/`` — is that
 :meth:`IncrementalScheduler.priorities` is byte-identical to
@@ -48,7 +54,7 @@ from __future__ import annotations
 import time
 
 from ..core.component import schedule_component
-from ..core.decompose import decompose
+from ..core.decompose import Remnant, decompose
 from ..core.greedy import greedy_combine
 from ..dag.graph import Dag, fingerprint_arcs
 from ..dag.transitive import remove_shortcuts
@@ -58,62 +64,22 @@ __all__ = ["IncrementalScheduler"]
 
 
 class _ReplayedComponent:
-    """Cache-hit stand-in for :class:`ScheduledComponent`.
+    """Cached stand-in for :class:`ScheduledComponent`.
 
     Carries exactly the attributes the combine phase reads (``index``,
-    ``schedule``, ``profile``, ``profile_key``, ``family``), skipping the
-    frozen dataclass construction the full object would pay on every
-    replay.
+    ``schedule``, ``profile``, ``profile_key``, ``family``).  One object
+    per cached block; a hit rewrites its ``index`` for the current tick
+    instead of constructing anything.
     """
 
     __slots__ = ("index", "schedule", "profile", "profile_key", "family")
 
-    def __init__(self, index, schedule, profile, profile_key, family):
-        self.index = index
-        self.schedule = schedule
-        self.profile = profile
-        self.profile_key = profile_key
-        self.family = family
-
-
-class _RemnantView:
-    """Duck-typed stand-in for the reduced remnant :class:`Dag`.
-
-    Presents exactly the surface :func:`~repro.core.decompose.decompose`
-    and :func:`~repro.core.component.schedule_component` touch — adjacency,
-    degrees, sink tests and arc iteration — over precomputed local
-    adjacency lists, without paying for a full ``Dag`` construction per
-    recompute.  Children lists preserve the reduced dag's stored order, so
-    block shapes enumerate arcs in the same order a real
-    ``induced_subgraph`` of the reduced dag would.
-    """
-
-    __slots__ = ("n", "_children", "_parents")
-
-    def __init__(self, n, children, parents):
-        self.n = n
-        self._children = children
-        self._parents = parents
-
-    def children(self, u):
-        return self._children[u]
-
-    def parents(self, u):
-        return self._parents[u]
-
-    def out_degree(self, u):
-        return len(self._children[u])
-
-    def in_degree(self, u):
-        return len(self._parents[u])
-
-    def is_sink(self, u):
-        return not self._children[u]
-
-    def arcs(self):
-        for u in range(self.n):
-            for v in self._children[u]:
-                yield (u, v)
+    def __init__(self, sc):
+        self.index = sc.index
+        self.schedule = sc.schedule
+        self.profile = sc.profile
+        self.profile_key = sc.profile_key
+        self.family = sc.family
 
 
 class IncrementalScheduler:
@@ -141,24 +107,24 @@ class IncrementalScheduler:
         self.mode = mode
         self.metrics = metrics
         reduced, shortcuts = remove_shortcuts(dag)
-        self._red_children = [reduced.children(u) for u in range(dag.n)]
-        self._red_parents = [reduced.parents(u) for u in range(dag.n)]
+        self._reduced = reduced
+        self._sinks = reduced.sinks()
+        #: the remnant of the executed set ``_executed``, over ``_reduced``
+        self._remnant = Remnant.of(reduced)
+        self._executed: set[int] = set()
         self.n_shortcuts = len(shortcuts)
         #: per-component schedule cache: original-id role tuples ->
-        #: (schedule in original ids, profile array, profile key, family)
-        self._component_cache: dict[tuple, tuple] = {}
+        #: the block's _ReplayedComponent
+        self._component_cache: dict[tuple, _ReplayedComponent] = {}
         #: schedule_component's shape table, consulted on cache misses
         self._shapes: dict = {}
-        #: original id -> current remnant-local id; refilled per recompute
-        #: (stale entries for executed jobs are never consulted: children
-        #: of pending jobs are pending, and parents are filtered first).
-        self._local_arr = [0] * dag.n
         self._priority_cache = PriorityCache()
         self._combine_memo: dict = {}
         self.component_hits = 0
         self.component_misses = 0
         self.recomputes = 0
         self.full_recomputes = 0
+        self.remnant_rebuilds = 0
 
     # ------------------------------------------------------------------
     # Public API
@@ -239,61 +205,43 @@ class IncrementalScheduler:
     # Fast path
     # ------------------------------------------------------------------
 
+    def _carry(self, executed_set) -> Remnant:
+        """The carried remnant state, advanced to *executed_set*."""
+        carried = self._executed
+        new = executed_set - carried
+        if len(executed_set) - len(new) != len(carried):
+            # Not a superset of the carried set: start over.
+            self.remnant_rebuilds += 1
+            if self.metrics is not None:
+                self.metrics.counter("live.remnant.rebuilds").inc()
+            self._remnant = Remnant.of(self._reduced)
+            carried = self._executed = set()
+            new = executed_set
+        self._remnant.remove(self._reduced.children, list(new))
+        carried.update(new)
+        return self._remnant
+
     def _incremental(self, executed) -> list[int]:
         executed_set = executed if isinstance(executed, (set, frozenset)) else set(executed)
-        dag = self.dag
         self.recomputes += 1
-        pending = [u for u in range(dag.n) if u not in executed_set]
-        local = self._local_arr
-        for i, orig in enumerate(pending):
-            local[orig] = i
-        red_children = self._red_children
-        red_parents = self._red_parents
-        to_local = local.__getitem__
-        # Children of pending jobs are all pending (closure lemma) — map
-        # without filtering; executed parents drop out.
-        children = [
-            list(map(to_local, red_children[orig])) for orig in pending
-        ]
-        parents = [
-            [local[p] for p in red_parents[orig] if p not in executed_set]
-            for orig in pending
-        ]
-        view = _RemnantView(len(pending), children, parents)
-
-        decomposition = decompose(view)
+        remnant = self._carry(executed_set)
+        reduced = self._reduced
+        decomposition = decompose(reduced, remnant=remnant)
         cache = self._component_cache
         hits_before = self.component_hits
         misses_before = self.component_misses
         scheduled = []
-        to_orig = pending.__getitem__
         cache_get = cache.get
         for comp in decomposition.components:
-            key = (
-                tuple(map(to_orig, comp.nonsinks)),
-                tuple(map(to_orig, comp.shared_sinks)),
-                tuple(map(to_orig, comp.global_sinks)),
-            )
-            hit = cache_get(key)
-            if hit is not None:
+            key = (comp.nonsinks, comp.shared_sinks, comp.global_sinks)
+            sc = cache_get(key)
+            if sc is not None:
                 self.component_hits += 1
-                schedule_orig, profile, profile_key, family = hit
-                sc = _ReplayedComponent(
-                    comp.index,
-                    tuple(map(to_local, schedule_orig)),
-                    profile,
-                    profile_key,
-                    family,
-                )
+                sc.index = comp.index  # read by this tick's combine only
             else:
                 self.component_misses += 1
-                sc = schedule_component(view, comp, shapes=self._shapes)
-                cache[key] = (
-                    tuple(map(to_orig, sc.schedule)),
-                    sc.profile,
-                    sc.profile_key,
-                    sc.family,
-                )
+                sc = cache[key] = _ReplayedComponent(
+                    schedule_component(reduced, comp, shapes=self._shapes))
             scheduled.append(sc)
         if self.metrics is not None:
             self.metrics.counter("live.component.hits").inc(
@@ -309,11 +257,11 @@ class IncrementalScheduler:
             cache=self._priority_cache,
             memo=self._combine_memo,
         )
-        schedule = list(combined.nonsink_schedule)
-        schedule.extend(u for u in range(len(pending)) if not children[u])
-
-        n_pending = len(pending)
-        priorities = [0] * dag.n
+        alive = remnant.alive
+        schedule = combined.nonsink_schedule
+        schedule.extend(u for u in self._sinks if alive[u])
+        n_pending = remnant.n_alive
+        priorities = [0] * self.dag.n
         for position, u in enumerate(schedule):
-            priorities[pending[u]] = n_pending - position
+            priorities[u] = n_pending - position
         return priorities

@@ -15,8 +15,8 @@ vector distinguishes
 Only ``complete`` events change the remnant, so a batch of failures and
 straggler timeouts re-emits priorities without any recomputation — the
 cheapest advance of all.  Batches are **atomic**: every event is validated
-against a scratch copy of the state first, so a rejected batch leaves the
-session untouched (and the stored sequence number unchanged).
+before any state changes, so a rejected batch leaves the session
+untouched (and the stored sequence number unchanged).
 
 Each ``advance`` returns a *priority delta* — only the jobs whose priority
 changed — plus the remnant size and which recompute path ran.  The full
@@ -226,20 +226,22 @@ class LiveSession:
         if completed:
             new_priorities = self.scheduler.priorities(self.executed)
             recompute = self.scheduler.mode
+            # String keys, as JSON will round-trip them: a delta replayed
+            # from a checkpoint must encode byte-identically to the original.
+            old = self._priorities
+            changed = {
+                str(job): priority
+                for job, priority in enumerate(new_priorities)
+                if priority != old[job]
+            }
         else:
             # Failures/stragglers leave the executed set — and therefore
             # the remnant and its priorities — untouched.
             new_priorities = self._priorities
             recompute = "skipped"
+            changed = {}
             if self.metrics is not None:
                 self.metrics.counter("live.recompute.skipped").inc()
-        # String keys, as JSON will round-trip them: a delta replayed from
-        # a checkpoint must encode byte-identically to the original.
-        changed = {
-            str(job): new_priorities[job]
-            for job in range(self.dag.n)
-            if new_priorities[job] != self._priorities[job]
-        }
         self._priorities = new_priorities
         elapsed = time.perf_counter() - started
         delta = {
@@ -304,10 +306,12 @@ class LiveSession:
     # ------------------------------------------------------------------
 
     def _check_batch(self, normalized) -> None:
-        """Validate a whole batch against scratch state; raise EventError
-        before any real state changes."""
+        """Validate a whole batch against the executed set plus the batch's
+        own earlier completions (*done*); raise EventError before any real
+        state changes."""
         dag = self.dag
-        scratch = set(self.executed)
+        executed = self.executed
+        done: set[int] = set()
         for kind, job in normalized:
             if not 0 <= job < dag.n:
                 raise EventError(
@@ -316,23 +320,23 @@ class LiveSession:
                     job=job,
                 )
             if kind == "complete":
-                if job in scratch:
+                if job in executed or job in done:
                     raise EventError(
                         f"job {dag.label(job)} completed twice",
                         kind=kind,
                         job=job,
                     )
                 for parent in dag.parents(job):
-                    if parent not in scratch:
+                    if parent not in executed and parent not in done:
                         raise EventError(
                             f"job {dag.label(job)} cannot complete before "
                             f"its parent {dag.label(parent)}",
                             kind=kind,
                             job=job,
                         )
-                scratch.add(job)
+                done.add(job)
             else:
-                if job in scratch:
+                if job in executed or job in done:
                     raise EventError(
                         f"cannot apply {kind} to completed job "
                         f"{dag.label(job)}",
