@@ -63,13 +63,13 @@ def test_overhead_table(benchmark, name, factory):
 
 
 def test_robust_layer_fault_free_overhead(benchmark):
-    """The fault-tolerant executor must be nearly free when nothing fails.
+    """The pool loop's error path must be nearly free when nothing fails.
 
-    Runs the same parallel replication batch through the plain chunk
-    fan-out and through the robust executor (retry policy enabled, no
-    faults injected), interleaved min-of-N, and asserts the robust path
-    costs < 2% extra wall-clock — plus that both deliver bit-identical
-    metrics, the property every recovery action relies on.
+    Runs the same parallel replication batch through the one pool loop
+    fail-fast (``retry=None``) and with a :class:`RetryPolicy` (progress
+    deadline on, no faults injected), interleaved min-of-N, and asserts
+    the retrying run costs < 2% extra wall-clock — plus that both deliver
+    bit-identical metrics, the property every recovery action relies on.
     """
     rounds = 7 if full_fidelity() else 5
     count = 512 if full_fidelity() else 256

@@ -6,8 +6,9 @@ is OOM-killed or a machine reboots.  This package makes the execution
 stack survive (and lets tests *prove* it survives) crashes, hangs and
 interrupts:
 
-* :mod:`repro.robust.retry` — :class:`RetryPolicy` and the robust chunk
-  runner: per-chunk retry with exponential backoff, a progress deadline
+* :mod:`repro.robust.retry` — :class:`RetryPolicy`, which the pool loop
+  (:func:`repro.sim.parallel.iter_chunk_results`) applies as its error
+  path: per-chunk retry with exponential backoff, a progress deadline
   that declares a hung pool dead, pool rebuilds, and graceful
   degradation to in-process serial execution.  Chunks are pure functions
   of their seeds, so every recovery action is bit-identical to a clean
@@ -34,7 +35,7 @@ from .checkpoint import (
 )
 from .faults import FaultPlan, InjectedFault, corrupt_checkpoint
 from .io import publish_atomic, write_atomic
-from .retry import RetryPolicy, retry_async, run_robust_chunks
+from .retry import RetryPolicy, retry_async
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -49,6 +50,5 @@ __all__ = [
     "fingerprint",
     "publish_atomic",
     "retry_async",
-    "run_robust_chunks",
     "write_atomic",
 ]

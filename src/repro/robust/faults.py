@@ -8,8 +8,8 @@ so every recovery path (retry, pool rebuild, serial degradation,
 checkpoint resume) can be exercised by an ordinary deterministic test or
 by the CI chaos job.
 
-Chunks are numbered by their submission order within one robust
-execution (see :func:`repro.robust.retry.run_robust_chunks`), which is
+Chunks are numbered in the order the pool loop pulls them from its task
+iterator (see :func:`repro.sim.parallel.iter_chunk_results`), which is
 itself deterministic for a fixed configuration, so a plan written once
 keeps hitting the same chunk across runs.  Attempts count from 0.
 

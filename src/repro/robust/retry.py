@@ -4,18 +4,22 @@ degradation for worker-pool chunk execution.
 The sweep experiments fan replication chunks out over a
 ``ProcessPoolExecutor``; at production scale a worker is eventually
 OOM-killed, a chunk hangs on a sick node, or the pool's machinery itself
-breaks.  :func:`run_robust_chunks` wraps the fan-out so one bad chunk
+breaks.  :class:`RetryPolicy` says how hard to fight, and the one pool
+loop, :func:`repro.sim.parallel.iter_chunk_results`, applies it as its
+error path (every chunk runs through :func:`_invoke`), so one bad chunk
 cannot sink hours of completed work:
 
 * every chunk failure (a worker exception) is retried with exponential
   backoff up to ``RetryPolicy.max_attempts`` times;
 * a progress deadline (``RetryPolicy.timeout``) declares the pool hung
   when **no** chunk completes within it; the pool is torn down, rebuilt,
-  and the unfinished chunks resubmitted — likewise on
-  ``BrokenProcessPool`` (a worker died hard);
-* after ``max_pool_rebuilds`` rebuilds the pool is declared unhealthy
-  and every remaining chunk runs serially in the parent process — slow,
-  but the batch completes;
+  and the in-flight chunks resubmitted — likewise on
+  ``BrokenProcessPool`` (a worker died hard).  Only in-flight chunks
+  are charged an attempt: the loop holds a bounded window of pulled
+  chunks, and chunks still in the task iterator were never attempted;
+* after ``max_pool_rebuilds`` rebuilds the pool is declared unhealthy:
+  the in-flight chunks, then every remaining task, run serially in the
+  parent process — slow, but the batch completes;
 * a chunk that exhausts its pool attempts gets one final in-process
   attempt before its failure is allowed to propagate.
 
@@ -27,7 +31,7 @@ an optional :class:`~repro.obs.metrics.MetricsRegistry` under
 ``robust.retry``, ``robust.timeout``, ``robust.pool_rebuild`` and
 ``robust.degraded_serial``.
 
-:class:`~repro.robust.faults.FaultPlan` hooks into the same machinery to
+:class:`~repro.robust.faults.FaultPlan` hooks into the same loop to
 *inject* failures deterministically — the test suite and the CI chaos
 job drive every path above on purpose.
 """
@@ -37,17 +41,12 @@ from __future__ import annotations
 import asyncio
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from .faults import InjectedFault
 
-__all__ = ["RetryPolicy", "run_robust_chunks", "retry_async"]
-
-
-class _PoolStalled(Exception):
-    """No chunk completed within the progress deadline."""
+__all__ = ["RetryPolicy", "retry_async"]
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ class RetryPolicy:
     within it the pool is declared hung and rebuilt (``None`` disables;
     set it above the worst-case chunk runtime).  ``max_pool_rebuilds`` —
     rebuilds tolerated before the pool is declared unhealthy and the
-    remaining chunks run serially in-process.
+    in-flight and remaining chunks run serially in-process.
     """
 
     max_attempts: int = 3
@@ -104,9 +103,10 @@ async def retry_async(factory, policy: RetryPolicy | None = None, *,
     last retryable failure — propagates unchanged.  ``on_retry(attempt,
     exc)`` is called before each backoff sleep (metrics hooks).
 
-    This is the single-call analogue of :func:`run_robust_chunks`: the
-    service layer wraps each request handler with it so one
-    :class:`RetryPolicy` describes both batch and request semantics.
+    This is the single-call analogue of the pool loop's error path in
+    :func:`~repro.sim.parallel.iter_chunk_results`: the service layer
+    wraps each request handler with it so one :class:`RetryPolicy`
+    describes both batch and request semantics.
     """
     policy = policy if policy is not None else RetryPolicy(max_attempts=1)
     retryable = retryable if retryable is not None else _default_retryable
@@ -148,122 +148,3 @@ def _invoke(fn, args, spec, in_worker: bool = True):
         else:  # pragma: no cover - FaultPlan cannot produce other kinds
             raise ValueError(f"unknown fault kind {kind!r}")
     return fn(*args)
-
-
-def run_robust_chunks(fn, tasks, par, *, retry=None, faults=None, metrics=None):
-    """Yield ``(key, fn(*args))`` for every task, surviving pool failures.
-
-    *tasks* is ``[(key, args), ...]`` with unique keys; *par* is a
-    :class:`~repro.sim.parallel.ParallelConfig` whose ``executor()``
-    builds (and rebuilds) the pool.  Results are yielded as they
-    complete, in no particular order — callers reassemble by key, so
-    retries and rebuilds cannot reorder anything they observe.
-
-    Fault-plan chunk numbers are task positions (0-based, submission
-    order).  Raises whatever the chunk raised once every recovery avenue
-    (retries, rebuilt pools, the final in-process attempt) is exhausted —
-    a genuinely poisoned chunk still fails loudly rather than spinning.
-    """
-    policy = retry if retry is not None else RetryPolicy()
-    tasks = list(tasks)
-    keys = [key for key, _ in tasks]
-    if len(set(keys)) != len(keys):
-        raise ValueError("task keys must be unique")
-    args_by_key = dict(tasks)
-    number = {key: i for i, key in enumerate(keys)}
-    attempts = dict.fromkeys(keys, 0)
-    remaining = set(keys)
-
-    def count(name: str, amount: int = 1) -> None:
-        if metrics is not None:
-            metrics.counter(name).inc(amount)
-
-    def fault_spec(key):
-        if faults is None:
-            return None
-        return faults.spec(number[key], attempts[key])
-
-    def run_serial(key):
-        """The last resort: run the chunk in this process."""
-        count("robust.degraded_serial")
-        result = _invoke(fn, args_by_key[key], fault_spec(key), in_worker=False)
-        remaining.discard(key)
-        return key, result
-
-    rebuilds = 0
-    executor = None
-    try:
-        while remaining:
-            exhausted = [
-                key
-                for key in sorted(remaining, key=number.__getitem__)
-                if attempts[key] >= policy.max_attempts
-            ]
-            for key in exhausted:
-                yield run_serial(key)
-            if not remaining:
-                break
-            if rebuilds > policy.max_pool_rebuilds:
-                # Pool declared unhealthy: finish everything in-process.
-                for key in sorted(remaining, key=number.__getitem__):
-                    yield run_serial(key)
-                break
-            executor = par.executor()
-            futures: dict = {}
-
-            def submit(key):
-                future = executor.submit(
-                    _invoke, fn, args_by_key[key], fault_spec(key)
-                )
-                futures[future] = key
-                return future
-
-            try:
-                pending = {
-                    submit(key)
-                    for key in sorted(remaining, key=number.__getitem__)
-                }
-                while pending:
-                    done, pending = wait(
-                        pending,
-                        timeout=policy.timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    if not done:
-                        count("robust.timeout", len(pending))
-                        raise _PoolStalled
-                    for future in done:
-                        key = futures.pop(future)
-                        try:
-                            result = future.result()
-                        except BrokenProcessPool:
-                            raise
-                        except Exception:
-                            attempts[key] += 1
-                            count("robust.retry")
-                            if attempts[key] >= policy.max_attempts:
-                                yield run_serial(key)
-                            else:
-                                time.sleep(policy.delay(attempts[key] - 1))
-                                pending.add(submit(key))
-                        else:
-                            remaining.discard(key)
-                            yield key, result
-            except (BrokenProcessPool, _PoolStalled):
-                # The pool is gone (worker died) or hung (no progress):
-                # tear it down, charge every unfinished chunk one
-                # attempt, back off, rebuild, resubmit.
-                rebuilds += 1
-                count("robust.pool_rebuild")
-                count("robust.retry", len(remaining))
-                for key in remaining:
-                    attempts[key] += 1
-                executor.shutdown(wait=False, cancel_futures=True)
-                executor = None
-                time.sleep(policy.delay(rebuilds - 1))
-            else:
-                executor.shutdown(wait=True)
-                executor = None
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)

@@ -25,8 +25,8 @@ in-process service:
   deadline and retry budget (:func:`~repro.robust.retry.retry_async`); a
   dead shard (worker process killed, OOM, crashed) fails its pending
   requests with :class:`ShardDied` — a retryable ``ConnectionError`` —
-  and is respawned on the next request, mirroring
-  :func:`~repro.robust.retry.run_robust_chunks`'s pool rebuilds.  After
+  and is respawned on the next request, mirroring the pool rebuilds of
+  :func:`~repro.sim.parallel.iter_chunk_results`.  After
   ``RetryPolicy.max_pool_rebuilds`` respawns a shard is declared
   unhealthy and its requests degrade to in-process compute — slower,
   but the service keeps answering.
@@ -333,7 +333,7 @@ class _ShardHandle:
                 return
             policy = self.dispatcher.limits.retry
             if self.restarts >= policy.max_pool_rebuilds:
-                # Mirrors run_robust_chunks: past the rebuild budget the
+                # Mirrors iter_chunk_results: past the rebuild budget the
                 # pool is unhealthy; degrade to in-process compute.
                 self.degraded = True
                 self.dispatcher.metrics.counter(

@@ -5,8 +5,10 @@ every replication depends only on its own child :class:`~numpy.random.SeedSequen
 so the batch is embarrassingly parallel.  Every batch runs as chunk tasks
 (:func:`run_chunk`) through :func:`iter_chunk_results`, the one place
 that chooses between a :class:`concurrent.futures.ProcessPoolExecutor`
-and running the tasks in-process.  Results are **bit-identical** either
-way:
+and running the tasks in-process, and the one pool loop: it pulls
+chunks lazily, keeps a bounded window of them in flight, and handles
+retries, pool rebuilds and serial degradation as its error path.
+Results are **bit-identical** either way:
 
 * the parent process spawns the child sequences from the root seed
   (``SeedSequence.spawn`` is stateful, so the spawn tree is built exactly
@@ -26,11 +28,13 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..robust.retry import RetryPolicy, _invoke
 from .compile import CompiledDag
 from .engine import simulate
 
@@ -44,7 +48,13 @@ __all__ = [
 #: Target number of chunks per worker when ``chunk_size`` is not forced.
 #: Several chunks per worker keeps the pool load-balanced when replication
 #: runtimes vary, while still amortizing the per-task pickling cost.
+#: The pool loop keeps twice that per worker in flight: one two-sided
+#: sweep cell's chunks.
 _CHUNKS_PER_WORKER = 4
+
+
+class _PoolStalled(Exception):
+    """No chunk completed within the progress deadline."""
 
 
 @dataclass(frozen=True)
@@ -55,16 +65,13 @@ class ParallelConfig:
     ``chunk_size`` — replications per submitted task (None = automatic:
     about :data:`_CHUNKS_PER_WORKER` chunks per worker; ignored without
     a pool, where a batch is always one chunk).
-    ``start_method`` — multiprocessing start method (``"fork"``,
-    ``"spawn"``, ``"forkserver"``; None = the platform default).
 
-    Determinism does not depend on any of these knobs: for a fixed root
-    seed every setting yields bit-identical metrics.
+    Determinism does not depend on either knob: for a fixed root seed
+    every setting yields bit-identical metrics.
     """
 
     jobs: int = 1
     chunk_size: int | None = None
-    start_method: str | None = None
 
     def __post_init__(self):
         if self.jobs < 1:
@@ -95,15 +102,8 @@ class ParallelConfig:
         return [entries[i: i + size] for i in range(0, len(entries), size)]
 
     def executor(self) -> ProcessPoolExecutor:
-        """A fresh pool honouring ``jobs`` and ``start_method``."""
-        import multiprocessing
-
-        context = (
-            multiprocessing.get_context(self.start_method)
-            if self.start_method is not None
-            else None
-        )
-        return ProcessPoolExecutor(max_workers=self.jobs, mp_context=context)
+        """A fresh pool of ``jobs`` workers."""
+        return ProcessPoolExecutor(max_workers=self.jobs)
 
 
 def resolve_parallel(
@@ -121,47 +121,151 @@ def iter_chunk_results(
     """Yield ``(key, fn(*args))`` for each ``(key, args)`` task as results
     complete.
 
-    The single driver behind ``run_replications``, the sweep and
+    The one pool loop, behind ``run_replications``, the sweep and
     ``prio curves``.  Without a pool the tasks run here, lazily and in
-    submission order: a consumer that stops iterating (an exception from
-    a progress callback, say) stops the remaining tasks too.  *retry* and
-    *faults* need a pool and are ignored without one.
+    order: a consumer that stops iterating (an exception from a progress
+    callback, say) stops the remaining tasks too.  *retry* and *faults*
+    need a pool and are ignored without one.
 
-    With a pool, its lifetime is owned here: on *any* exit —
-    clean completion, a worker exception, Ctrl-C in the consumer, or the
-    consumer abandoning the iterator — the pool is shut down and pending
+    With a pool, tasks are still pulled lazily: at most
+    ``2 * jobs * _CHUNKS_PER_WORKER`` chunks (one two-sided sweep cell)
+    are pulled but not yet yielded, so the parent never holds more
+    than that window of chunk arguments, however long *tasks* is.
+    Chunks are numbered in the order they are pulled, which is the
+    numbering a :class:`~repro.robust.faults.FaultPlan` addresses, and
+    keys must be unique (a duplicate raises ``ValueError`` when pulled).
+    The pool's lifetime is owned here: on *any* exit — clean
+    completion, a worker exception, Ctrl-C in the consumer, or the
+    consumer abandoning the iterator — it is shut down and pending
     futures are cancelled, so an error mid-batch can never leak live
     worker processes or block draining a queue of doomed chunks.
 
-    With *retry* (a :class:`~repro.robust.retry.RetryPolicy`) or *faults*
-    (a :class:`~repro.robust.faults.FaultPlan`) the robust executor takes
-    over: failed or timed-out chunks are retried with backoff against
-    rebuilt pools, degrading to in-process execution when the pool is
-    unhealthy (recovery counters land in *metrics* when given).  Results
-    are bit-identical either way — chunks are pure functions of their
-    arguments, and callers reassemble by key.
+    With neither *retry* nor *faults* a chunk's exception propagates at
+    once.  With either (a :class:`~repro.robust.retry.RetryPolicy`
+    whose defaults apply when only *faults* is given), failure takes the
+    loop's error path instead: a failed chunk is retried with backoff; a
+    ``BrokenProcessPool`` or a progress-deadline stall rebuilds the pool,
+    charges each in-flight chunk an attempt and resubmits it; a chunk out
+    of attempts runs in-process; past ``max_pool_rebuilds`` the in-flight
+    chunks run in-process in number order and the remaining tasks are
+    pulled and run in-process too.  A chunk whose in-process attempt
+    fails still raises.  Recovery counters land in *metrics* when given.
+    Results are bit-identical either way — chunks are pure functions of
+    their arguments, and callers reassemble by key.
     """
     if not par.enabled:
         for key, args in tasks:
             yield key, fn(*args)
         return
-    if retry is not None or faults is not None:
-        from ..robust.retry import run_robust_chunks
+    robust = retry is not None or faults is not None
+    policy = retry if retry is not None else RetryPolicy()
+    window = 2 * par.jobs * _CHUNKS_PER_WORKER
+    source = iter(tasks)
+    seen: set = set()
+    inflight: dict[int, tuple] = {}  # number -> (key, args), not yet yielded
+    attempts: dict[int, int] = {}  # number -> attempts charged
+    futures: dict = {}  # future -> number
+    executor = None
+    rebuilds = 0
 
-        yield from run_robust_chunks(
-            fn, tasks, par, retry=retry, faults=faults, metrics=metrics
-        )
-        return
-    executor = par.executor()
+    def count(name: str, amount: int = 1) -> None:
+        if metrics is not None:
+            metrics.counter(name).inc(amount)
+
+    def pull():
+        """Number and hold the next task; None once *tasks* is exhausted."""
+        for key, args in source:
+            if key in seen:
+                raise ValueError("task keys must be unique")
+            number = len(seen)
+            seen.add(key)
+            inflight[number] = (key, args)
+            attempts[number] = 0
+            return number
+        return None
+
+    def spec(number):
+        return None if faults is None else faults.spec(number, attempts[number])
+
+    def submit(number):
+        args = inflight[number][1]
+        futures[executor.submit(_invoke, fn, args, spec(number))] = number
+
+    def finish(number, result):
+        del attempts[number]
+        return inflight.pop(number)[0], result
+
+    def run_serial(number):
+        """The last resort: run the chunk in this process."""
+        count("robust.degraded_serial")
+        args = inflight[number][1]
+        return finish(number, _invoke(fn, args, spec(number), in_worker=False))
+
     try:
-        futures = {executor.submit(fn, *args): key for key, args in tasks}
-        for future in as_completed(futures):
-            yield futures[future], future.result()
+        while True:
+            if executor is None:
+                degraded = rebuilds > policy.max_pool_rebuilds
+                for number in sorted(inflight):
+                    if degraded or attempts[number] >= policy.max_attempts:
+                        yield run_serial(number)
+                if degraded:
+                    while (number := pull()) is not None:
+                        yield run_serial(number)
+                    return
+            try:
+                if executor is None:
+                    executor = par.executor()
+                    for number in sorted(inflight):
+                        submit(number)
+                while len(inflight) < window and (number := pull()) is not None:
+                    submit(number)
+                if not futures:
+                    break
+                done, _ = wait(
+                    futures, timeout=policy.timeout, return_when=FIRST_COMPLETED
+                )
+                if not done:
+                    count("robust.timeout", len(futures))
+                    raise _PoolStalled
+                for future in sorted(done, key=futures.__getitem__):
+                    number = futures.pop(future)
+                    try:
+                        result = future.result()
+                    except BrokenProcessPool:
+                        raise
+                    except Exception:
+                        if not robust:
+                            raise
+                        attempts[number] += 1
+                        count("robust.retry")
+                        if attempts[number] >= policy.max_attempts:
+                            yield run_serial(number)
+                        else:
+                            time.sleep(policy.delay(attempts[number] - 1))
+                            submit(number)
+                    else:
+                        yield finish(number, result)
+            except (BrokenProcessPool, _PoolStalled):
+                if not robust:
+                    raise
+                # The pool is gone (a worker died) or hung (no progress):
+                # tear it down, charge every in-flight chunk one attempt,
+                # back off; the next pass rebuilds and resubmits.
+                rebuilds += 1
+                count("robust.pool_rebuild")
+                count("robust.retry", len(inflight))
+                for number in inflight:
+                    attempts[number] += 1
+                executor.shutdown(wait=False, cancel_futures=True)
+                executor = None
+                futures.clear()
+                time.sleep(policy.delay(rebuilds - 1))
         executor.shutdown(wait=True)
     finally:
         # Reached with futures still pending only on error/early exit:
         # cancel them instead of blocking until every doomed chunk ran.
-        executor.shutdown(wait=False, cancel_futures=True)
+        if executor is not None:
+            executor.shutdown(wait=False, cancel_futures=True)
 
 
 def clone_seedseq(seq: np.random.SeedSequence) -> np.random.SeedSequence:

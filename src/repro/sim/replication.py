@@ -294,10 +294,10 @@ def run_replications(
     :func:`policy_factory` are.
 
     *retry* (a :class:`~repro.robust.retry.RetryPolicy`) and *faults*
-    (a :class:`~repro.robust.faults.FaultPlan`) enable the fault-tolerant
-    executor for the parallel path: crashed, failed or hung chunks are
-    retried with backoff against rebuilt pools, degrading to in-process
-    execution when the pool is unhealthy.  Replications are pure
+    (a :class:`~repro.robust.faults.FaultPlan`) switch the pool loop onto
+    its error path: crashed, failed or hung chunks are retried with
+    backoff against rebuilt pools, degrading to in-process execution
+    when the pool is unhealthy.  Replications are pure
     functions of their seeds, so recovery never changes the metrics.
     (In-process runs have no pool; both are ignored when ``jobs=1``.)
 
@@ -307,7 +307,7 @@ def run_replications(
 
     * *metrics* — a :class:`~repro.obs.metrics.MetricsRegistry` receiving
       the simulator's event-loop counters (each chunk's counters are
-      merged back into it) plus the robust executor's recovery counters;
+      merged back into it) plus the pool loop's recovery counters;
     * *on_replication* — called as ``on_replication(rep, result,
       elapsed_seconds)`` once per replication, in replication order, after
       the batch (``elapsed_seconds`` is the wall-clock of that simulation).

@@ -10,8 +10,8 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.robust import FaultPlan, InjectedFault, RetryPolicy
-from repro.robust.retry import _invoke, run_robust_chunks
-from repro.sim.parallel import ParallelConfig
+from repro.robust.retry import _invoke
+from repro.sim.parallel import ParallelConfig, iter_chunk_results
 
 PAR = ParallelConfig(jobs=2)
 
@@ -29,7 +29,7 @@ def poisoned(x):
 
 
 def collect(fn, tasks, **kwargs):
-    return dict(run_robust_chunks(fn, tasks, PAR, **kwargs))
+    return dict(iter_chunk_results(fn, tasks, PAR, **kwargs))
 
 
 def tasks_for(n):
@@ -188,10 +188,16 @@ class TestRunRobustChunks:
         import multiprocessing
         import time
 
-        gen = run_robust_chunks(square, tasks_for(4), PAR)
-        next(gen)
-        gen.close()
-        deadline = time.monotonic() + 10.0
-        while multiprocessing.active_children() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not multiprocessing.active_children()
+        # Both the fail-fast loop and its retrying error path; one test
+        # rather than a parametrization keeps the test id stable.
+        for retry in (None, RetryPolicy()):
+            gen = iter_chunk_results(square, tasks_for(4), PAR, retry=retry)
+            next(gen)
+            gen.close()
+            deadline = time.monotonic() + 10.0
+            while (
+                multiprocessing.active_children()
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.05)
+            assert not multiprocessing.active_children()

@@ -14,6 +14,8 @@ from repro.analysis.league import Entrant, league
 from repro.analysis.sweep import SweepConfig, ratio_sweep
 from repro.core.prio import prio_schedule
 from repro.dag.builders import fork_join
+from repro.obs.metrics import MetricsRegistry
+from repro.robust import FaultPlan, RetryPolicy
 from repro.sim import parallel as parallel_mod
 from repro.sim.compile import CompiledDag
 from repro.sim.engine import SimParams
@@ -247,6 +249,93 @@ class TestInProcessDriver:
         for compiled in (a, b, a):
             clone = pickle.loads(pickle.dumps(compiled))
             assert clone.child_lists() == compiled.child_lists()
+
+
+def square(x):
+    """Module-level so it is picklable for the worker pool."""
+    return x * x
+
+
+#: Arguments :func:`traced_square` ran with in *this* process; pool
+#: workers append to their own copies.
+RAN_HERE = []
+
+
+def traced_square(x):
+    RAN_HERE.append(x)
+    return x * x
+
+
+class TestPoolWindow:
+    """The pool loop pulls tasks lazily: at most one window of chunks is
+    pulled but not yet yielded, and only those are ever charged."""
+
+    PAR = ParallelConfig(jobs=2)
+    WINDOW = 2 * PAR.jobs * parallel_mod._CHUNKS_PER_WORKER
+    N = 200
+
+    def counting(self, tally):
+        """N tasks; *tally* tracks pulled, yielded and their widest gap."""
+        for i in range(self.N):
+            tally["pulled"] += 1
+            tally["gap"] = max(tally["gap"], tally["pulled"] - tally["yielded"])
+            yield i, (i,)
+
+    @pytest.mark.parametrize(
+        "retry", [None, RetryPolicy()], ids=["fail-fast", "retrying"]
+    )
+    def test_pulled_minus_yielded_stays_within_the_window(self, retry):
+        tally = {"pulled": 0, "yielded": 0, "gap": 0}
+        results = {}
+        for key, value in iter_chunk_results(
+            square, self.counting(tally), self.PAR, retry=retry
+        ):
+            tally["yielded"] += 1
+            results[key] = value
+        assert results == {i: i * i for i in range(self.N)}
+        assert 0 < tally["gap"] <= self.WINDOW
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["list", "generator"])
+    def test_kill_after_the_first_window_charges_only_submitted_chunks(
+        self, lazy
+    ):
+        # Chunk k is pulled only after the first window has filled.  Its
+        # kill rebuilds the pool; two failures then use up its attempts,
+        # so k (and only k) runs in this process, which names the chunk
+        # the plan hit.
+        k = self.WINDOW + 5
+        plan = FaultPlan(kills={(k, 0)}, failures={(k, 1), (k, 2)})
+        tally = {"pulled": 0, "yielded": 0, "gap": 0}
+        tasks = (
+            self.counting(tally)
+            if lazy
+            else [(i, (i,)) for i in range(self.N)]
+        )
+        registry = MetricsRegistry()
+        RAN_HERE.clear()
+        results = dict(
+            iter_chunk_results(
+                traced_square,
+                tasks,
+                self.PAR,
+                retry=RetryPolicy(base_delay=0.0),
+                faults=plan,
+                metrics=registry,
+            )
+        )
+        clean = dict(
+            iter_chunk_results(
+                square, [(i, (i,)) for i in range(self.N)], self.PAR
+            )
+        )
+        assert results == clean
+        assert RAN_HERE == [k]
+        assert registry.counter("robust.pool_rebuild").value == 1
+        assert registry.counter("robust.degraded_serial").value == 1
+        # The rebuild charged the in-flight chunks (k among them), never
+        # the tasks still in the iterator; k's two failures add two.
+        charged = registry.counter("robust.retry").value - 2
+        assert 1 <= charged <= self.WINDOW
 
 
 class TestAnalysisParallel:
