@@ -20,7 +20,7 @@ __all__ = ["JobDecl", "SpliceDecl", "DagmanFile", "JOBPRIORITY_MACRO"]
 JOBPRIORITY_MACRO = "jobpriority"
 
 
-@dataclass
+@dataclass(slots=True)
 class JobDecl:
     """One ``JOB`` (or legacy ``DATA``) statement.
 
@@ -54,14 +54,17 @@ class DagmanFile:
 
     ``jobs`` preserves declaration order (it defines node ids and FIFO
     tie-breaking); ``arcs`` are expanded (parent, child) name pairs in
-    statement order; ``vars_`` maps job name to its macro dict.  ``lines``
-    is the file verbatim, and the mutation methods keep it in sync.
+    statement order; ``vars_`` maps job name to its macro dict.  ``units``
+    names every JOB/DATA/SUBDAG and SPLICE in statement order, as the
+    parser read them (the importer's flat ids follow it).  ``lines`` is
+    the file verbatim, and the mutation methods keep it in sync.
     """
 
     jobs: dict[str, JobDecl] = field(default_factory=dict)
     arcs: list[tuple[str, str]] = field(default_factory=list)
     vars_: dict[str, dict[str, str]] = field(default_factory=dict)
     splices: dict[str, SpliceDecl] = field(default_factory=dict)
+    units: list[str] = field(default_factory=list)
     retries: dict[str, int] = field(default_factory=dict)
     #: SCRIPT hooks: (job name, "pre"|"post") -> shell command line
     scripts: dict[tuple[str, str], str] = field(default_factory=dict)

@@ -45,24 +45,22 @@ def parse_dagman_file(path: str | Path) -> DagmanFile:
 def parse_dagman_text(text: str) -> DagmanFile:
     """Parse DAGMan file contents into a :class:`DagmanFile`."""
     result = DagmanFile()
-    lines = text.splitlines()
-    result.lines = list(lines)
+    lines = result.lines = text.splitlines()
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         keyword = tokens[0].upper()
         if keyword in ("JOB", "DATA"):
             _parse_job(result, tokens, line_no, is_data=(keyword == "DATA"))
         elif keyword == "PARENT":
             _parse_parent_child(result, tokens, line_no)
         elif keyword == "VARS":
-            _parse_vars(result, tokens, line, line_no)
+            _parse_vars(result, tokens, raw.strip(), line_no)
         elif keyword == "RETRY":
             _parse_retry(result, tokens, line_no)
         elif keyword == "SCRIPT":
-            _parse_script(result, tokens, line, line_no)
+            _parse_script(result, tokens, raw.strip(), line_no)
         elif keyword == "SPLICE":
             _parse_splice(result, tokens, line_no)
         elif keyword == "SUBDAG":
@@ -120,17 +118,17 @@ def _parse_job(
         else:
             raise DagmanParseError(f"unexpected JOB token {rest[i]!r}", line_no)
     result.jobs[name] = decl
+    result.units.append(name)
 
 
 def _parse_parent_child(
     result: DagmanFile, tokens: list[str], line_no: int
 ) -> None:
-    try:
-        child_at = next(
-            i for i, tok in enumerate(tokens) if tok.upper() == "CHILD"
-        )
-    except StopIteration:
-        raise DagmanParseError("PARENT without CHILD", line_no) from None
+    for child_at in range(1, len(tokens)):
+        if tokens[child_at].upper() == "CHILD":
+            break
+    else:
+        raise DagmanParseError("PARENT without CHILD", line_no)
     parents = tokens[1:child_at]
     children = tokens[child_at + 1:]
     if not parents or not children:
@@ -203,6 +201,7 @@ def _parse_splice(result: DagmanFile, tokens: list[str], line_no: int) -> None:
                 f"unexpected SPLICE tokens {rest!r}", line_no
             )
     result.splices[name] = decl
+    result.units.append(name)
 
 
 def _parse_subdag(result: DagmanFile, tokens: list[str], line_no: int) -> None:
@@ -225,6 +224,7 @@ def _parse_subdag(result: DagmanFile, tokens: list[str], line_no: int) -> None:
                 f"unexpected SUBDAG tokens {rest!r}", line_no
             )
     result.jobs[name] = decl
+    result.units.append(name)
 
 
 def _parse_done(result: DagmanFile, tokens: list[str], line_no: int) -> None:

@@ -179,6 +179,36 @@ class TestSubdagModes:
         assert again.to_dag().fingerprint() == w.fingerprint()
 
 
+class TestScripts:
+    def test_thousands_of_scripted_jobs_keep_their_hooks(self):
+        # A chain with a POST script per job (and a PRE on every third):
+        # scripts are grouped once per file, each job gets exactly its own.
+        n = 3000
+        lines = [f"JOB j{i} j.sub" for i in range(n)]
+        lines += [f"PARENT j{i} CHILD j{i + 1}" for i in range(n - 1)]
+        lines += [f"SCRIPT POST j{i} post.sh {i}" for i in range(n)]
+        lines += [f"SCRIPT PRE j{i} pre.sh {i}" for i in range(0, n, 3)]
+        tree = {
+            "root.dag": "SPLICE s inner.dag\nJOB last last.sub\n"
+                        "PARENT s CHILD last\n",
+            "inner.dag": "\n".join(lines) + "\n",
+        }
+        w = import_dagman_tree(tree, "root.dag")
+        assert w.n_jobs == n + 1
+        expected = {}
+        for i in range(n):
+            expected[(f"s+j{i}", "post")] = f"post.sh {i}"
+            if i % 3 == 0:
+                expected[(f"s+j{i}", "pre")] = f"pre.sh {i}"
+        assert w.flat.scripts == expected
+        # Flat order: job by job, each job's hooks in statement order.
+        assert list(w.flat.scripts)[:3] == [
+            ("s+j0", "post"), ("s+j0", "pre"), ("s+j1", "post")
+        ]
+        again = parse_dagman_text(w.render())
+        assert again.scripts == w.flat.scripts
+
+
 class TestErrors:
     def test_missing_root(self):
         with pytest.raises(DagmanImportError, match="not in tree"):
