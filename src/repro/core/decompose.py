@@ -54,7 +54,6 @@ from ..dag.graph import Dag
 __all__ = ["Component", "Decomposition", "Remnant", "decompose"]
 
 
-@dataclass(frozen=True)
 class Component:
     """One building block detached from the dag.
 
@@ -63,13 +62,37 @@ class Component:
     ``global_sinks`` are sinks of the whole dag that the final all-sinks
     phase will execute.  ``nodes`` is their union, in a deterministic order
     (sorted ids), and induces the component subgraph.
+
+    A plain slotted class, treated as read-only: every live tick detaches
+    every block of the remnant anew, and a frozen dataclass costs about
+    twice as much to build.  Blocks are neither hashed nor compared.
     """
 
-    index: int
-    nonsinks: tuple[int, ...]
-    shared_sinks: tuple[int, ...]
-    global_sinks: tuple[int, ...]
-    is_bipartite: bool
+    __slots__ = (
+        "index", "nonsinks", "shared_sinks", "global_sinks", "is_bipartite"
+    )
+
+    def __init__(
+        self,
+        index: int,
+        nonsinks: tuple[int, ...],
+        shared_sinks: tuple[int, ...],
+        global_sinks: tuple[int, ...],
+        is_bipartite: bool,
+    ):
+        self.index = index
+        self.nonsinks = nonsinks
+        self.shared_sinks = shared_sinks
+        self.global_sinks = global_sinks
+        self.is_bipartite = is_bipartite
+
+    def __repr__(self) -> str:
+        return (
+            f"Component(index={self.index}, nonsinks={self.nonsinks}, "
+            f"shared_sinks={self.shared_sinks}, "
+            f"global_sinks={self.global_sinks}, "
+            f"is_bipartite={self.is_bipartite})"
+        )
 
     @property
     def nodes(self) -> tuple[int, ...]:
@@ -347,13 +370,8 @@ def decompose(dag: Dag, remnant: Remnant | None = None) -> Decomposition:
         failed_since_detach.clear()
         if nonsinks or shared or globals_:
             components.append(
-                Component(
-                    index=index,
-                    nonsinks=tuple(nonsinks),
-                    shared_sinks=tuple(shared),
-                    global_sinks=tuple(globals_),
-                    is_bipartite=bipartite,
-                )
+                Component(index, tuple(nonsinks), tuple(shared),
+                          tuple(globals_), bipartite)
             )
 
     while state.n_alive:
