@@ -183,6 +183,14 @@ class TestIterUnits:
         # An empty batch still reports its unit back.
         assert done["b"] == [[]]
 
+    def test_chunk_by_chunk_spawns_match_one_whole_spawn(self):
+        whole = np.random.SeedSequence(42).spawn(10)
+        seq = np.random.SeedSequence(42)
+        chunked = [c for size in (3, 3, 4) for c in seq.spawn(size)]
+        assert [(c.entropy, c.spawn_key) for c in chunked] == [
+            (c.entropy, c.spawn_key) for c in whole
+        ]
+
     def test_units_are_pulled_one_at_a_time_without_a_pool(self, params):
         compiled = CompiledDag.from_dag(fork_join(3))
         pulled = []

@@ -213,6 +213,16 @@ class TestSweepCommand:
         assert "--live pins" in capsys.readouterr().err
 
 
+    def test_stdout_identical_at_one_and_two_jobs(self, capsys):
+        argv = ["sweep", "airsn-small", "--mu-bit", "1.0", "--mu-bs", "4.0",
+                "16.0", "-p", "4", "-q", "4", "--failure-prob", "0.2"]
+        outputs = []
+        for jobs in ("1", "2"):
+            assert main([*argv, "-j", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
 class TestDecomposeCommand:
     def test_lists_blocks_and_families(self, capsys):
         main(["decompose", "airsn-small"])
