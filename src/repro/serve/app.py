@@ -319,7 +319,7 @@ class PrioService:
                 if exc.partial:
                     self._conn_busy[task] = True
                     await self._send_error(
-                        writer, errors.truncated_body(
+                        reader, writer, errors.truncated_body(
                             "connection closed mid-request-head"
                         ), keep_alive=False,
                     )
@@ -327,6 +327,7 @@ class PrioService:
             except (asyncio.LimitOverrunError, ValueError):
                 self._conn_busy[task] = True
                 await self._send_error(
+                    reader,
                     writer,
                     errors.payload_too_large(_MAX_HEAD, _MAX_HEAD),
                     keep_alive=False,
@@ -365,14 +366,16 @@ class PrioService:
             await self._send(writer, 200, payload, keep_alive=keep_alive)
         except ServeError as exc:
             status, code = exc.status, exc.code
-            await self._send_error(writer, exc, keep_alive=keep_alive)
+            await self._send_error(reader, writer, exc, keep_alive=keep_alive)
         except (ConnectionError, OSError):
             return False
         except Exception:
             log.exception("unhandled error serving %s %s", method, path)
             status, code = 500, "internal"
             keep_alive = False
-            await self._send_error(writer, errors.internal(), keep_alive=False)
+            await self._send_error(
+                reader, writer, errors.internal(), keep_alive=False
+            )
         self._observe(method, path, status, code, time.perf_counter() - started)
         return keep_alive and not self.draining
 
@@ -513,7 +516,7 @@ class PrioService:
         writer.write("\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + body)
         await writer.drain()
 
-    async def _send_error(self, writer, exc: ServeError, *,
+    async def _send_error(self, reader, writer, exc: ServeError, *,
                           keep_alive: bool) -> None:
         try:
             await self._send(
@@ -523,8 +526,32 @@ class PrioService:
                 keep_alive=keep_alive,
                 headers=exc.headers,
             )
+            if not keep_alive:
+                await self._linger(reader, writer)
         except (ConnectionError, OSError):
             pass  # client is already gone
+
+    async def _linger(self, reader, writer) -> None:
+        """Half-close, then discard what the client still sends, up to one
+        more maximal request or ``io_timeout``.  Closing a socket with
+        unread bytes in it makes the kernel reset the connection, and the
+        reset can destroy the error response before the client reads it
+        (a client still sending an oversized body, say)."""
+        if writer.can_write_eof():
+            writer.write_eof()
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.limits.io_timeout
+        budget = self.limits.max_body_bytes + _MAX_HEAD
+        try:
+            while budget > 0:
+                chunk = await asyncio.wait_for(
+                    reader.read(min(budget, 65536)), deadline - loop.time()
+                )
+                if not chunk:
+                    return
+                budget -= len(chunk)
+        except asyncio.TimeoutError:
+            pass
 
     def _observe(self, method, path, status, code, seconds) -> None:
         self.metrics.counter("serve.requests").inc()
