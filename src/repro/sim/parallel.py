@@ -97,7 +97,8 @@ class ParallelConfig:
         return max(1, math.ceil(count / (self.jobs * _CHUNKS_PER_WORKER)))
 
     def chunked(self, entries: list) -> list[list]:
-        """Partition index-tagged entries into contiguous task chunks."""
+        """Partition *entries* (a list, or a range of replication
+        indices) into contiguous task chunks."""
         size = self.resolve_chunk_size(len(entries))
         return [entries[i: i + size] for i in range(0, len(entries), size)]
 

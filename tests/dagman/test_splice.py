@@ -130,6 +130,15 @@ class TestFlattenFile:
         with pytest.raises(DagmanImportError, match="cannot read"):
             import_dagman_file(tmp_path / "a.dag")
 
+    def test_symlink_loop_is_an_unreadable_file(self, tmp_path):
+        (tmp_path / "loop1").symlink_to("loop2")
+        (tmp_path / "loop2").symlink_to("loop1")
+        self._write(tmp_path, "a.dag", "SPLICE b loop1\n")
+        with pytest.raises(DagmanImportError, match="cannot read.*loop1"):
+            import_dagman_file(tmp_path / "a.dag")
+        with pytest.raises(DagmanImportError, match="cannot read.*loop1"):
+            import_dagman_file(tmp_path / "loop1")
+
     def test_tool_integration(self, tmp_path):
         self._write(tmp_path, "inner.dag", INNER)
         self._write(tmp_path, "outer.dag", OUTER)

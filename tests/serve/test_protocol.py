@@ -268,6 +268,23 @@ def test_oversized_payload_returns_413(server, client):
     _assert_recovered(service, client)
 
 
+def test_413_survives_a_client_that_sends_the_whole_body(server, client):
+    """The server answers while the client is still sending.  Closing with
+    the rest of the body unread makes the kernel reset the connection,
+    which can destroy the answer; the server drains before it closes."""
+    service, host, port = server
+    body = b"x" * (service.limits.max_body_bytes + 1)
+    request = (
+        "POST /schedule HTTP/1.1\r\nHost: x\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    ).encode() + body
+    with socket.create_connection((host, port), timeout=30.0) as sock:
+        sock.sendall(request)
+        raw = b"".join(iter(lambda: sock.recv(65536), b""))
+    assert _status_and_code(raw) == (413, "payload_too_large")
+    _assert_recovered(service, client)
+
+
 def test_oversized_content_length_rejected_without_reading_body(server, client):
     """A huge Content-Length is refused up front — the server never
     buffers the claimed body."""
