@@ -1,15 +1,17 @@
-"""Extension — the grand policy league: every policy x every workload.
+"""Extension — the policy league at scale: every policy x every workload.
 
 The paper compares two algorithms on four workloads.  The registry now
 holds a policy zoo (PRIO, FIFO, RANDOM, upward-rank, DAGPS), and the
 arena build path produces synthetic dags far beyond the paper's sizes —
 so the league generalizes into a tournament: every policy races every
 workload under common random numbers, per-replication contests are
-aggregated into win rates, and the one-time scheduling cost (the cost
-the paper amortizes) is reported per dag size.
+aggregated into win rates and exact ties are counted, each policy's
+sign-test p-value against FIFO is reported per workload, and the
+one-time scheduling cost (the cost the paper amortizes) is reported per
+dag size.  Each block is one :func:`~repro.analysis.league.league` call.
 
 Measurements, written to ``benchmarks/results/BENCH_league.json``
-(schema 2):
+(schema 3; schema 2 lacked ``p_beats_baseline`` and ``ties``):
 
 * **Registry block** — the paper's four workloads (small variants), all
   five CLI policies with a static order or no state (``prio-live`` sits
@@ -36,7 +38,7 @@ from pathlib import Path
 import numpy as np
 from common import banner, full_fidelity
 
-from repro.analysis.league import grand_league, render_grand_league
+from repro.analysis.league import Entrant, league, render_league
 from repro.robust import write_atomic
 from repro.sim.engine import SimParams
 from repro.workloads.registry import get_workload
@@ -50,6 +52,7 @@ REGISTRY_WORKLOADS = (
     "nipype-small", "cax-small",
 )
 POLICIES = ("prio", "fifo", "random", "upward-rank", "dagps")
+ENTRANTS = [Entrant(kind, kind) for kind in POLICIES]
 
 #: Registry block at the paper's headline cell; arena block at the sweep
 #: grid's central cell (wide batches keep the step count proportional to
@@ -58,21 +61,23 @@ REGISTRY_PARAMS = SimParams(mu_bit=1.0, mu_bs=16.0)
 ARENA_PARAMS = SimParams(mu_bit=1.0, mu_bs=256.0)
 
 
-def _cell_dict(cell) -> dict:
+def _cell_dict(row) -> dict:
     return {
-        "workload": cell.workload,
-        "n_jobs": cell.n_jobs,
-        "policy": cell.policy,
-        "mean_execution_time": cell.mean_execution_time,
-        "mean_utilization": cell.mean_utilization,
-        "mean_stalling": cell.mean_stalling,
-        "win_rate": cell.win_rate,
-        "order_seconds": cell.order_seconds,
-        "sim_seconds": cell.sim_seconds,
+        "workload": row.workload,
+        "n_jobs": row.n_jobs,
+        "policy": row.name,
+        "mean_execution_time": row.mean_execution_time,
+        "mean_utilization": row.mean_utilization,
+        "mean_stalling": row.mean_stalling,
+        "win_rate": row.win_rate,
+        "ties": row.ties,
+        "p_beats_baseline": row.p_beats_baseline,
+        "order_seconds": row.order_seconds,
+        "sim_seconds": row.sim_seconds,
     }
 
 
-def test_grand_league(benchmark):
+def test_league_at_scale(benchmark):
     registry_runs = 40 if full_fidelity() else 16
     arena_runs = 16 if full_fidelity() else 6
 
@@ -96,34 +101,40 @@ def test_grand_league(benchmark):
         )
 
     def run():
-        registry = grand_league(
+        registry = league(
             registry_dags,
-            POLICIES,
+            ENTRANTS,
             REGISTRY_PARAMS,
             n_runs=registry_runs,
             seed=17,
+            baseline="fifo",
         )
-        arena = grand_league(
-            arena_dags, POLICIES, ARENA_PARAMS, n_runs=arena_runs, seed=17
+        arena = league(
+            arena_dags,
+            ENTRANTS,
+            ARENA_PARAMS,
+            n_runs=arena_runs,
+            seed=17,
+            baseline="fifo",
         )
         return registry, arena
 
     registry, arena = benchmark.pedantic(run, rounds=1, iterations=1)
 
     print(banner(
-        f"grand league: {len(POLICIES)} policies, "
+        f"policy league: {len(POLICIES)} policies, "
         f"{len(registry_dags) + len(arena_dags)} workloads"
     ))
-    print(render_grand_league(registry))
+    print(render_league(registry))
     print()
-    print(render_grand_league(arena))
+    print(render_league(arena))
 
-    cells = list(registry.cells) + list(arena.cells)
+    cells = registry + arena
     overall: dict[str, list[float]] = {}
     for cell in cells:
-        overall.setdefault(cell.policy, []).append(cell.win_rate)
+        overall.setdefault(cell.name, []).append(cell.win_rate)
     payload = {
-        "schema": 2,
+        "schema": 3,
         "bench": "league",
         "policies": list(POLICIES),
         "registry_runs": registry_runs,
@@ -142,11 +153,11 @@ def test_grand_league(benchmark):
             {
                 "workload": c.workload,
                 "n_jobs": c.n_jobs,
-                "policy": c.policy,
+                "policy": c.name,
                 "order_seconds": c.order_seconds,
             }
             for c in cells
-            if c.policy in ("prio", "upward-rank", "dagps")
+            if c.name in ("prio", "upward-rank", "dagps")
         ],
     }
     # Write before the gates: CI uploads this artifact to diagnose
@@ -157,7 +168,7 @@ def test_grand_league(benchmark):
     print(f"\nwrote {out}")
 
     # --- acceptance gates -------------------------------------------------
-    assert len({c.policy for c in cells}) >= 4
+    assert len({c.name for c in cells}) >= 4
     assert max(c.n_jobs for c in cells) >= 100_000
     for wname in set(c.workload for c in cells):
         block = [c for c in cells if c.workload == wname]
@@ -166,14 +177,10 @@ def test_grand_league(benchmark):
             f"win rates in {wname} sum to {total}, not 1"
         )
     prio_mean = np.mean([
-        c.mean_execution_time
-        for c in registry.cells
-        if c.policy == "prio"
+        c.mean_execution_time for c in registry if c.name == "prio"
     ])
     fifo_mean = np.mean([
-        c.mean_execution_time
-        for c in registry.cells
-        if c.policy == "fifo"
+        c.mean_execution_time for c in registry if c.name == "fifo"
     ])
     assert prio_mean < fifo_mean, (
         f"PRIO ({prio_mean:.2f}) did not beat FIFO ({fifo_mean:.2f}) "

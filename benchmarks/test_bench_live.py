@@ -15,8 +15,13 @@ reprioritize_remnant` over the current executed set.
 
 Both paths produce byte-identical priorities (the property suite pins it
 per step; this bench re-checks the final state), so the only question is
-advance latency.  Writes BENCH_live.json, then gates: the incremental
-path must be >= 5x faster over the whole stream at the largest workload.
+advance latency.  One stream's ratio swings with host load (single runs
+of the same tree read 4.35x-7.90x on sdss-medium), so each workload is
+timed in ``ROUNDS`` rounds (3, or 5 under ``REPRO_BENCH_FULL=1``), each
+round one incremental and one stateless pass back to back, which one
+goes first alternating by round.  Writes every round's ratio to
+BENCH_live.json, then gates: the *median* ratio must be >= 5x at the
+largest workload.
 
 Each row also replays the stream through a checkpointing
 :class:`~repro.live.SessionStore` (what ``--session-dir`` serves):
@@ -26,6 +31,7 @@ size.  These are reported, not gated.
 """
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -40,6 +46,7 @@ RESULTS = Path(__file__).parent / "results"
 
 TARGET_WAVES = 40  # batch size is derived so each stream is ~40 waves
 SPEEDUP_GATE = 5.0
+ROUNDS = 5 if full_fidelity() else 3
 
 
 def workload_names():
@@ -105,35 +112,50 @@ def test_live_advance_speedup(benchmark, tmp_path):
         for name in names:
             dag = get_workload(name)
             batches = failure_stream(dag)
-            inc_seconds, recomputes, inc_priorities = time_incremental(
-                dag, batches
-            )
+            inc_runs, base_runs = [], []
+            for round_no in range(ROUNDS):
+                # Odd rounds time the stateless pass first, so a drift in
+                # host load does not always land on the same side.
+                if round_no % 2:
+                    base_runs.append(time_stateless(dag, batches))
+                inc_runs.append(time_incremental(dag, batches))
+                if not round_no % 2:
+                    base_runs.append(time_stateless(dag, batches))
             durable_seconds, checkpoint_bytes, durable_priorities = (
                 time_durable(dag, batches, tmp_path / name)
             )
-            base_seconds, base_priorities = time_stateless(dag, batches)
+            _, recomputes, inc_priorities = inc_runs[-1]
             # The whole point of the incremental path is that speed never
             # costs correctness: same bytes as the from-scratch oracle.
-            assert inc_priorities == base_priorities, name
+            assert inc_priorities == base_runs[-1][1], name
             assert durable_priorities == inc_priorities, name
+            inc_seconds = [run[0] for run in inc_runs]
+            base_seconds = [run[0] for run in base_runs]
+            speedups = [
+                base / inc for inc, base in zip(inc_seconds, base_seconds)
+            ]
             rows.append(
                 {
                     "workload": name,
                     "n_jobs": dag.n,
                     "n_advances": len(batches),
                     "n_recomputes": recomputes,
-                    "incremental_seconds": inc_seconds,
+                    "incremental_seconds": statistics.median(inc_seconds),
                     "durable_seconds": durable_seconds,
                     "checkpoint_bytes": checkpoint_bytes,
-                    "stateless_seconds": base_seconds,
-                    "speedup": base_seconds / inc_seconds,
+                    "stateless_seconds": statistics.median(base_seconds),
+                    "round_speedups": speedups,
+                    "speedup": statistics.median(speedups),
                 }
             )
         return rows
 
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
 
-    print(f"\nlive rescheduling — advance cost ({RESULTS_NOTE})")
+    print(
+        f"\nlive rescheduling — advance cost, median of {ROUNDS} rounds "
+        f"({RESULTS_NOTE})"
+    )
     print(
         f"  {'workload':<16} {'jobs':>6} {'advances':>8} {'recomp':>6} "
         f"{'incremental':>12} {'durable':>9} {'ckpt KB':>8} "
@@ -147,7 +169,9 @@ def test_live_advance_speedup(benchmark, tmp_path):
             f"{row['durable_seconds']:>8.3f}s "
             f"{row['checkpoint_bytes'] / 1024:>8.1f} "
             f"{row['stateless_seconds']:>9.3f}s "
-            f"{row['speedup']:>7.2f}x"
+            f"{row['speedup']:>7.2f}x  ("
+            + ", ".join(f"{r:.2f}x" for r in row["round_speedups"])
+            + ")"
         )
 
     RESULTS.mkdir(exist_ok=True)
@@ -155,10 +179,11 @@ def test_live_advance_speedup(benchmark, tmp_path):
         RESULTS / "BENCH_live.json",
         json.dumps(
             {
-                "schema": 1,
+                "schema": 2,
                 "bench": "live",
                 "target_waves": TARGET_WAVES,
                 "speedup_gate": SPEEDUP_GATE,
+                "rounds": ROUNDS,
                 "rows": rows,
             },
             indent=2,
@@ -171,6 +196,6 @@ def test_live_advance_speedup(benchmark, tmp_path):
     largest = max(rows, key=lambda row: row["n_jobs"])
     assert largest["speedup"] >= SPEEDUP_GATE, (
         f"incremental advance only {largest['speedup']:.2f}x faster than "
-        f"stateless recompute on {largest['workload']} "
-        f"(gate: {SPEEDUP_GATE}x)"
+        f"stateless recompute on {largest['workload']} (median of "
+        f"{largest['round_speedups']}; gate: {SPEEDUP_GATE}x)"
     )

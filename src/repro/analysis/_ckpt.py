@@ -55,18 +55,18 @@ class UnitLedger:
 
     *checkpoint* (a :class:`~repro.robust.checkpoint.Checkpoint`) and
     *telemetry* (a :class:`~repro.obs.recorder.TelemetryRecorder`) may
-    each be ``None``; every method is then a no-op for that half.
+    each be ``None``; every method is then a no-op for that half.  Each
+    unit names its *workload*, the ``replication`` records' workload.
     """
 
-    __slots__ = ("checkpoint", "telemetry", "workload", "restored")
+    __slots__ = ("checkpoint", "telemetry", "restored")
 
-    def __init__(self, checkpoint, telemetry, workload: str):
+    def __init__(self, checkpoint, telemetry):
         self.checkpoint = checkpoint
         self.telemetry = telemetry
-        self.workload = workload
         self.restored = 0
 
-    def restore(self, key: str, sides, params) -> dict | None:
+    def restore(self, key: str, workload: str, sides, params) -> dict | None:
         """Unit *key*'s stored payload, or ``None`` if it must run.
 
         A restored unit's stored rows are replayed as ``replication``
@@ -87,6 +87,7 @@ class UnitLedger:
                     "resuming"
                 )
             self._emit(
+                workload,
                 sides,
                 params,
                 [[result_from_row(row) for row in stored.get(side, ())]
@@ -105,13 +106,14 @@ class UnitLedger:
             )
 
     def complete(
-        self, key: str, sides, params, results, elapsed, payload: dict
+        self, key: str, workload: str, sides, params, results, elapsed,
+        payload: dict,
     ) -> None:
         """A freshly run unit: write its ``replication`` records (per side,
         in *sides* order), then durably record *payload* under *key* —
         with the rows when telemetry is on too."""
         if self.telemetry is not None:
-            self._emit(sides, params, results, elapsed)
+            self._emit(workload, sides, params, results, elapsed)
         if self.checkpoint is None:
             return
         if self.telemetry is not None:
@@ -127,11 +129,11 @@ class UnitLedger:
                 done=self.checkpoint.n_done,
             )
 
-    def _emit(self, sides, params, results, elapsed) -> None:
+    def _emit(self, workload, sides, params, results, elapsed) -> None:
         for number, (side, side_results) in enumerate(zip(sides, results)):
             for rep, result in enumerate(side_results):
                 self.telemetry.replication(
-                    workload=self.workload,
+                    workload=workload,
                     policy=side,
                     rep=rep,
                     params=params,

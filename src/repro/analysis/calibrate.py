@@ -150,12 +150,12 @@ def calibrate_cell(
     q = start_q
     converged = False
     par = resolve_parallel(jobs, None)
-    ledger = UnitLedger(checkpoint, telemetry, workload)
+    ledger = UnitLedger(checkpoint, telemetry)
     while True:
         step_started = time.perf_counter()
         need = p * q - len(prio_vals)
         key = f"step/q{q}"
-        payload = ledger.restore(key, ("prio", "fifo"), params)
+        payload = ledger.restore(key, workload, ("prio", "fifo"), params)
         if payload is not None:
             # Restored step: advance the spawn tree exactly as a fresh
             # run would (spawning is stateful), then reuse its values.
@@ -181,7 +181,7 @@ def calibrate_cell(
             prio_vals.extend(MetricArrays(results[0]).metric(metric))
             fifo_vals.extend(MetricArrays(results[1]).metric(metric))
             ledger.complete(
-                key, ("prio", "fifo"), params, results, elapsed,
+                key, workload, ("prio", "fifo"), params, results, elapsed,
                 {
                     "prio_vals": [float(v) for v in prio_vals],
                     "fifo_vals": [float(v) for v in fifo_vals],

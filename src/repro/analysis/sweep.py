@@ -373,11 +373,11 @@ def ratio_sweep(
     fifo_factory = policy_factory("fifo")
     specs = _cell_specs(config)
     total = len(specs)
-    ledger = UnitLedger(checkpoint, telemetry, workload)
+    ledger = UnitLedger(checkpoint, telemetry)
     cells: list[CellResult | None] = [None] * total
     done = 0
     for index, (mu_bit, mu_bs, params, _, _) in enumerate(specs):
-        payload = ledger.restore(f"cell/{index}", _SIDES, params)
+        payload = ledger.restore(f"cell/{index}", workload, _SIDES, params)
         if payload is None:
             continue
         if payload["mu_bit"] != mu_bit or payload["mu_bs"] != mu_bs:
@@ -417,7 +417,7 @@ def ratio_sweep(
             config, mu_bit, mu_bs, *map(MetricArrays, results)
         )
         ledger.complete(
-            f"cell/{index}", _SIDES, params, results, elapsed,
+            f"cell/{index}", workload, _SIDES, params, results, elapsed,
             _cell_payload(cells[index]),
         )
         if telemetry is not None:

@@ -650,6 +650,9 @@ def _cmd_league(args: argparse.Namespace) -> int:
             {
                 "driver": "league",
                 "workload": name,
+                # Units are keyed per workload; checkpoints keyed by
+                # entrant alone cannot resume into this layout.
+                "keys": "entrant/{workload}/{name}",
                 "entrants": [
                     [e.name, e.kind, list(e.order) if e.order else None]
                     for e in entrants
@@ -666,7 +669,7 @@ def _cmd_league(args: argparse.Namespace) -> int:
         )
         with ProgressMeter(f"league {name}", unit="entrant") as meter:
             rows = league(
-                dag,
+                {name: dag},
                 entrants,
                 SimParams(
                     mu_bit=args.mu_bit,
@@ -679,7 +682,6 @@ def _cmd_league(args: argparse.Namespace) -> int:
                 n_runs=args.runs,
                 seed=args.seed,
                 jobs=args.jobs,
-                workload=name,
                 progress=meter,
                 telemetry=telemetry,
                 checkpoint=checkpoint,

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.league import (
-    Entrant,
-    grand_league,
-    league,
-    render_grand_league,
-    render_league,
-)
+from repro.analysis.league import Entrant, league, render_league
 from repro.core.fifo import fifo_schedule
 from repro.core.prio import prio_schedule
 from repro.sim.engine import SimParams
@@ -30,7 +24,7 @@ def rows():
         Entrant("fifo", "fifo"),
     ]
     return league(
-        dag,
+        {"airsn-40": dag},
         entrants,
         SimParams(mu_bit=1.0, mu_bs=8.0),
         n_runs=24,
@@ -66,11 +60,14 @@ class TestLeague:
         dag = airsn(5)
         params = SimParams(mu_bit=1.0, mu_bs=2.0)
         with pytest.raises(ValueError, match="at least one"):
-            league(dag, [], params)
+            league({"a": dag}, [], params)
         with pytest.raises(ValueError, match="unique"):
-            league(dag, [Entrant("x", "fifo"), Entrant("x", "fifo")], params)
+            league(
+                {"a": dag}, [Entrant("x", "fifo"), Entrant("x", "fifo")],
+                params,
+            )
         with pytest.raises(ValueError, match="baseline"):
-            league(dag, [Entrant("x", "fifo")], params, baseline="nope")
+            league({"a": dag}, [Entrant("x", "fifo")], params, baseline="nope")
 
     def test_render(self, rows):
         text = render_league(rows)
@@ -85,7 +82,7 @@ class TestLeague:
             Entrant("fifo", "fifo"),
         ]
         rows = league(
-            dag,
+            {"airsn-10": dag},
             entrants,
             SimParams(mu_bit=1.0, mu_bs=4.0),
             n_runs=6,
@@ -107,7 +104,7 @@ class TestLiveEntrants:
             Entrant("fifo", "fifo"),
         ]
         rows = league(
-            dag,
+            {"airsn-20": dag},
             entrants,
             SimParams(mu_bit=1.0, mu_bs=8.0, failure_prob=0.3,
                       straggler_prob=0.2),
@@ -132,7 +129,8 @@ class TestLiveEntrants:
             Entrant("fifo", "fifo"),
         ]
         rows = league(
-            dag, entrants, SimParams(mu_bit=1.0, mu_bs=8.0), n_runs=6, seed=2
+            {"airsn-15": dag}, entrants, SimParams(mu_bit=1.0, mu_bs=8.0),
+            n_runs=6, seed=2,
         )
         assert {r.name for r in rows} == {
             "prio", "upward-rank", "dagps", "fifo"
@@ -145,115 +143,161 @@ class TestLiveEntrants:
         entrants = [Entrant("prio-live", "prio-live"),
                     Entrant("fifo", "fifo")]
         params = SimParams(mu_bit=1.0, mu_bs=4.0, failure_prob=0.2)
-        serial = league(dag, entrants, params, n_runs=8, seed=9, jobs=1)
-        fanned = league(dag, entrants, params, n_runs=8, seed=9, jobs=2)
+        serial = league({"w": dag}, entrants, params, n_runs=8, seed=9, jobs=1)
+        fanned = league({"w": dag}, entrants, params, n_runs=8, seed=9, jobs=2)
         for a, b in zip(serial, fanned):
             assert a.name == b.name
             assert a.mean_execution_time == b.mean_execution_time
             assert a.mean_utilization == b.mean_utilization
 
 
-class TestGrandLeague:
-    @pytest.fixture(scope="class")
-    def result(self):
-        workloads = {
-            "airsn-20": airsn(20),
-            "chain-bundle-64": arena_family("chain-bundle", 64),
+class TestTies:
+    def test_identical_orders_tie_every_replication(self):
+        """Two entrants racing the baseline's own order: every contest is
+        a three-way tie, the wins split equally, and neither beats the
+        baseline."""
+        dag = airsn(10)
+        order = prio_schedule(dag).schedule
+        entrants = [
+            Entrant.from_schedule("a", order),
+            Entrant.from_schedule("b", order),
+            Entrant.from_schedule("base", order),
+        ]
+        rows = league(
+            {"airsn-10": dag}, entrants, SimParams(mu_bit=1.0, mu_bs=4.0),
+            n_runs=6, seed=1, baseline="base",
+        )
+        assert [r.ties for r in rows] == [6, 6, 6]
+        assert [r.win_rate for r in rows] == [pytest.approx(1 / 3)] * 3
+        assert len({r.win_rate for r in rows}) == 1
+        assert {r.name: r.p_beats_baseline for r in rows} == {
+            "a": 1.0, "b": 1.0, "base": None
         }
-        return grand_league(
-            workloads,
-            ["prio", "fifo", "upward-rank", "dagps"],
+
+
+class TestGrandLeague:
+    """Every entrant on every workload, object and arena dags, in one
+    call."""
+
+    WORKLOADS = {
+        "airsn-20": airsn(20),
+        "chain-bundle-64": arena_family("chain-bundle", 64),
+    }
+    KINDS = ("prio", "fifo", "upward-rank", "dagps")
+
+    @classmethod
+    def run(cls, **kwargs):
+        return league(
+            cls.WORKLOADS,
+            [Entrant(k, k) for k in cls.KINDS],
             SimParams(mu_bit=1.0, mu_bs=8.0),
             n_runs=8,
             seed=4,
+            **kwargs,
         )
 
+    @pytest.fixture(scope="class")
+    def result(self):
+        return self.run()
+
     def test_full_cell_grid(self, result):
-        # Every policy plays every workload, prio on the arena dag too.
-        assert len(result.cells) == 2 * 4
-        assert result.workloads() == ("airsn-20", "chain-bundle-64")
-        assert set(result.policies()) == {
-            "prio", "fifo", "upward-rank", "dagps"
-        }
-        assert {c.policy for c in result.cells
-                if c.workload == "chain-bundle-64"} == set(result.policies())
+        # Every entrant plays every workload, prio on the arena dag too,
+        # grouped by workload in mapping order.
+        assert len(result) == 2 * 4
+        assert [r.workload for r in result] == ["airsn-20"] * 4 + [
+            "chain-bundle-64"
+        ] * 4
+        for wname in self.WORKLOADS:
+            block = [r for r in result if r.workload == wname]
+            assert {r.name for r in block} == set(self.KINDS)
+            times = [r.mean_execution_time for r in block]
+            assert times == sorted(times)
 
     def test_arena_prio_matches_object_twin(self):
         """prio on a compiled arena dag races exactly as on the object
         dag of the same structure."""
         compiled = arena_family("layered", 80, rng=np.random.default_rng(3))
         params = SimParams(mu_bit=1.0, mu_bs=8.0)
+        entrants = [Entrant(k, k) for k in ("prio", "prio-live", "fifo")]
         arena, twin = (
-            grand_league({"w": dag}, ["prio", "prio-live", "fifo"], params,
-                         n_runs=4, seed=5)
+            league({"w": dag}, entrants, params, n_runs=4, seed=5)
             for dag in (compiled, compiled.to_dag())
         )
-        for a, b in zip(arena.cells, twin.cells):
-            assert a.policy == b.policy
-            assert a.mean_execution_time == b.mean_execution_time
-            assert a.win_rate == b.win_rate
+        assert arena == twin
 
     def test_win_rates_sum_to_one_per_workload(self, result):
-        for wname in result.workloads():
-            block = [c for c in result.cells if c.workload == wname]
-            assert sum(c.win_rate for c in block) == pytest.approx(1.0)
-            for c in block:
-                assert 0.0 <= c.win_rate <= 1.0
+        for wname in self.WORKLOADS:
+            block = [r for r in result if r.workload == wname]
+            assert sum(r.win_rate for r in block) == pytest.approx(1.0)
+            for r in block:
+                assert 0.0 <= r.win_rate <= 1.0
 
     def test_cell_metrics_are_sane(self, result):
-        for c in result.cells:
-            assert c.n_jobs > 0
-            assert c.mean_execution_time > 0
-            assert 0 < c.mean_utilization <= 1
-            assert 0 <= c.mean_stalling <= 1
-            assert c.order_seconds >= 0
-            assert c.sim_seconds >= 0
+        for r in result:
+            assert r.n_jobs > 0
+            assert r.mean_execution_time > 0
+            assert 0 < r.mean_utilization <= 1
+            assert 0 <= r.mean_stalling <= 1
+            assert r.order_seconds >= 0
+            assert r.sim_seconds >= 0
+            assert (r.p_beats_baseline is None) == (r.name == "dagps")
 
     def test_deterministic_under_fixed_seed(self, result):
-        again = grand_league(
-            {
-                "airsn-20": airsn(20),
-                "chain-bundle-64": arena_family("chain-bundle", 64),
-            },
-            ["prio", "fifo", "upward-rank", "dagps"],
-            SimParams(mu_bit=1.0, mu_bs=8.0),
-            n_runs=8,
-            seed=4,
-        )
-        for a, b in zip(result.cells, again.cells):
-            assert (a.workload, a.policy) == (b.workload, b.policy)
-            assert a.mean_execution_time == b.mean_execution_time
-            assert a.win_rate == b.win_rate
+        assert self.run() == result
 
     def test_win_rate_aggregation(self, result):
-        rates = result.win_rates()
-        assert set(rates) == {"prio", "fifo", "upward-rank", "dagps"}
-        for rate in rates.values():
-            assert 0.0 <= rate <= 1.0
+        rates: dict[str, list[float]] = {}
+        for r in result:
+            rates.setdefault(r.name, []).append(r.win_rate)
+        assert set(rates) == set(self.KINDS)
+        for per_workload in rates.values():
+            assert len(per_workload) == 2
+            assert 0.0 <= np.mean(per_workload) <= 1.0
 
     def test_render(self, result):
-        text = render_grand_league(result)
-        assert "win rate" in text
-        rows = [line.split() for line in text.splitlines()[1:]]
-        assert len(rows) == len(result.cells)
-        assert ["chain-bundle-64", "prio"] in [row[:2] for row in rows]
+        text = render_league(result)
+        assert "win rate" in text and "ties" in text
+        blocks = text.split("\n\n")
+        assert len(blocks) == 2
+        for block, wname in zip(blocks, self.WORKLOADS):
+            head, *lines = block.splitlines()
+            assert head.startswith(wname)
+            assert len(lines) == 4
+        assert "chain-bundle-64 (64 jobs)" in text
 
     def test_validation(self):
         params = SimParams(mu_bit=1.0, mu_bs=4.0)
+        fifo = Entrant("fifo", "fifo")
         with pytest.raises(ValueError, match="at least one"):
-            grand_league({"a": airsn(5)}, [], params)
+            league({"a": airsn(5)}, [], params)
         with pytest.raises(ValueError, match="unique"):
-            grand_league({"a": airsn(5)}, ["fifo", "fifo"], params)
+            league({"a": airsn(5)}, [fifo, fifo], params)
         with pytest.raises(ValueError, match="unknown policy"):
-            grand_league({"a": airsn(5)}, ["lifo"], params, n_runs=2)
+            league({"a": airsn(5)}, [Entrant("lifo", "lifo")], params,
+                   n_runs=2)
+
+    def test_order_length_must_match_every_workload(self):
+        small, large = airsn(5), airsn(10)
+        entrants = [
+            Entrant.from_schedule("prio", prio_schedule(small).schedule),
+            Entrant("fifo", "fifo"),
+        ]
+        calls = []
+        with pytest.raises(ValueError, match="'prio' orders .* 'large'"):
+            league(
+                {"small": small, "large": large}, entrants,
+                SimParams(mu_bit=1.0, mu_bs=4.0), n_runs=2,
+                progress=lambda done, total: calls.append(done),
+            )
+        assert calls == []  # raised before anything ran
 
     def test_progress_callback(self):
         calls = []
-        grand_league(
-            {"a": airsn(5)},
-            ["fifo", "random"],
+        league(
+            {"a": airsn(5), "b": airsn(6)},
+            [Entrant("fifo", "fifo"), Entrant("random", "random")],
             SimParams(mu_bit=1.0, mu_bs=4.0),
             n_runs=2,
             progress=lambda done, total: calls.append((done, total)),
         )
-        assert calls[-1] == (2, 2)
+        assert calls == [(1, 4), (2, 4), (3, 4), (4, 4)]

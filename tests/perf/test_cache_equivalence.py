@@ -102,8 +102,10 @@ def test_cached_league_matches_uncached(dag):
         Entrant.from_schedule("prio", cached_schedule(dag, "prio", cache=cache)),
         Entrant("fifo", "fifo"),
     ]
-    baseline_rows = league(dag, entrants, params, n_runs=6, seed=3)
-    cached_rows = league(dag, entrants, params, n_runs=6, seed=3, cache=cache)
+    baseline_rows = league({"w": dag}, entrants, params, n_runs=6, seed=3)
+    cached_rows = league(
+        {"w": dag}, entrants, params, n_runs=6, seed=3, cache=cache
+    )
     assert cached_rows == baseline_rows
 
 

@@ -239,10 +239,10 @@ class TestLeagueResume:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_interrupt_then_resume(self, tmp_path, jobs):
         dag, entrants, params = league_setup()
-        kwargs = dict(n_runs=8, seed=3, workload="wl", jobs=jobs)
+        kwargs = dict(n_runs=8, seed=3, jobs=jobs)
         telemetry, base_buf = open_telemetry()
         base = league(
-            dag, entrants, params, telemetry=telemetry,
+            {"wl": dag}, entrants, params, telemetry=telemetry,
             **{**kwargs, "jobs": 1},
         )
         path = tmp_path / "ck.jsonl"
@@ -250,13 +250,13 @@ class TestLeagueResume:
         telemetry, _ = open_telemetry()
         with pytest.raises(Interrupt):
             league(
-                dag, entrants, params, telemetry=telemetry,
+                {"wl": dag}, entrants, params, telemetry=telemetry,
                 checkpoint=checkpoint, progress=interrupt_after(1), **kwargs,
             )
         assert checkpoint.n_done == 1
         telemetry, buf = open_telemetry()
         resumed = league(
-            dag, entrants, params, telemetry=telemetry,
+            {"wl": dag}, entrants, params, telemetry=telemetry,
             checkpoint=Checkpoint.open(path, FP, require_existing=True),
             **kwargs,
         )
@@ -281,7 +281,7 @@ class TestLeagueResume:
         dag, entrants, params = league_setup()
         checkpoint = Checkpoint.open(tmp_path / "ck.jsonl", FP)
         checkpoint.record(
-            "entrant/prio",
+            "entrant/wl/prio",
             {
                 "execution_time": [1.0],
                 "stalling_probability": [0.0],
@@ -292,9 +292,51 @@ class TestLeagueResume:
         telemetry, _ = open_telemetry()
         with pytest.raises(CheckpointError, match="older layout"):
             league(
-                dag, entrants, params, n_runs=1, telemetry=telemetry,
+                {"wl": dag}, entrants, params, n_runs=1, telemetry=telemetry,
                 checkpoint=checkpoint,
             )
+
+    def test_entrant_keyed_checkpoint_refused_by_cli(self, tmp_path, capsys):
+        # A league checkpoint from before units were keyed per workload
+        # ("entrant/{name}") carries another fingerprint: --resume exits
+        # 2 with one error line instead of restoring nothing and
+        # silently re-running every unit.
+        from repro.cli import main
+
+        old_payload = {
+            "driver": "league",
+            "workload": "airsn-small",
+            "entrants": [["fifo", "fifo", None], ["random", "random", None]],
+            "mu_bit": 1.0,
+            "mu_bs": 16.0,
+            "failure_prob": 0.0,
+            "straggler_prob": 0.0,
+            "straggler_factor": 10.0,
+            "runs": 2,
+            "seed": 0,
+            "telemetry": False,
+        }
+        path = tmp_path / "old.jsonl"
+        Checkpoint.open(
+            path, fingerprint(old_payload), meta={"driver": "league"}
+        ).record(
+            "entrant/fifo",
+            {
+                "execution_time": [1.0, 1.0],
+                "stalling_probability": [0.0, 0.0],
+                "utilization": [1.0, 1.0],
+            },
+        )
+        code = main([
+            "league", "airsn-small", "--runs", "2", "--policy", "fifo",
+            "--policy", "random", "--resume", str(path),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
 
 
 class TestCalibrateResume:
@@ -352,7 +394,7 @@ def run_sweep(checkpoint, telemetry, progress=None):
 def run_league(checkpoint, telemetry, progress=None):
     dag, entrants, params = league_setup()
     league(
-        dag, entrants, params, n_runs=8, seed=3, workload="wl",
+        {"wl": dag}, entrants, params, n_runs=8, seed=3,
         telemetry=telemetry, checkpoint=checkpoint, progress=progress,
     )
 

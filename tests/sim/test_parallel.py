@@ -31,6 +31,7 @@ from repro.sim.replication import (
     run_replications,
 )
 from repro.workloads.airsn import airsn
+from repro.workloads.synthetic import arena_family
 
 
 @pytest.fixture
@@ -410,8 +411,10 @@ class TestAnalysisParallel:
             Entrant("fifo", "fifo"),
         ]
         params = SimParams(mu_bit=1.0, mu_bs=8.0)
-        serial = league(dag, entrants, params, n_runs=8, seed=2)
-        parallel = league(dag, entrants, params, n_runs=8, seed=2, jobs=2)
+        serial = league({"w": dag}, entrants, params, n_runs=8, seed=2)
+        parallel = league(
+            {"w": dag}, entrants, params, n_runs=8, seed=2, jobs=2
+        )
         assert serial == parallel
 
     def test_calibrate_bit_identical(self, workload):
@@ -425,14 +428,20 @@ class TestAnalysisParallel:
         assert serial == parallel
 
     def test_league_opens_one_pool_per_call(self, workload, pools):
-        dag, order = workload
+        # One pool across every workload, an arena dag among them; prio
+        # resolves its order per workload.
+        dag, _ = workload
         entrants = [
-            Entrant.from_schedule("prio", order),
+            Entrant("prio", "prio"),
             Entrant("random", "random"),
             Entrant("fifo", "fifo"),
         ]
         params = SimParams(mu_bit=1.0, mu_bs=8.0)
-        league(dag, entrants, params, n_runs=4, seed=2, jobs=2)
+        rows = league(
+            {"airsn": dag, "arena": arena_family("chain-bundle", 32)},
+            entrants, params, n_runs=4, seed=2, jobs=2,
+        )
+        assert len(rows) == 2 * 3
         assert pools == [2]
 
     def test_calibrate_opens_one_pool_per_step(self, workload, pools):
