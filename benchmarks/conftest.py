@@ -1,7 +1,12 @@
 """Benchmark-suite configuration.
 
 Prints are the product here: each bench emits the rows/series of the paper
-artifact it regenerates, so ``-s`` is forced on for this directory.
+artifact it regenerates.  Nothing here turns output capture off, and the
+repo's ``addopts`` apply, so run benches the way CI does to see the rows::
+
+    PYTHONPATH=src python -m pytest -o addopts= -q -s benchmarks/test_bench_league.py
+
+This file only puts ``common`` on ``sys.path``.
 """
 
 import sys

@@ -85,14 +85,19 @@ def test_priority_cache_effectiveness(benchmark):
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     cache = result.combine.cache
     total = cache.hits + cache.misses
+    n_blocks = result.decomposition.n_components
+    n_classes = len({sc.profile_key for sc in result.scheduled_components})
     print(banner("Profile-class priority cache (SDSS-800)"))
     print(
-        f"  components: {result.decomposition.n_components}; "
+        f"  components: {n_blocks}; profile classes: {n_classes}; "
         f"pairwise lookups: {total}; distinct pairs computed: {cache.misses}"
     )
     print(f"  hit rate: {cache.hits / total:.1%}")
-    # Thousands of isomorphic blocks share a handful of profiles.
-    assert cache.hits / total > 0.95
+    # Thousands of isomorphic blocks share a handful of profiles: each
+    # class pair is computed once, and since the combine phase memoizes
+    # round winners, repeated rounds skip the lookups altogether.
+    assert cache.misses <= n_classes ** 2
+    assert total < n_blocks
 
 
 def test_parallel_replication_speedup(benchmark):

@@ -18,14 +18,14 @@ Scientific dags repeat a handful of block *shapes* thousands of times
 the shape alone — plus, for the global out-degree fallback, the blocks'
 out-degrees in the full dag.  :func:`schedule_component` therefore keys a
 shape table on the block's local arc tuple and solves each shape once; the
-blocks of one shape share its read-only profile array.
+blocks of one shape share its read-only profile array and the profile's
+key bytes, so the combine phase's class key is computed once per shape (or
+per fallback weight entry), not once per block.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .decompose import Component
 __all__ = ["ScheduledComponent", "schedule_component", "outdegree_order"]
 
 
-@dataclass(frozen=True)
 class ScheduledComponent:
     """A building block with its schedule and eligibility profile.
 
@@ -45,21 +44,42 @@ class ScheduledComponent:
     execution order; ``profile[x]`` is the eligible-job count inside the
     block after the first *x* of them executed.  ``family`` names the
     matched catalog family, or ``None`` when the out-degree fallback was
-    used.
+    used.  ``profile_key`` is the profile's int64 bytes, the class key of
+    the combine phase; blocks of one shape share the key their shape
+    computed once.
+
+    A plain slotted class, treated as read-only, like
+    :class:`~repro.core.decompose.Component`: a frozen dataclass costs
+    several times as much to build, and blocks are neither hashed nor
+    compared.
     """
 
-    component: Component
-    schedule: tuple[int, ...]
-    profile: np.ndarray = field(hash=False, compare=False)
-    family: str | None
+    __slots__ = ("component", "index", "schedule", "profile", "family",
+                 "profile_key")
 
-    @property
-    def index(self) -> int:
-        return self.component.index
+    def __init__(
+        self,
+        component: Component,
+        schedule: tuple[int, ...],
+        profile: np.ndarray,
+        family: str | None,
+        profile_key: bytes | None = None,
+    ):
+        self.component = component
+        self.index = component.index
+        self.schedule = schedule
+        self.profile = profile
+        self.family = family
+        if profile_key is None:
+            profile_key = np.asarray(profile, dtype=np.int64).tobytes()
+        self.profile_key = profile_key
 
-    @cached_property
-    def profile_key(self) -> bytes:
-        return np.asarray(self.profile, dtype=np.int64).tobytes()
+    def __repr__(self) -> str:
+        return (
+            f"ScheduledComponent(component={self.component!r}, "
+            f"schedule={self.schedule}, profile={self.profile!r}, "
+            f"family={self.family!r})"
+        )
 
 
 def outdegree_order(
@@ -92,9 +112,10 @@ def outdegree_order(
 
 
 class _Solved:
-    """One shape's result: local order, read-only profile, family."""
+    """One shape's result: local order, read-only profile, its key bytes
+    (computed here, once per shape or fallback weight entry), family."""
 
-    __slots__ = ("order", "profile", "family")
+    __slots__ = ("order", "profile", "key", "family")
 
     def __init__(self, subdag: Dag, order: list[int], family: str | None,
                  component: Component):
@@ -108,6 +129,7 @@ class _Solved:
         profile.flags.writeable = False
         self.order = order
         self.profile = profile
+        self.key = np.asarray(profile, dtype=np.int64).tobytes()
         self.family = family
 
 
@@ -232,4 +254,5 @@ def schedule_component(
         schedule=tuple(map(nodes.__getitem__, entry.order)),
         profile=entry.profile,
         family=entry.family,
+        profile_key=entry.key,
     )

@@ -15,8 +15,11 @@ profiles, and scientific dags contain thousands of blocks sharing a handful
 of distinct profiles.  Candidates are therefore grouped into *profile
 classes*; pairwise priorities are memoized per class pair
 (:class:`repro.theory.priority.PriorityCache`), and each round scores the
-classes rather than the blocks.  Within a class, blocks are emitted in
-detachment order, which keeps the sort stable in the theory's sense.
+classes rather than the blocks.  Rounds repeat, too: the winning classes
+are memoized per round signature (always; see :func:`greedy_combine`), so
+a dag pays the class-scoring loop once per distinct round, not once per
+block.  Within a class, blocks are emitted in detachment order, which
+keeps the sort stable in the theory's sense.
 """
 
 from __future__ import annotations
@@ -77,18 +80,26 @@ def greedy_combine(
 ) -> CombineResult:
     """Order the building blocks by the greedy max-min-priority rule.
 
-    *memo*, when given, caches each round's winning profile classes keyed
-    by the round *signature* — the sorted class keys plus each class's
-    own multiplicity>=2 flag, the only inputs the score computation reads
+    Each round's winning profile classes are memoized, keyed by the round
+    *signature* — the sorted class keys plus each class's own
+    multiplicity>=2 flag, the only inputs the score computation reads
     (scores are pure functions of profile bytes; a class's score includes
     the self-pairing term exactly when its own multiplicity is >= 2).
-    The block actually emitted still depends on the per-round detachment
-    order, so only the score argmax is memoized; the result is identical
-    with or without a memo, but a long-lived caller (the incremental
-    rescheduler, which sees near-identical rounds on every advance) skips
-    the quadratic class-scoring loop almost entirely.
+    Rounds of a dag with thousands of blocks in a handful of classes
+    repeat their signatures, so the quadratic class-scoring loop runs
+    once per distinct signature.  The block actually emitted still
+    depends on the per-round detachment order, so only the score argmax
+    is memoized.
+
+    *memo*, when given, is the round memo to use; the result is identical
+    with or without one, and passing one only shares the memo across
+    calls: a long-lived caller (the incremental rescheduler, which sees
+    near-identical rounds on every advance) keeps its entries from one
+    call to the next.  ``None`` uses a memo local to this call.
     """
     cache = cache or PriorityCache()
+    if memo is None:
+        memo = {}
     indeg = [len(ps) for ps in decomposition.super_parents]
     registry = _ClassRegistry()
     heaps = registry.heaps
@@ -112,15 +123,12 @@ def greedy_combine(
             # A single class: all candidates tie; emit in detachment order.
             best_key = keys[0]
         else:
-            signature = None
-            winners = None
-            if memo is not None:
-                ordered = sorted(keys)
-                signature = (
-                    tuple(ordered),
-                    tuple([len(heaps[k]) >= 2 for k in ordered]),
-                )
-                winners = memo.get(signature)
+            ordered = sorted(keys)
+            signature = (
+                tuple(ordered),
+                tuple([len(heaps[k]) >= 2 for k in ordered]),
+            )
+            winners = memo.get(signature)
             if winners is None:
                 best_score = -1.0
                 scores: dict[bytes, float] = {}
@@ -139,11 +147,9 @@ def greedy_combine(
                     scores[key] = score
                     if score > best_score:
                         best_score = score
-                winners = frozenset(
+                winners = memo[signature] = frozenset(
                     key for key in keys if scores[key] == best_score
                 )
-                if memo is not None:
-                    memo[signature] = winners
             # Among the max-score classes, emit the one holding the
             # earliest-detached block; peeks are distinct across classes,
             # so this matches the strict-improvement scan it replaces.

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import NoReturn
 
 __all__ = ["Dag", "DagBuilder", "CycleError", "fingerprint_arcs"]
 
@@ -49,6 +50,26 @@ class CycleError(ValueError):
     def __init__(self, message: str, cycle: list[int] | None = None):
         super().__init__(message)
         self.cycle = cycle
+
+
+def _raise_bad_arc(n: int, arcs: Sequence[tuple[int, int]]) -> NoReturn:
+    """Raise the error for invalid *arcs* exactly as an arc-by-arc check
+    words it: the first offending arc in input order, out of range before
+    self-loop before a repeat of an earlier arc."""
+    children: list[list[int]] = [[] for _ in range(n)]
+    parents: list[list[int]] = [[] for _ in range(n)]
+    seen: set[tuple[int, int]] = set()
+    for u, v in arcs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise CycleError(f"self-loop on node {u}", [u, u])
+        if (u, v) in seen:
+            raise ValueError(f"duplicate arc ({u}, {v})")
+        seen.add((u, v))
+        children[u].append(v)
+        parents[v].append(u)
+    raise AssertionError("no offending arc")
 
 
 class Dag:
@@ -89,25 +110,36 @@ class Dag:
     ):
         if n < 0:
             raise ValueError(f"node count must be non-negative, got {n}")
+        # One pass builds both adjacency lists with the range and
+        # self-loop checks inline; duplicates are checked per node after
+        # it.  Only a failed check (or an arc that is no pair of ids)
+        # pays for _raise_bad_arc's ordered pass, which words the error.
+        if not isinstance(arcs, (list, tuple)):
+            arcs = list(arcs)
         children: list[list[int]] = [[] for _ in range(n)]
         parents: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        narcs = 0
-        for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise CycleError(f"self-loop on node {u}", [u, u])
-            if (u, v) in seen:
-                raise ValueError(f"duplicate arc ({u}, {v})")
-            seen.add((u, v))
-            children[u].append(v)
-            parents[v].append(u)
-            narcs += 1
+        valid = False
+        try:
+            for u, v in arcs:
+                if not (0 <= u < n and 0 <= v < n) or u == v:
+                    break
+                children[u].append(v)
+                parents[v].append(u)
+            else:
+                valid = True
+        except (TypeError, ValueError):
+            pass
+        if valid:
+            for c in children:
+                if len(c) > 1 and len(set(c)) != len(c):
+                    valid = False
+                    break
+        if not valid:
+            _raise_bad_arc(n, arcs)
         self._n = n
-        self._narcs = narcs
-        self._children: tuple[tuple[int, ...], ...] = tuple(tuple(c) for c in children)
-        self._parents: tuple[tuple[int, ...], ...] = tuple(tuple(p) for p in parents)
+        self._narcs = len(arcs)
+        self._children: tuple[tuple[int, ...], ...] = tuple(map(tuple, children))
+        self._parents: tuple[tuple[int, ...], ...] = tuple(map(tuple, parents))
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:

@@ -491,6 +491,24 @@ def _batch_sync(compiled, kind, params, rngs, rank, job_of_rank, scale):
             iota = np.arange(max(m, 2 * iota.shape[0]), dtype=np.int64)
         return iota[:m]
 
+    def stable_order(values: np.ndarray) -> np.ndarray:
+        """``np.argsort(values, kind="stable")`` as one unstable sort.
+
+        Each key packs ``value << b | position`` with ``2**b > m`` (the
+        array's length), so the keys are distinct and sorting them yields
+        exactly the stable order.  No overflow: the values are reps or
+        ``rep * n + job`` ids, < R * n, which the slab budget keeps below
+        2**31 (the int32 ``jdtype``), and m < 2**31, so every key stays
+        below 2**62.
+        """
+        m = values.shape[0]
+        b = m.bit_length()
+        keys = values.astype(np.int64) << b
+        keys |= iota_upto(m)
+        keys.sort()
+        keys &= (1 << b) - 1
+        return keys
+
     n_assigned = np.zeros(R, dtype=np.int64)
     pending = np.zeros(R, dtype=np.int64)  # failed entries still running
     n_failures = np.zeros(R, dtype=np.int64)
@@ -548,7 +566,7 @@ def _batch_sync(compiled, kind, params, rngs, rank, job_of_rank, scale):
                     # bit patterns order exactly as the floats do and the
                     # integer argsort skips NaN handling.
                     o1 = np.argsort(c_fin.view(np.int64))
-                    w = o1[np.argsort(c_rep[o1], kind="stable")]
+                    w = o1[stable_order(c_rep[o1])]
                     rep_w = c_rep[w]
                     fin_w = c_fin[w]
                     if (
@@ -579,10 +597,10 @@ def _batch_sync(compiled, kind, params, rngs, rank, job_of_rank, scale):
                         # c_job is in pop order, so the expansion
                         # enumerates this window's child edges exactly in
                         # the reference's scan order, rep-major.  A stable
-                        # argsort keeps each child's edge positions
+                        # order keeps each child's edge positions
                         # ascending, so the end of its group is its *last*
                         # edge — the one that frees it.
-                        korder = np.argsort(kid_flat, kind="stable")
+                        korder = stable_order(kid_flat)
                         kid_flat = kid_flat[korder]
                     else:
                         kid_flat.sort()

@@ -1,6 +1,8 @@
 """Tests for the core Dag type."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.dag.graph import CycleError, Dag, DagBuilder, relabel_by_mapping
 
@@ -81,6 +83,94 @@ class TestConstruction:
         assert d.label(0) == "0"
         with pytest.raises(KeyError):
             d.id_of("0")
+
+
+def arc_by_arc(n, arcs):
+    """Reference construction: child and parent lists in arc order, every
+    arc checked as it comes (range, then self-loop, then repeat)."""
+    children = [[] for _ in range(n)]
+    parents = [[] for _ in range(n)]
+    seen = set()
+    for u, v in arcs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise CycleError(f"self-loop on node {u}", [u, u])
+        if (u, v) in seen:
+            raise ValueError(f"duplicate arc ({u}, {v})")
+        seen.add((u, v))
+        children[u].append(v)
+        parents[v].append(u)
+    return [tuple(c) for c in children], [tuple(p) for p in parents]
+
+
+class TestArcValidation:
+    """With several faults, the first offending arc in input order names
+    the error, whether the arcs come as a list or as a generator."""
+
+    CASES = [
+        # A duplicate before an out-of-range arc, and the reverse.
+        ([(0, 1), (1, 2), (0, 1), (0, 5)], ValueError, "duplicate arc (0, 1)"),
+        ([(0, 1), (3, 0), (1, 2), (0, 1)], ValueError,
+         "arc (3, 0) out of range for n=3"),
+        # A self-loop after a duplicate, and the reverse.
+        ([(1, 2), (0, 1), (1, 2), (2, 2)], ValueError, "duplicate arc (1, 2)"),
+        ([(1, 2), (2, 2), (1, 2)], CycleError, "self-loop on node 2"),
+        # An out-of-range arc that is also a self-loop.
+        ([(0, 1), (-1, -1), (0, 1)], ValueError,
+         "arc (-1, -1) out of range for n=3"),
+        # A duplicate before an arc that is no pair.
+        ([(0, 1), (0, 1), (0, 1, 2)], ValueError, "duplicate arc (0, 1)"),
+    ]
+
+    @pytest.mark.parametrize("as_generator", [False, True])
+    @pytest.mark.parametrize("arcs,error,message", CASES)
+    def test_first_fault_in_input_order(self, arcs, error, message,
+                                        as_generator):
+        given_arcs = (arc for arc in arcs) if as_generator else list(arcs)
+        with pytest.raises(error) as exc:
+            Dag(3, given_arcs)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("as_generator", [False, True])
+    def test_generator_of_valid_arcs(self, as_generator):
+        arcs = [(0, 2), (0, 1), (1, 2)]
+        d = Dag(3, (a for a in arcs) if as_generator else arcs)
+        assert d.children(0) == (2, 1)
+        assert d.parents(2) == (0, 1)
+        assert d.narcs == 3
+
+    @given(
+        st.integers(min_value=0, max_value=8).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(
+                        st.integers(min_value=-1, max_value=n),
+                        st.integers(min_value=-1, max_value=n),
+                    ),
+                    max_size=24,
+                ),
+            )
+        ),
+        st.booleans(),
+    )
+    def test_matches_arc_by_arc_reference(self, n_arcs, as_generator):
+        n, arcs = n_arcs
+        try:
+            want = arc_by_arc(n, arcs)
+        except ValueError as err:
+            with pytest.raises(type(err)) as exc:
+                Dag(n, iter(arcs) if as_generator else arcs,
+                    check_acyclic=False)
+            assert type(exc.value) is type(err)
+            assert str(exc.value) == str(err)
+            return
+        d = Dag(n, iter(arcs) if as_generator else arcs, check_acyclic=False)
+        assert [d.children(u) for u in range(n)] == want[0]
+        assert [d.parents(u) for u in range(n)] == want[1]
+        assert d.narcs == len(arcs)
 
 
 class TestSourcesSinks:
