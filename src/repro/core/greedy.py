@@ -97,7 +97,8 @@ def greedy_combine(
     near-identical rounds on every advance) keeps its entries from one
     call to the next.  ``None`` uses a memo local to this call.
     """
-    cache = cache or PriorityCache()
+    if cache is None:
+        cache = PriorityCache()
     if memo is None:
         memo = {}
     indeg = [len(ps) for ps in decomposition.super_parents]

@@ -9,6 +9,7 @@ pure graph + scheduling data).
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -17,6 +18,7 @@ from .graph import Dag
 __all__ = [
     "dag_to_json",
     "dag_from_json",
+    "decode_dag",
     "save_dag",
     "load_dag",
     "schedule_to_json",
@@ -52,26 +54,10 @@ def dag_to_json(dag: Dag) -> dict[str, Any]:
     return payload
 
 
-def dag_from_json(payload: dict[str, Any]) -> Dag:
-    """Rebuild a dag from :func:`dag_to_json` output (validates shape).
-
-    Raises ``ValueError`` on any malformed payload — wrong ``format``
-    marker, non-object payload, missing fields, non-integer arcs (ids
-    must be actual JSON integers: booleans, floats and numeric strings
-    are rejected, never coerced), self-loops, duplicate arcs, duplicate
-    labels — and :class:`~repro.dag.graph.CycleError` (a ``ValueError``)
-    when the arc set is not acyclic, so callers deserializing untrusted
-    input need to catch only ``ValueError``.
-    """
-    if not isinstance(payload, dict):
-        raise ValueError("dag payload must be a JSON object")
-    if payload.get("format") != _FORMAT:
-        raise ValueError(
-            f"not a {_FORMAT} payload (format={payload.get('format')!r})"
-        )
-    raw_arcs = payload.get("arcs")
-    if not isinstance(raw_arcs, list):
-        raise ValueError("arcs must be a list of [parent, child] pairs")
+def _checked_ids(raw_arcs: list, payload: dict) -> tuple[list, int]:
+    """The arc-by-arc id check: ``(arcs, n)`` with ids that are ints but
+    not bools (an int subclass such as an ``IntEnum`` passes), or the
+    one error every malformed arc or ``n`` raises."""
 
     def as_id(value):
         # Strict: bool is an int subclass and int() coerces floats and
@@ -95,13 +81,69 @@ def dag_from_json(payload: dict[str, Any]) -> Dag:
             "pairs (actual integers: booleans, floats and numeric "
             "strings are rejected)"
         ) from None
+    return arcs, n
+
+
+def decode_dag(
+    payload: dict[str, Any],
+) -> tuple[int, list[tuple[int, int]], list[str] | None]:
+    """The strict wire decode of a :func:`dag_to_json` payload:
+    ``(n, arcs, labels)`` with *arcs* a list of ``(parent, child)`` int
+    pairs in payload order.
+
+    Checks the payload's shape and types only — ``Dag(n, arcs, labels)``
+    runs the structural checks (ranges, self-loops, duplicates, label
+    count and uniqueness, acyclicity).  Every id must be an actual
+    integer: booleans, floats and numeric strings are rejected, never
+    coerced.  One ``type(x) is int`` pass checks well-formed input;
+    only a failed pass runs the arc-by-arc check, which words the error.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError("dag payload must be a JSON object")
+    if payload.get("format") != _FORMAT:
+        raise ValueError(
+            f"not a {_FORMAT} payload (format={payload.get('format')!r})"
+        )
+    raw_arcs = payload.get("arcs")
+    if not isinstance(raw_arcs, list):
+        raise ValueError("arcs must be a list of [parent, child] pairs")
+    n = payload.get("n")
+    try:
+        arcs = list(map(tuple, raw_arcs))
+        valid = (
+            type(n) is int
+            and set(map(len, arcs)) <= {2}
+            and set(map(type, chain.from_iterable(arcs))) <= {int}
+        )
+    except TypeError:
+        valid = False
+    if not valid:
+        arcs, n = _checked_ids(raw_arcs, payload)
     labels = payload.get("labels")
     if labels is not None and (
         not isinstance(labels, list)
-        or any(not isinstance(name, str) for name in labels)
+        or (
+            not set(map(type, labels)) <= {str}
+            and any(not isinstance(name, str) for name in labels)
+        )
     ):
         raise ValueError("labels must be a list of strings")
-    return Dag(n, arcs, labels)
+    return n, arcs, labels
+
+
+def dag_from_json(payload: dict[str, Any]) -> Dag:
+    """Rebuild a dag from :func:`dag_to_json` output (validates shape).
+
+    :func:`decode_dag` followed by ``Dag(n, arcs, labels)``.  Raises
+    ``ValueError`` on any malformed payload — wrong ``format`` marker,
+    non-object payload, missing fields, non-integer arcs (ids must be
+    actual JSON integers: booleans, floats and numeric strings are
+    rejected, never coerced), self-loops, duplicate arcs, duplicate
+    labels — and :class:`~repro.dag.graph.CycleError` (a ``ValueError``)
+    when the arc set is not acyclic, so callers deserializing untrusted
+    input need to catch only ``ValueError``.
+    """
+    return Dag(*decode_dag(payload))
 
 
 def save_dag(dag: Dag, path: str | Path) -> None:

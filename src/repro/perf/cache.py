@@ -19,6 +19,24 @@ their key (:data:`_CHILD_ORDER`), so two dags with the same arcs listed
 differently never share them.  PRIO, upward rank and DAGPS depend on the
 arc set alone and pay nothing extra.
 
+Lookups go by key, so a caller can ask before any dag exists.
+:func:`schedule_key` keys the object dag, the compiled dag and the wire
+form ``(n, arcs)`` of :func:`repro.dag.io_json.decode_dag` alike: the
+wire fingerprint is :func:`~repro.dag.graph.fingerprint_arcs` over the
+sorted arcs, and its child-order digest groups the arcs stably by parent,
+which is how ``Dag(n, arcs)`` stores them.  The service answers a
+``/schedule`` hit this way, with no ``Dag`` built
+(:mod:`repro.serve.protocol`).  A hit skips only checks that an invalid
+payload cannot pass.  The hashed stream ``dag-v1:n;u>v;u>v...`` is
+injective on ``n`` and a sorted list of integer pairs, and a key is
+stored only for a dag that passed validation (ids in range, no self-loop,
+no duplicate arc, acyclic).  A payload that hashes to a stored key
+therefore has exactly that dag's node count and arc set, with the trust
+in SHA-256 every fingerprint already carries; for a given arc set the
+child-order digest then pins the per-parent order.  The ids must be
+actual integers for this to hold (``True`` would format as ``1``), which
+the strict decode ensures.
+
 Two tiers:
 
 * an **in-memory LRU** (always on) for reuse within a process — sweep
@@ -37,8 +55,9 @@ produced: cached and uncached runs are interchangeable, which the
 equivalence suite asserts end to end.
 
 Counters: when a :class:`~repro.obs.metrics.MetricsRegistry` is attached
-(``metrics=``), every lookup lands in ``cache.hit`` / ``cache.miss``
-(disk hits additionally in ``cache.disk_hit``).
+(``metrics=``), every hit lands in ``cache.hit`` and every stored
+computation in ``cache.miss`` (disk hits additionally in
+``cache.disk_hit``).
 
 The cache is one of the two reuse mechanisms benchmarked by
 ``benchmarks/test_bench_cache.py`` (with the batched simulation kernel,
@@ -54,14 +73,20 @@ import json
 import threading
 from collections import OrderedDict
 from collections.abc import Callable
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from ..dag.graph import Dag
+from ..dag.graph import Dag, fingerprint_arcs
 from ..sim.compile import CompiledDag, as_compiled, as_dag
 
-__all__ = ["ScheduleCache", "cached_schedule", "schedule_algorithms"]
+__all__ = [
+    "ScheduleCache",
+    "cached_schedule",
+    "schedule_algorithms",
+    "schedule_key",
+]
 
 _SCHEMA = 1
 
@@ -127,26 +152,64 @@ def _compute(algorithm: str) -> Callable[..., list[int]]:
         ) from None
 
 
-def _fingerprint(dag: Dag | CompiledDag) -> str | None:
+#: The wire form of a dag: ``(n, arcs)`` with *arcs* the ``(parent,
+#: child)`` int pairs in payload order, as
+#: :func:`repro.dag.io_json.decode_dag` returns them.
+Wire = tuple[int, list[tuple[int, int]]]
+
+
+def _fingerprint(dag: Dag | CompiledDag | Wire) -> str | None:
     if isinstance(dag, CompiledDag):
         return dag.fingerprint
-    return dag.fingerprint()
+    if isinstance(dag, Dag):
+        return dag.fingerprint()
+    n, arcs = dag
+    return fingerprint_arcs(n, sorted(arcs))
 
 
-def _child_order(dag: Dag | CompiledDag) -> str:
+def _child_order(dag: Dag | CompiledDag | Wire) -> str:
     """Digest of every job's children in stored order.
 
     Together with the fingerprint (which pins the arc set, hence the
     out-degrees) it pins the CSR ``children`` array, so a dag and its
-    compiled form get the same digest.
+    compiled form get the same digest.  Wire arcs are grouped stably by
+    parent, which is the order ``Dag(n, arcs)`` stores children in.
+    An id outside int32 raises ``OverflowError``.
     """
     if isinstance(dag, CompiledDag):
         kids = np.ascontiguousarray(dag.children, dtype=np.int32)
-    else:
+    elif isinstance(dag, Dag):
         kids = np.fromiter(
             (v for _, v in dag.arcs()), dtype=np.int32, count=dag.narcs
         )
+    else:
+        _, arcs = dag
+        kids = np.fromiter(
+            (v for _, v in sorted(arcs, key=itemgetter(0))),
+            dtype=np.int32,
+            count=len(arcs),
+        )
     return hashlib.sha256(kids.tobytes()).hexdigest()
+
+
+def schedule_key(
+    dag: Dag | CompiledDag | Wire, algorithm: str, kwargs: dict
+) -> tuple | None:
+    """The cache key of the *algorithm* order for *dag*, in any form.
+
+    ``(fingerprint, algorithm, kwargs JSON)``, plus the child-order
+    digest for :data:`_CHILD_ORDER` algorithms.  A valid wire form gets
+    the key of ``Dag(n, arcs)``; None for a compiled dag without a
+    fingerprint.
+    """
+    fingerprint = _fingerprint(dag)
+    if fingerprint is None:
+        return None
+    kwargs_json = json.dumps(kwargs, sort_keys=True, default=str)
+    key = (fingerprint, algorithm, kwargs_json)
+    if algorithm in _CHILD_ORDER:
+        key += (_child_order(dag),)
+    return key
 
 
 def schedule_algorithms() -> tuple[str, ...]:
@@ -259,14 +322,6 @@ class ScheduleCache:
         with self._lock:
             return len(self._memory)
 
-    @staticmethod
-    def _key(fingerprint: str, algorithm: str, kwargs: dict) -> tuple:
-        return (
-            fingerprint,
-            algorithm,
-            json.dumps(kwargs, sort_keys=True, default=str),
-        )
-
     def _entry_path(self, key: tuple) -> Path:
         digest = hashlib.sha256("|".join(key).encode()).hexdigest()
         return self.directory / f"schedule-{digest}.json"
@@ -305,41 +360,56 @@ class ScheduleCache:
 
     # -- public API ----------------------------------------------------
 
+    def lookup(self, key: tuple, n: int) -> list[int] | None:
+        """The order stored under *key* for a dag of *n* jobs (memory,
+        then disk), or None.
+
+        Counts a hit; a miss is counted by the :meth:`store` of the
+        computed order, so a computation that fails counts nothing.
+        Returns a fresh list (callers mutate orders — e.g. appending
+        sinks — so the cached copy must stay pristine).
+        """
+        order = self._memory_get(key)
+        if order is not None:
+            self._count(hit=True)
+            return list(order)
+        if self.directory is not None:
+            order = self._disk_get(key, n)
+            if order is not None:
+                self._memory_put(key, order)
+                self._count(hit=True, from_disk=True)
+                return list(order)
+        return None
+
+    def store(self, key: tuple, n: int, order: list[int]) -> None:
+        """Keep a copy of *order*, computed for a dag of *n* jobs, under
+        *key* (memory, and disk when configured); counts the miss."""
+        order = list(order)
+        self._memory_put(key, order)
+        if self.directory is not None:
+            self._disk_put(key, n, order)
+        self._count(hit=False)
+
     def schedule(
         self, dag: Dag | CompiledDag, algorithm: str = "prio", **kwargs
     ) -> list[int]:
         """The *algorithm* order for *dag* (either form), computed at most
         once.
 
-        Returns a fresh list on every call (callers mutate orders — e.g.
-        appending sinks — so the cached copy must stay pristine).  A
-        compiled dag built by hand from raw arrays has no fingerprint to
-        key it by, so its order is computed every time.
+        Returns a fresh list on every call.  A compiled dag built by hand
+        from raw arrays has no fingerprint to key it by, so its order is
+        computed every time.
         """
         compute = _compute(algorithm)
-        fingerprint = _fingerprint(dag)
-        if fingerprint is None:
+        key = schedule_key(dag, algorithm, kwargs)
+        if key is None:
             self._count(hit=False)
             return list(compute(dag, **kwargs))
-        key = self._key(fingerprint, algorithm, kwargs)
-        if algorithm in _CHILD_ORDER:
-            key += (_child_order(dag),)
-        order = self._memory_get(key)
-        if order is not None:
-            self._count(hit=True)
-            return list(order)
-        if self.directory is not None:
-            order = self._disk_get(key, dag.n)
-            if order is not None:
-                self._memory_put(key, order)
-                self._count(hit=True, from_disk=True)
-                return list(order)
-        order = list(compute(dag, **kwargs))
-        self._memory_put(key, order)
-        if self.directory is not None:
-            self._disk_put(key, dag.n, order)
-        self._count(hit=False)
-        return list(order)
+        order = self.lookup(key, dag.n)
+        if order is None:
+            order = list(compute(dag, **kwargs))
+            self.store(key, dag.n, order)
+        return order
 
     def compiled(self, dag: Dag | CompiledDag) -> CompiledDag:
         """The :class:`~repro.sim.compile.CompiledDag` for *dag*, memoized.

@@ -91,10 +91,10 @@ def compute_response(
     if stall > 0.0:
         time.sleep(stall)
     if path == "/schedule":
-        dag, algorithm, kwargs = protocol.parse_schedule_request(request)
+        wire, algorithm, kwargs = protocol.parse_schedule_request(request)
         try:
             payload = protocol.schedule_payload(
-                dag, algorithm, cache=cache, **kwargs
+                wire, algorithm, cache=cache, **kwargs
             )
         except (TypeError, ValueError) as exc:
             raise errors.invalid_request(

@@ -38,10 +38,15 @@ from typing import Any
 import numpy as np
 
 from ..dag.graph import Dag
-from ..dag.io_json import dag_from_json, dumps_canonical
+from ..dag.io_json import dag_from_json, decode_dag, dumps_canonical
 from ..live.session import EventError, validate_events
 from ..live.store import valid_session_name
-from ..perf.cache import ScheduleCache, cached_schedule, schedule_algorithms
+from ..perf.cache import (
+    ScheduleCache,
+    cached_schedule,
+    schedule_algorithms,
+    schedule_key,
+)
 from ..sim.engine import SimParams, simulate
 from ..sim.policies import cli_policy_names
 from ..sim.replication import policy_factory, run_replications
@@ -127,26 +132,50 @@ def _parse_dag(payload: dict) -> Dag:
         raise errors.invalid_dag(str(exc)) from None
 
 
-def parse_schedule_request(payload: dict) -> tuple[Dag, str, dict]:
-    """Validate a ``POST /schedule`` body into ``(dag, algorithm, kwargs)``."""
-    dag = _parse_dag(payload)
-    algorithm = payload.get("algorithm", "prio")
-    if algorithm not in schedule_algorithms():
-        raise errors.invalid_request(
-            f"unknown algorithm {algorithm!r}; "
-            f"choose from {list(schedule_algorithms())}"
-        )
-    kwargs = payload.get("kwargs", {})
-    if not isinstance(kwargs, dict) or any(
-        not isinstance(key, str) for key in kwargs
-    ):
-        raise errors.invalid_request("'kwargs' must be an object")
-    unknown = set(payload) - {"dag", "algorithm", "kwargs"}
-    if unknown:
-        raise errors.invalid_request(
-            f"unknown request fields: {sorted(unknown)}"
-        )
-    return dag, algorithm, kwargs
+def _build_dag(wire: tuple) -> Dag:
+    try:
+        return Dag(*wire)
+    except ValueError as exc:
+        raise errors.invalid_dag(str(exc)) from None
+
+
+def parse_schedule_request(payload: dict) -> tuple[tuple, str, dict]:
+    """Validate a ``POST /schedule`` body into ``(wire, algorithm,
+    kwargs)``, where *wire* is the ``(n, arcs, labels)`` decode of its dag
+    (:func:`~repro.dag.io_json.decode_dag`).
+
+    The ``Dag`` is not built here: :func:`schedule_payload` builds it only
+    when the order must be computed.  When a later field is invalid the
+    ``Dag`` is built first, so a structural dag error is reported before
+    it, as for every other endpoint.
+    """
+    if "dag" not in payload:
+        raise errors.invalid_request("missing required field 'dag'")
+    try:
+        wire = decode_dag(payload["dag"])
+    except ValueError as exc:
+        raise errors.invalid_dag(str(exc)) from None
+    try:
+        algorithm = payload.get("algorithm", "prio")
+        if algorithm not in schedule_algorithms():
+            raise errors.invalid_request(
+                f"unknown algorithm {algorithm!r}; "
+                f"choose from {list(schedule_algorithms())}"
+            )
+        kwargs = payload.get("kwargs", {})
+        if not isinstance(kwargs, dict) or any(
+            not isinstance(key, str) for key in kwargs
+        ):
+            raise errors.invalid_request("'kwargs' must be an object")
+        unknown = set(payload) - {"dag", "algorithm", "kwargs"}
+        if unknown:
+            raise errors.invalid_request(
+                f"unknown request fields: {sorted(unknown)}"
+            )
+    except errors.ServeError:
+        _build_dag(wire)
+        raise
+    return wire, algorithm, kwargs
 
 
 @dataclass(frozen=True)
@@ -275,8 +304,19 @@ def parse_advance_request(payload: dict) -> tuple[str, int, list]:
 # ----------------------------------------------------------------------
 
 
+def _schedule_body(algorithm: str, fingerprint: str, n: int, order) -> dict:
+    return {
+        "format": WIRE_FORMAT,
+        "kind": "schedule",
+        "algorithm": algorithm,
+        "fingerprint": fingerprint,
+        "n": n,
+        "schedule": [int(u) for u in order],
+    }
+
+
 def schedule_payload(
-    dag: Dag,
+    dag: Dag | tuple,
     algorithm: str = "prio",
     *,
     cache: ScheduleCache | None = None,
@@ -284,19 +324,42 @@ def schedule_payload(
 ) -> dict:
     """The ``POST /schedule`` response payload, computed in-process.
 
+    *dag* is a :class:`~repro.dag.graph.Dag` or the ``(n, arcs, labels)``
+    wire decode that :func:`parse_schedule_request` returns.  A wire
+    decode is answered from its arcs when *cache* holds their key
+    (:func:`~repro.perf.cache.schedule_key`); the ``Dag`` is built, and
+    validated, only when the order must be computed, and the order is
+    stored under the key already computed, so the fingerprint is hashed
+    once per request.  A hit needs labels that ``Dag`` would accept
+    (absent, or ``n`` unique strings); any other payload is built, and
+    raises as it always did.  Why a hit is safe without the structural
+    checks is in :mod:`repro.perf.cache`.
+
     Deterministic in ``(dag, algorithm, kwargs)`` — the cache can only
     change *when* the order is computed, never what it is — so the
     served bytes are independent of hits and misses.
     """
-    order = cached_schedule(dag, algorithm, cache=cache, **kwargs)
-    return {
-        "format": WIRE_FORMAT,
-        "kind": "schedule",
-        "algorithm": algorithm,
-        "fingerprint": dag.fingerprint(),
-        "n": dag.n,
-        "schedule": [int(u) for u in order],
-    }
+    if isinstance(dag, Dag):
+        order = cached_schedule(dag, algorithm, cache=cache, **kwargs)
+        return _schedule_body(algorithm, dag.fingerprint(), dag.n, order)
+    n, arcs, labels = dag
+    key = None
+    if cache is not None and (
+        labels is None or len(labels) == n == len(set(labels))
+    ):
+        try:
+            key = schedule_key((n, arcs), algorithm, kwargs)
+        except OverflowError:  # an id past int32 names no stored dag
+            pass
+    if key is None:
+        return schedule_payload(
+            _build_dag(dag), algorithm, cache=cache, **kwargs
+        )
+    order = cache.lookup(key, n)
+    if order is None:
+        order = cached_schedule(_build_dag(dag), algorithm, **kwargs)
+        cache.store(key, n, order)
+    return _schedule_body(algorithm, key[0], n, order)
 
 
 def session_payload(summary: dict) -> dict:

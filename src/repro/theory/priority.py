@@ -71,21 +71,24 @@ def priority_over(profile_i: Sequence[int], profile_j: Sequence[int]) -> float:
 
 
 def _antidiagonal_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``out[s] = max over x+y == s of a[x] + b[y]``."""
+    """``out[s] = max over x+y == s of a[x] + b[y]``.
+
+    Row *x* of a skewed ``(la, la + lb - 1)`` buffer holds ``a[x] + b``
+    shifted right by *x*, written through one strided view whose row
+    stride is one element longer than the buffer's; every other cell is
+    ``-inf``, so the column maxima are the anti-diagonal maxima.  The sum
+    is symmetric, so the shorter operand gives the rows.
+    """
+    if a.size > b.size:
+        a, b = b, a
     la, lb = a.size, b.size
-    m = np.add.outer(a, b)
-    flat = m.ravel()
-    out = np.empty(la + lb - 1, dtype=np.float64)
-    for s in range(la + lb - 1):
-        x_min = max(0, s - (lb - 1))
-        x_max = min(la - 1, s)
-        # element (x, s-x) sits at flat index x*lb + (s-x) = s + x*(lb-1);
-        # for lb == 1 the stride degenerates to 1 and the slice is the single
-        # element (s, 0), which is still correct.
-        step = max(lb - 1, 1)
-        sl = flat[s + x_min * (lb - 1): s + x_max * (lb - 1) + 1: step]
-        out[s] = sl.max()
-    return out
+    skewed = np.full((la, la + lb - 1), -np.inf)
+    row, item = skewed.strides
+    rows = np.lib.stride_tricks.as_strided(
+        skewed, shape=(la, lb), strides=(row + item, item)
+    )
+    np.add(a[:, None], b, out=rows)
+    return skewed.max(axis=0)
 
 
 def has_priority(profile_i: Sequence[int], profile_j: Sequence[int]) -> bool:

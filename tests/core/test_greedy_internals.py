@@ -79,13 +79,18 @@ class TestCombineOrderProperties:
     def test_cache_shared_across_calls(self):
         from repro.theory.priority import PriorityCache
 
-        d = Dag(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+        # Two profile classes (single arcs and two-child forks), so the
+        # rounds score class pairs and the pairwise cache is consulted.
+        d = Dag(10, [(0, 1), (2, 3), (4, 5), (4, 6), (7, 8), (7, 9)])
         dec, scheduled = self._decomposed(d)
+        assert len({sc.profile_key for sc in scheduled}) >= 2
         cache = PriorityCache()
         greedy_combine(dec, scheduled, cache=cache)
         first_misses = cache.misses
+        assert first_misses > 0 and len(cache) > 0  # the caller's cache fills
         greedy_combine(dec, scheduled, cache=cache)
         assert cache.misses == first_misses  # second run fully cached
+        assert cache.hits > 0
 
     def test_empty_decomposition(self):
         dec = Decomposition(

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.theory.eligibility import partial_profile
 from repro.theory.families import clique_dag, w_dag
 from repro.theory.priority import (
     PriorityCache,
+    _antidiagonal_max,
     has_priority,
     priority_matrix,
     priority_over,
@@ -32,6 +35,45 @@ def brute_force_priority(a, b):
             if lhs > 0:
                 best = min(best, rhs / lhs)
     return min(best, 1.0)
+
+
+def loop_antidiagonal_max(a, b):
+    """Oracle: one slice maximum of the outer sum per anti-diagonal."""
+    la, lb = a.size, b.size
+    flat = np.add.outer(a, b).ravel()
+    out = np.empty(la + lb - 1, dtype=np.float64)
+    for s in range(la + lb - 1):
+        x_min = max(0, s - (lb - 1))
+        x_max = min(la - 1, s)
+        # (x, s-x) sits at flat index s + x*(lb-1); for lb == 1 the
+        # stride degenerates to 1 and the slice is the single (s, 0).
+        step = max(lb - 1, 1)
+        diagonal = flat[s + x_min * (lb - 1): s + x_max * (lb - 1) + 1: step]
+        out[s] = diagonal.max()
+    return out
+
+
+profiles = st.lists(st.integers(0, 10**6), min_size=1, max_size=40).map(
+    lambda xs: np.asarray(xs, dtype=np.float64)
+)
+
+
+class TestAntidiagonalMax:
+    @settings(max_examples=300, deadline=None)
+    @given(profiles, profiles)
+    def test_equals_the_loop(self, a, b):
+        out = _antidiagonal_max(a, b)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, loop_antidiagonal_max(a, b))
+
+    @pytest.mark.parametrize(
+        "la, lb", [(1, 1), (1, 5), (5, 1), (3, 7), (7, 3), (6, 6)]
+    )
+    def test_shapes(self, la, lb):
+        rng = np.random.default_rng(la * 100 + lb)
+        a = rng.integers(0, 50, la).astype(np.float64)
+        b = rng.integers(0, 50, lb).astype(np.float64)
+        assert np.array_equal(_antidiagonal_max(a, b), loop_antidiagonal_max(a, b))
 
 
 class TestPriorityOver:
