@@ -399,6 +399,13 @@ class _Resolver:
             scripts.setdefault(job, []).append((when, cmd))
         origin = (where, depth)
         flat = self.flat
+        # Per-file lookups, hoisted out of the per-unit loop.
+        vars_get = dagman.vars_.get if dagman.vars_ else None
+        retries_get = dagman.retries.get if dagman.retries else None
+        jobs_get = dagman.jobs.get
+        flat_jobs, flat_vars, flat_retries = flat.jobs, flat.vars_, flat.retries
+        id_vars, id_origin = self.vars, self.origin
+        expand_subdags = self._expand_subdags
 
         # Each unit (JOB/DATA/SUBDAG or SPLICE, in the statement order the
         # parser recorded) resolves to >= 0 flat jobs at its declaration
@@ -406,12 +413,15 @@ class _Resolver:
         # the unit's (source ids, sink ids).
         ends: dict[str, tuple[list[int], list[int]]] = {}
         for name in dagman.units:
-            local = dagman.vars_.get(name)
+            local = vars_get(name) if vars_get else None
             # Macro dicts are shared down the tree and never mutated.
             node_vars = {**inherited, **local} if local else inherited
-            node_retry = max(inherited_retry, dagman.retries.get(name, 0))
-            flat_name = prefix + name
-            decl = dagman.jobs.get(name)
+            node_retry = (
+                max(inherited_retry, retries_get(name, 0)) if retries_get
+                else inherited_retry
+            )
+            flat_name = prefix + name if prefix else name
+            decl = jobs_get(name)
             if decl is None:  # SPLICE
                 spl = dagman.splices[name]
                 ends[name] = self._descend(
@@ -421,15 +431,17 @@ class _Resolver:
                     flat_name, scope_dir, depth, chain,
                 )
                 continue
-            node_done = force_done or decl.done or name in rescue_done
-            if decl.is_subdag and self._expand_subdags:
+            node_done = force_done or decl.done or (
+                name in rescue_done if rescue_done else False
+            )
+            if decl.is_subdag and expand_subdags:
                 ends[name] = self._descend(
                     key, name, decl.submit_file, decl.directory,
                     node_vars, node_retry, node_done, flat_name,
                     scope_dir, depth, chain,
                 )
                 continue
-            if flat_name in flat.jobs:
+            if flat_name in flat_jobs:
                 raise DagmanImportError(
                     f"job name clash after flattening: {flat_name!r} "
                     f"(declared again in {where})"
@@ -437,24 +449,29 @@ class _Resolver:
             # The parsed file belongs to this import alone: its declaration
             # becomes the flat one.
             decl.name = flat_name
-            decl.submit_file = _expand(decl.submit_file, node_vars, flat_name)
-            if decl.directory:
-                decl.directory = _join_dir(
-                    scope_dir, _expand(decl.directory, node_vars, flat_name)
+            if "$(" in decl.submit_file:
+                decl.submit_file = _expand(
+                    decl.submit_file, node_vars, flat_name
                 )
+            directory = decl.directory
+            if directory:
+                if "$(" in directory:
+                    directory = _expand(directory, node_vars, flat_name)
+                decl.directory = _join_dir(scope_dir, directory)
             elif scope_dir:
                 decl.directory = scope_dir
             decl.done = node_done
-            flat.jobs[flat_name] = decl
+            flat_jobs[flat_name] = decl
             if node_vars:
-                flat.vars_[flat_name] = dict(node_vars)
+                flat_vars[flat_name] = dict(node_vars)
             if node_retry > 0:
-                flat.retries[flat_name] = node_retry
-            for when, cmd in scripts.get(name, ()):
-                flat.scripts[(flat_name, when)] = cmd
-            ids = [len(self.vars)]
-            self.vars.append(node_vars)
-            self.origin.append(origin)
+                flat_retries[flat_name] = node_retry
+            if scripts:
+                for when, cmd in scripts.get(name, ()):
+                    flat.scripts[(flat_name, when)] = cmd
+            ids = [len(id_vars)]
+            id_vars.append(node_vars)
+            id_origin.append(origin)
             ends[name] = (ids, ids)
 
         # Arcs: cross products of the endpoint units' sinks x sources.  A

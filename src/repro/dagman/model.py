@@ -122,24 +122,34 @@ class DagmanFile:
         previous assignment made through this method or the parser."""
         if job not in self.jobs:
             raise KeyError(f"unknown job {job!r}")
-        self.vars_.setdefault(job, {})[JOBPRIORITY_MACRO] = str(priority)
-        stmt = f'VARS {job} {JOBPRIORITY_MACRO}="{priority}"'
-        at = self._jobpriority_lines.get(job)
-        if at is not None:
-            self.lines[at] = stmt
-        else:
-            self._jobpriority_lines[job] = len(self.lines)
-            self.lines.append(stmt)
+        self.set_priorities({job: priority})
 
     def set_priorities(self, priorities: dict[str, int]) -> None:
         """Assign many priorities (jobs in declaration order for stable
-        output regardless of dict order)."""
-        unknown = sorted(set(priorities) - set(self.jobs))
-        if unknown:
+        output regardless of dict order).  A job whose ``jobpriority`` has
+        a line already gets it replaced in place; the others get a
+        ``VARS`` line appended."""
+        jobs = self.jobs
+        if not priorities.keys() <= jobs.keys():
+            unknown = sorted(priorities.keys() - jobs.keys())
             raise KeyError(f"unknown jobs: {unknown}")
-        for name in self.jobs:
-            if name in priorities:
-                self.set_priority(name, priorities[name])
+        vars_, lines, at_line = self.vars_, self.lines, self._jobpriority_lines
+        for name in jobs:
+            if name not in priorities:
+                continue
+            priority = priorities[name]
+            macros = vars_.get(name)
+            if macros is None:
+                vars_[name] = {JOBPRIORITY_MACRO: str(priority)}
+            else:
+                macros[JOBPRIORITY_MACRO] = str(priority)
+            stmt = f'VARS {name} {JOBPRIORITY_MACRO}="{priority}"'
+            at = at_line.get(name)
+            if at is None:
+                at_line[name] = len(lines)
+                lines.append(stmt)
+            else:
+                lines[at] = stmt
 
     def render(self) -> str:
         """The file text (original lines plus any instrumentation)."""

@@ -42,19 +42,70 @@ def parse_dagman_file(path: str | Path) -> DagmanFile:
     return parse_dagman_text(Path(path).read_text())
 
 
+#: Recognized but structurally irrelevant to scheduling; the raw line is
+#: preserved in ``DagmanFile.lines``.
+_VERBATIM = frozenset((
+    "PRIORITY", "CONFIG", "DOT", "MAXJOBS", "CATEGORY", "ABORT-DAG-ON",
+    "NODE_STATUS_FILE", "JOBSTATE_LOG", "FINAL", "REJECT", "SET_JOB_ATTR",
+    "ENV", "INCLUDE", "PRE_SKIP",
+))
+#: Every keyword as it is usually written: these skip the ``upper()``.
+_CANONICAL = _VERBATIM | {
+    "JOB", "DATA", "PARENT", "VARS", "RETRY", "SCRIPT", "SPLICE", "SUBDAG",
+    "DONE",
+}
+
+
 def parse_dagman_text(text: str) -> DagmanFile:
-    """Parse DAGMan file contents into a :class:`DagmanFile`."""
+    """Parse DAGMan file contents into a :class:`DagmanFile`.
+
+    One statement loop.  A keyword is looked up as written and
+    upper-cased only when it is not already canonical.  ``JOB``/``DATA``
+    without flags and ``PARENT p CHILD c`` with one job on each side are
+    taken without a token scan; every other form goes through its
+    handler (docs/FORMAT.md, "One pass").
+    """
     result = DagmanFile()
     lines = result.lines = text.splitlines()
+    jobs, arcs, units = result.jobs, result.arcs, result.units
+    canonical = _CANONICAL
     for line_no, raw in enumerate(lines, start=1):
         tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
+        if not tokens:
             continue
-        keyword = tokens[0].upper()
-        if keyword in ("JOB", "DATA"):
-            _parse_job(result, tokens, line_no, is_data=(keyword == "DATA"))
-        elif keyword == "PARENT":
-            _parse_parent_child(result, tokens, line_no)
+        keyword = tokens[0]
+        if keyword not in canonical:
+            if keyword.startswith("#"):
+                continue
+            keyword = keyword.upper()
+        ntokens = len(tokens)
+        if keyword == "PARENT":
+            if ntokens == 4 and (
+                (child := tokens[2]) == "CHILD" or child.upper() == "CHILD"
+            ) and tokens[1].upper() != "CHILD":
+                p, c = tokens[1], tokens[3]
+                if p == c:
+                    raise DagmanParseError(
+                        f"job {p!r} cannot depend on itself", line_no
+                    )
+                arcs.append((p, c))
+            else:
+                _parse_parent_child(result, tokens, line_no)
+        elif keyword == "JOB" or keyword == "DATA":
+            if ntokens == 3:
+                name = tokens[1]
+                if name in jobs:
+                    raise DagmanParseError(
+                        f"duplicate job name {name!r}", line_no
+                    )
+                jobs[name] = JobDecl(
+                    name, tokens[2], None, False, False, keyword == "DATA"
+                )
+                units.append(name)
+            else:
+                _parse_job(
+                    result, tokens, line_no, is_data=(keyword == "DATA")
+                )
         elif keyword == "VARS":
             _parse_vars(result, tokens, raw.strip(), line_no)
         elif keyword == "RETRY":
@@ -67,26 +118,7 @@ def parse_dagman_text(text: str) -> DagmanFile:
             _parse_subdag(result, tokens, line_no)
         elif keyword == "DONE":
             _parse_done(result, tokens, line_no)
-        elif keyword in (
-            "PRIORITY",
-            "CONFIG",
-            "DOT",
-            "MAXJOBS",
-            "CATEGORY",
-            "ABORT-DAG-ON",
-            "NODE_STATUS_FILE",
-            "JOBSTATE_LOG",
-            "FINAL",
-            "REJECT",
-            "SET_JOB_ATTR",
-            "ENV",
-            "INCLUDE",
-            "PRE_SKIP",
-        ):
-            # Recognized but structurally irrelevant to scheduling; the raw
-            # line is already preserved in result.lines.
-            continue
-        else:
+        elif keyword not in _VERBATIM:
             raise DagmanParseError(f"unknown keyword {tokens[0]!r}", line_no)
     return result
 

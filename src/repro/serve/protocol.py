@@ -38,7 +38,7 @@ from typing import Any
 import numpy as np
 
 from ..dag.graph import Dag
-from ..dag.io_json import dag_from_json, decode_dag, dumps_canonical
+from ..dag.io_json import decode_dag, dumps_canonical
 from ..live.session import EventError, validate_events
 from ..live.store import valid_session_name
 from ..perf.cache import (
@@ -123,11 +123,12 @@ def decode_body(body: bytes) -> dict:
 # ----------------------------------------------------------------------
 
 
-def _parse_dag(payload: dict) -> Dag:
+def _decode_dag_field(payload: dict) -> tuple:
+    """The strict wire decode of the ``dag`` field, without a ``Dag``."""
     if "dag" not in payload:
         raise errors.invalid_request("missing required field 'dag'")
     try:
-        return dag_from_json(payload["dag"])
+        return decode_dag(payload["dag"])
     except ValueError as exc:
         raise errors.invalid_dag(str(exc)) from None
 
@@ -149,12 +150,7 @@ def parse_schedule_request(payload: dict) -> tuple[tuple, str, dict]:
     ``Dag`` is built first, so a structural dag error is reported before
     it, as for every other endpoint.
     """
-    if "dag" not in payload:
-        raise errors.invalid_request("missing required field 'dag'")
-    try:
-        wire = decode_dag(payload["dag"])
-    except ValueError as exc:
-        raise errors.invalid_dag(str(exc)) from None
+    wire = _decode_dag_field(payload)
     try:
         algorithm = payload.get("algorithm", "prio")
         if algorithm not in schedule_algorithms():
@@ -191,7 +187,7 @@ class SimulateRequest:
 
 def parse_simulate_request(payload: dict) -> SimulateRequest:
     """Validate a ``POST /simulate`` body."""
-    dag = _parse_dag(payload)
+    dag = _build_dag(_decode_dag_field(payload))
     raw_params = payload.get("params")
     if not isinstance(raw_params, dict):
         raise errors.invalid_request(
@@ -244,26 +240,34 @@ def parse_session_request(payload: dict) -> tuple[Any, str, str]:
     The *raw* dag payload is returned (not the parsed ``Dag``): the
     session store derives the session token and the checkpoint contents
     from the exact bytes the client sent, so routing and recovery cannot
-    drift from what was requested.  The payload is still fully validated
-    here — malformed dags answer a structured 400, never a 500.
+    drift from what was requested.  The dag is checked once: the strict
+    wire decode runs here, and the store's one ``Dag`` build raises
+    ``ValueError``, which the dispatcher answers as ``invalid_dag``.  When
+    a later field is invalid the ``Dag`` is built first, so a structural
+    dag error is still reported before it.  Malformed dags answer a
+    structured 400, never a 500.
     """
-    _parse_dag(payload)  # full validation; raises invalid_dag
-    name = payload.get("name", "default")
-    if not valid_session_name(name):
-        raise errors.invalid_request(
-            "'name' must match [A-Za-z0-9._-]{1,64}"
-        )
-    mode = payload.get("mode", "incremental")
-    if mode not in SESSION_MODES:
-        raise errors.invalid_request(
-            f"unknown session mode {mode!r}; "
-            f"choose from {list(SESSION_MODES)}"
-        )
-    unknown = set(payload) - {"dag", "name", "mode"}
-    if unknown:
-        raise errors.invalid_request(
-            f"unknown request fields: {sorted(unknown)}"
-        )
+    wire = _decode_dag_field(payload)
+    try:
+        name = payload.get("name", "default")
+        if not valid_session_name(name):
+            raise errors.invalid_request(
+                "'name' must match [A-Za-z0-9._-]{1,64}"
+            )
+        mode = payload.get("mode", "incremental")
+        if mode not in SESSION_MODES:
+            raise errors.invalid_request(
+                f"unknown session mode {mode!r}; "
+                f"choose from {list(SESSION_MODES)}"
+            )
+        unknown = set(payload) - {"dag", "name", "mode"}
+        if unknown:
+            raise errors.invalid_request(
+                f"unknown request fields: {sorted(unknown)}"
+            )
+    except errors.ServeError:
+        _build_dag(wire)
+        raise
     return payload["dag"], name, mode
 
 
