@@ -47,7 +47,7 @@ class LivePrioPolicy(Policy):
     def push(self, job: int) -> None:
         self._eligible.append(job)
 
-    def on_complete(self, job: int) -> None:
+    def on_complete(self, job: int, t: float) -> None:
         # The simulator only completes jobs whose parents all completed,
         # so the executed set stays precedence-closed — the scheduler's
         # precondition.  Recomputation is deferred to the next pop: a

@@ -311,7 +311,7 @@ def simulate(
             # Completion is observed before the newly eligible children
             # are pushed, so a reprioritizing policy ranks them against
             # the post-completion remnant.
-            policy.on_complete(job)
+            policy.on_complete(job, t)
             for v in children[job]:
                 remaining[v] -= 1
                 if remaining[v] == 0:

@@ -8,6 +8,13 @@ arrivals.  Per batch, the server round-robins across users that still have
 eligible jobs (Condor's user-level fair share, in its simplest form), and
 each user's jobs are picked by that user's own policy.
 
+It is a wrapper over the reference engine, not a second event loop: the
+users' dags become one disjoint-union :class:`CompiledDag` (ids
+user-major), a composite :class:`Policy` does the round-robin one pop at
+a time, and :func:`repro.sim.engine.simulate` runs the model.  No job
+becomes eligible in the middle of a batch, so serving a batch pop by pop
+is the same as serving it rotation by rotation.
+
 The per-user metrics mirror :class:`repro.sim.engine.SimResult`:
 completion time of the user's last job, plus the shared totals.  The
 interesting question — does prioritizing *my* dag still help when someone
@@ -17,17 +24,14 @@ else's FIFO dag competes for the same workers? — is exercised in
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..dag.graph import Dag
-from .arrivals import BatchArrivals
 from .compile import CompiledDag, as_compiled
-from .engine import SimParams
+from .engine import SimParams, simulate
 from .policies import Policy
-from .runtime import RuntimeSampler
 
 __all__ = ["UserResult", "MultiDagResult", "simulate_shared"]
 
@@ -63,122 +67,85 @@ def simulate_shared(
     """Execute several dags against one worker stream.
 
     ``policies[k]`` manages user *k*'s eligible pool (fresh instances).
-    Unserved workers are lost, as in the single-dag model; churn/rollover
-    are not supported here.
+    Unserved workers are lost, as in the single-dag model; churn,
+    stragglers and rollover are not supported here.
     """
     if len(dags) != len(policies) or not dags:
         raise ValueError("need one policy per dag and at least one dag")
-    if params.failure_prob or params.rollover:
+    if params.failure_prob or params.straggler_prob or params.rollover:
         raise ValueError("shared simulation supports the basic model only")
     compiled = [as_compiled(d) for d in dags]
-    k = len(compiled)
-    children = [c.child_lists() for c in compiled]
-    remaining = [c.indegree.copy() for c in compiled]
-    for user, c in enumerate(compiled):
-        for u in range(c.n):
-            if remaining[user][u] == 0:
-                policies[user].push(u)
-
-    arrivals = BatchArrivals(
-        params.mu_bit, params.mu_bs, rng, size_dist=params.batch_size_dist
+    offsets = np.cumsum([0] + [c.n for c in compiled])
+    arc_offsets = np.cumsum([0] + [len(c.children) for c in compiled])
+    union = CompiledDag(
+        n=int(offsets[-1]),
+        indptr=np.concatenate(
+            [c.indptr[:-1] + a for c, a in zip(compiled, arc_offsets)]
+            + [arc_offsets[-1:]]
+        ),
+        children=np.concatenate(
+            [c.children + o for c, o in zip(compiled, offsets)]
+        ).astype(np.int32),
+        indegree=np.concatenate([c.indegree for c in compiled]),
     )
-    runtimes = RuntimeSampler(
-        rng, mean=params.runtime_mean, std=params.runtime_std
-    )
-
-    total = sum(c.n for c in compiled)
-    executed_total = 0
-    assigned = [0] * k
-    executed = [0] * k
-    completion_time = [0.0] * k
-    completions: list[tuple[float, int, int]] = []  # (time, user, job)
-    batches = 0
-    requests = 0
-    makespan = 0.0
-    cursor = 0  # round-robin pointer across users
-
-    while executed_total < total:
-        all_assigned = all(assigned[u] == compiled[u].n for u in range(k))
-        if not all_assigned:
-            batch_time = arrivals.peek_time()
-            if completions and completions[0][0] <= batch_time:
-                executed_total += _complete(
-                    completions, children, remaining, policies,
-                    executed, completion_time,
-                )
-                continue
-            t, b = arrivals.next_batch()
-            batches += 1
-            requests += b
-
-            def serve(user: int, job: int) -> None:
-                nonlocal makespan
-                finish = t + runtimes.draw_one()
-                if finish > makespan:
-                    makespan = finish
-                heapq.heappush(completions, (finish, user, job))
-                assigned[user] += 1
-
-            _, cursor = _round_robin_serve(policies, b, cursor, serve)
-        else:
-            executed_total += _complete(
-                completions, children, remaining, policies,
-                executed, completion_time,
-            )
-
+    pool = _RoundRobinPolicy(policies, offsets.tolist())
+    result = simulate(union, pool, params, rng)
     users = tuple(
-        UserResult(
-            user=u, n_jobs=compiled[u].n, completion_time=completion_time[u]
-        )
-        for u in range(k)
+        UserResult(user=u, n_jobs=c.n, completion_time=pool.completion[u])
+        for u, c in enumerate(compiled)
     )
     return MultiDagResult(
         users=users,
-        total_batches=batches,
-        total_requests=requests,
-        makespan=makespan,
+        total_batches=result.batches_until_last_assignment,
+        total_requests=result.requests_until_last_assignment,
+        makespan=result.execution_time,
     )
 
 
-def _round_robin_serve(policies, capacity, cursor, serve):
-    """Round-robin up to *capacity* jobs across users, starting at *cursor*.
+class _RoundRobinPolicy(Policy):
+    """The users' policies behind one eligible pool of union ids.
 
-    Each rotation hands at most one job per user with eligible work; *serve*
-    is called with ``(user, job)`` for every assignment.  Returns
-    ``(served, new_cursor)`` where ``new_cursor`` is one past the last user
-    actually served — so the next batch resumes the rotation where this one
-    left off instead of drifting back toward low-indexed users (the cursor
-    previously advanced by only one per rotation, which systematically
-    favoured early users whenever a batch was exhausted mid-rotation).
-    ``cursor`` is unchanged when nobody has eligible work.
+    ``pop`` serves the first user at or after the cursor who has eligible
+    jobs and moves the cursor one past that user, so the next batch
+    resumes the rotation where this one left off; the cursor is unchanged
+    when nobody has eligible work.  ``on_complete`` records each user's
+    last completion time and passes the hook on to that user's policy.
     """
-    k = len(policies)
-    served = 0
-    while served < capacity:
-        progress = False
-        start = cursor
+
+    __slots__ = ("_policies", "_offsets", "_owner", "_size", "cursor",
+                 "completion")
+
+    def __init__(self, policies: list[Policy], offsets: list[int]):
+        self._policies = policies
+        self._offsets = offsets
+        self._owner = [
+            u for u in range(len(policies))
+            for _ in range(offsets[u + 1] - offsets[u])
+        ]
+        self._size = 0
+        self.cursor = 0
+        self.completion = [0.0] * len(policies)
+
+    def push(self, job: int) -> None:
+        user = self._owner[job]
+        self._policies[user].push(job - self._offsets[user])
+        self._size += 1
+
+    def pop(self) -> int:
+        policies = self._policies
+        k = len(policies)
         for step in range(k):
-            if served >= capacity:
-                break
-            user = (start + step) % k
-            if len(policies[user]) == 0:
-                continue
-            serve(user, policies[user].pop())
-            served += 1
-            progress = True
-            cursor = (user + 1) % k
-        if not progress:
-            break  # nobody has eligible jobs; workers lost
-    return served, cursor
+            user = (self.cursor + step) % k
+            if len(policies[user]):
+                self.cursor = (user + 1) % k
+                self._size -= 1
+                return self._offsets[user] + policies[user].pop()
+        raise IndexError("pop from an empty pool")
 
+    def on_complete(self, job: int, t: float) -> None:
+        user = self._owner[job]
+        self.completion[user] = t  # the engine completes in time order
+        self._policies[user].on_complete(job - self._offsets[user], t)
 
-def _complete(completions, children, remaining, policies, executed, completion_time):
-    t, user, job = heapq.heappop(completions)
-    executed[user] += 1
-    if t > completion_time[user]:
-        completion_time[user] = t
-    for v in children[user][job]:
-        remaining[user][v] -= 1
-        if remaining[user][v] == 0:
-            policies[user].push(v)
-    return 1
+    def __len__(self) -> int:
+        return self._size

@@ -66,12 +66,15 @@ class Policy:
     def pop(self) -> int:
         raise NotImplementedError
 
-    def on_complete(self, job: int) -> None:
-        """Observe a job completing (before its children are pushed).
+    def on_complete(self, job: int, t: float) -> None:
+        """Observe *job* completing at time *t* (before its children are
+        pushed).
 
         A no-op for the paper's oblivious policies; reprioritizing
         policies (:class:`repro.live.policy.LivePrioPolicy`) use it to
-        track the executed set.  The batched kernel never calls this
+        track the executed set, and the multi-user pool
+        (:mod:`repro.sim.multidag`) to record each user's completion
+        time.  The batched kernel never calls this
         hook, which is safe exactly because it only runs registry kinds
         with a ``batch_kind`` (FIFO and the static-permutation orders),
         for which it is a no-op.

@@ -59,9 +59,6 @@ class RuntimeSampler:
         self._pos += k
         return out
 
-    def draw_one(self) -> float:
-        return float(self.draw(1)[0])
-
     def draw_into(self, out: np.ndarray) -> None:
         """Write ``len(out)`` samples into *out*, preserving refill order.
 

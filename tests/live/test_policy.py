@@ -33,7 +33,7 @@ def test_on_complete_triggers_reprioritization(fig3_dag):
     source = next(
         u for u in range(fig3_dag.n) if fig3_dag.in_degree(u) == 0
     )
-    policy.on_complete(source)
+    policy.on_complete(source, 1.0)
     # Lazy: nothing recomputed until the next pop needs priorities.
     assert policy._scheduler.recomputes == recomputes_before
     for v in fig3_dag.children(source):

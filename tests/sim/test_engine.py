@@ -171,10 +171,6 @@ class TestRuntimeSampler:
         s = RuntimeSampler(rng, mean=0.01, std=1.0)
         assert (s.draw(10000) >= RuntimeSampler.FLOOR).all()
 
-    def test_draw_one(self):
-        s = RuntimeSampler(np.random.default_rng(0))
-        assert isinstance(s.draw_one(), float)
-
     def test_zero_std_constant(self):
         s = RuntimeSampler(np.random.default_rng(0), std=0.0)
         assert (s.draw(10) == 1.0).all()

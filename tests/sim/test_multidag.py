@@ -48,6 +48,8 @@ class TestBasics:
             simulate_shared([chain(2)], [], params(), rng)
         with pytest.raises(ValueError, match="basic model"):
             run([chain(2)], [("fifo", None)], failure_prob=0.5)
+        with pytest.raises(ValueError, match="basic model"):
+            run([chain(2)], [("fifo", None)], straggler_prob=0.5)
 
 
 class TestContention:
@@ -105,65 +107,50 @@ class TestRoundRobinCursor:
     low-indexed users instead of one past the last user served."""
 
     @staticmethod
-    def queues(k, jobs_each):
+    def pool(k, jobs_each):
+        from repro.sim.multidag import _RoundRobinPolicy
         from repro.sim.policies import FifoPolicy
 
-        policies = []
-        for user in range(k):
-            p = FifoPolicy()
-            for j in range(jobs_each):
-                p.push(j)
-            policies.append(p)
-        return policies
+        offsets = [user * jobs_each for user in range(k + 1)]
+        pool = _RoundRobinPolicy([FifoPolicy() for _ in range(k)], offsets)
+        for job in range(k * jobs_each):
+            pool.push(job)
+        return pool
+
+    @staticmethod
+    def serve(pool, capacity, jobs_each):
+        """One batch as the engine serves it: ``min(capacity, eligible)``
+        pops; returns the user of each assignment."""
+        take = min(capacity, len(pool))
+        return [pool.pop() // jobs_each for _ in range(take)]
 
     def test_cursor_resumes_one_past_last_served(self):
-        from repro.sim.multidag import _round_robin_serve
-
-        policies = self.queues(3, jobs_each=10)
-        order = []
-        serve = lambda user, job: order.append(user)
-        served, cursor = _round_robin_serve(policies, 2, 0, serve)
-        assert served == 2 and order == [0, 1]
-        assert cursor == 2  # one past user 1, not cursor+1 == 1
-        served, cursor = _round_robin_serve(policies, 2, cursor, serve)
-        assert order == [0, 1, 2, 0] and cursor == 1
+        pool = self.pool(3, jobs_each=10)
+        assert self.serve(pool, 2, 10) == [0, 1]
+        assert pool.cursor == 2  # one past user 1, not cursor+1 == 1
+        assert self.serve(pool, 2, 10) == [2, 0]
+        assert pool.cursor == 1
 
     def test_successive_batches_cover_users_evenly(self):
-        from repro.sim.multidag import _round_robin_serve
-
-        policies = self.queues(3, jobs_each=30)
+        pool = self.pool(3, jobs_each=30)
         counts = [0, 0, 0]
-        cursor = 0
         for _ in range(15):  # 15 batches of 2 over 3 users
-            _, cursor = _round_robin_serve(
-                policies, 2, cursor, lambda u, j: counts.__setitem__(
-                    u, counts[u] + 1
-                )
-            )
+            for user in self.serve(pool, 2, 30):
+                counts[user] += 1
         assert counts == [10, 10, 10]
 
     def test_multi_rotation_batch(self):
-        from repro.sim.multidag import _round_robin_serve
-
-        policies = self.queues(3, jobs_each=10)
-        order = []
-        served, cursor = _round_robin_serve(
-            policies, 4, 0, lambda u, j: order.append(u)
-        )
-        assert served == 4 and order == [0, 1, 2, 0]
-        assert cursor == 1
+        pool = self.pool(3, jobs_each=10)
+        assert self.serve(pool, 4, 10) == [0, 1, 2, 0]
+        assert pool.cursor == 1
 
     def test_skips_empty_users_and_stops_when_dry(self):
-        from repro.sim.multidag import _round_robin_serve
-
-        policies = self.queues(3, jobs_each=1)
-        order = []
-        served, cursor = _round_robin_serve(
-            policies, 10, 1, lambda u, j: order.append(u)
-        )
-        assert served == 3 and order == [1, 2, 0]
-        assert cursor == 1  # one past user 0
-        served, cursor = _round_robin_serve(
-            policies, 5, cursor, lambda u, j: order.append(u)
-        )
-        assert served == 0 and cursor == 1  # nobody eligible: unchanged
+        pool = self.pool(3, jobs_each=1)
+        pool.cursor = 1
+        assert self.serve(pool, 10, 1) == [1, 2, 0]
+        assert pool.cursor == 1  # one past user 0
+        assert self.serve(pool, 5, 1) == []
+        assert pool.cursor == 1  # nobody eligible: unchanged
+        with pytest.raises(IndexError):
+            pool.pop()
+        assert pool.cursor == 1

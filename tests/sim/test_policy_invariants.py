@@ -66,7 +66,7 @@ def _drain(dag, policy):
         assert job in eligible, f"policy served ineligible job {job}"
         eligible.discard(job)
         sequence.append(job)
-        policy.on_complete(job)
+        policy.on_complete(job, float(len(sequence)))
         for child in compiled.children[
             compiled.indptr[job] : compiled.indptr[job + 1]
         ].tolist():
