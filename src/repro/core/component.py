@@ -21,11 +21,18 @@ shape table on the block's local arc tuple and solves each shape once; the
 blocks of one shape share its read-only profile array and the profile's
 key bytes, so the combine phase's class key is computed once per shape (or
 per fallback weight entry), not once per block.
+
+Every arc of a bipartite block leaves one of its non-sinks and stays in
+the block, so a bipartite key is read off the non-sinks' child tuples:
+no membership filter, a local-id map over the sinks only, and none at
+all for a one-source block, whose schedule is its source.  Only blocks
+of the general step map every member and filter arcs.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 
 import numpy as np
 
@@ -35,6 +42,9 @@ from ..theory.recognize import recognize_bipartite_family
 from .decompose import Component
 
 __all__ = ["ScheduledComponent", "schedule_component", "outdegree_order"]
+
+#: The arcs of a 1-Clique block, most blocks of the paper dags.
+_ONE_ARC = ((0, 1),)
 
 
 class ScheduledComponent:
@@ -208,21 +218,55 @@ def schedule_component(
     """
     if outdegree_scope not in ("global", "local"):
         raise ValueError(f"unknown outdegree_scope: {outdegree_scope!r}")
-    nodes = component.nodes
-    n_nonsinks = len(component.nonsinks)
+    nonsinks = component.nonsinks
+    sinks = component.shared_sinks + component.global_sinks
+    nodes = nonsinks + sinks
+    n_nonsinks = len(nonsinks)
+    children = dag.child_table
     # Local ids follow ``nodes``; arcs follow Dag.induced_subgraph's order.
-    local = {orig: i for i, orig in enumerate(nodes)}
-    if len(local) != len(nodes):
-        raise ValueError(f"component {component.index}: duplicate nodes")
-    children = dag.children
-    arcs = tuple(
-        [
-            (i, local[v])
-            for i, u in enumerate(nodes)
-            for v in children(u)
-            if v in local
-        ]
-    )
+    if not component.is_bipartite:
+        local = {orig: i for i, orig in enumerate(nodes)}
+        if len(local) != len(nodes):
+            raise ValueError(f"component {component.index}: duplicate nodes")
+        arcs = tuple(
+            [
+                (i, local[v])
+                for i, u in enumerate(nodes)
+                for v in children[u]
+                if v in local
+            ]
+        )
+    elif n_nonsinks == 0:
+        arcs = ()
+    elif n_nonsinks == 1:
+        # A one-source block is its source and the source's children: one
+        # arc to each sink, in the source's child order.  Sinks are sorted
+        # within their role, so a bisection finds each local id.
+        kids = children[nonsinks[0]]
+        if len(kids) == 1:
+            arcs = _ONE_ARC
+        else:
+            shared = component.shared_sinks
+            global_sinks = component.global_sinks
+            global_base = 1 + len(shared)
+            arcs = tuple(
+                [
+                    (0, 1 + bisect_left(shared, v)) if children[v]
+                    else (0, global_base + bisect_left(global_sinks, v))
+                    for v in kids
+                ]
+            )
+    else:
+        # Every arc of a bipartite block leaves a non-sink, and every
+        # child of a non-sink is in the block: no filter needed.
+        local = {v: i for i, v in enumerate(sinks, n_nonsinks)}
+        arcs = tuple(
+            [
+                (i, local[v])
+                for i, u in enumerate(nonsinks)
+                for v in children[u]
+            ]
+        )
     key = (
         use_catalog,
         outdegree_scope,
@@ -241,7 +285,7 @@ def schedule_component(
             exact_bipartite_limit,
         )
     if type(entry) is _Fallback:
-        weight = tuple(map(dag.out_degree, nodes))
+        weight = tuple(map(len, map(children.__getitem__, nodes)))
         solved = entry.by_weight.get(weight)
         if solved is None:
             subdag = entry.subdag
@@ -249,10 +293,11 @@ def schedule_component(
                 subdag, outdegree_order(subdag, weight=weight), None, component
             )
         entry = solved
+    if n_nonsinks == 1:
+        schedule = nonsinks
+    else:
+        schedule = tuple(map(nodes.__getitem__, entry.order))
     return ScheduledComponent(
-        component=component,
-        schedule=tuple(map(nodes.__getitem__, entry.order)),
-        profile=entry.profile,
-        family=entry.family,
-        profile_key=entry.key,
+        component, schedule, entry.profile, entry.family, entry.key
     )
+

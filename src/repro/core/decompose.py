@@ -21,6 +21,16 @@ the general search only runs when no bipartite block exists anywhere.  This
 is what reduced the 48,013-job SDSS decomposition from days to minutes in
 the original C++ tool.
 
+A block costs what its members need.  The probe's first step scans the
+source's children: when the source is every child's only alive parent
+(most blocks of scientific dags are 1-Cliques), the block is the source
+plus its children and closes in that one scan, roles and death update
+written inline.  Only a child with another alive parent makes the probe
+grow the block's sources S and other jobs T through sets, and then the
+roles come from S and T directly (S-members with children are
+non-sinks, T-members with children shared sinks, childless members
+global sinks) with no membership scan.  The general step keeps its scan.
+
 The general search is one strongly-connected-component pass over the
 remnant's *closure graph* G', in which a source steps to its children and
 any other job steps to its alive parents.  ``C(s)`` is exactly the set G'
@@ -226,14 +236,14 @@ class Remnant:
     def of(cls, dag: Dag) -> "Remnant":
         """The all-alive state of *dag*."""
         n = dag.n
-        children_of = dag.children
-        apc = [dag.in_degree(u) for u in range(n)]
+        children = dag.child_table
+        apc = list(map(len, dag.parent_table))
         # A child is absorbable into a bipartite block iff bpc == 0, so the
         # bipartiteness check is O(1) per pulled job instead of O(parents).
         bpc = [0] * n
         for p in range(n):
             if apc[p]:
-                for c in children_of(p):
+                for c in children[p]:
                     bpc[c] += 1
         sources = {u for u in range(n) if apc[u] == 0}
         return cls(bytearray(b"\x01" * n), apc, bpc, sources, n)
@@ -289,8 +299,9 @@ def decompose(dag: Dag, remnant: Remnant | None = None) -> Decomposition:
     *dag*'s ids (``-1`` for dead jobs).
     """
     n = dag.n
-    children_of = dag.children
-    parents_of = dag.parents
+    children = dag.child_table
+    parents = dag.parent_table
+    children_of = children.__getitem__
     state = Remnant.of(dag) if remnant is None else remnant.copy()
     alive, apc, bpc = state.alive, state.apc, state.bpc
     source_set = state.sources
@@ -302,22 +313,69 @@ def decompose(dag: Dag, remnant: Remnant | None = None) -> Decomposition:
     # detach can flip a bad child good, so the memo dies with each detach.
     failed_since_detach: set[int] = set()
 
-    def bipartite_block(s: int) -> tuple[set[int], set[int]] | None:
-        """The bipartite C(s), or ``None`` as soon as that is impossible.
+    def detach_bipartite(s: int) -> bool:
+        """Detach the bipartite C(s); ``False`` as soon as that is impossible.
 
-        Grows the block source-by-source, aborting the moment any pulled
-        job has an alive non-source parent — so sources whose closure is
-        deep cost O(1) instead of a full graph traversal.  This is the
-        paper's Sec. 3.5 engineering: bipartite blocks are containment-
-        minimal automatically, and the general search runs only when no
-        bipartite block exists at all.
+        First step: scan *s*'s children.  When *s* is the only alive
+        parent of each (``apc == 1``), C(s) is *s* plus its children, and
+        the block closes in that one scan, its roles and death update
+        written inline.  Otherwise the block grows source-by-source,
+        aborting the moment any pulled job has an alive non-source parent
+        — so sources whose closure is deep cost O(1) instead of a full
+        graph traversal.  This is the paper's Sec. 3.5 engineering:
+        bipartite blocks are containment-minimal automatically, and the
+        general search runs only when no bipartite block exists at all.
         """
+        kids = children[s]
+        for c in kids:
+            if apc[c] != 1:
+                if bpc[c]:
+                    # Fails as growing would, before S grew past s.
+                    failed_since_detach.add(s)
+                    return False
+                break
+        else:
+            # One source.  Children with children are shared sinks and
+            # turn source once s dies; childless ones are global sinks.
+            # An isolated s is one global sink.  The update is
+            # Remnant.remove's for jobs (s, *global sinks).
+            index = len(components)
+            alive[s] = 0
+            source_set.discard(s)
+            failed_since_detach.clear()
+            if not kids:
+                state.n_alive -= 1
+                components.append(Component(index, (), (), (s,), True))
+                return True
+            comp_of[s] = index
+            shared: list[int] = []
+            globals_: list[int] = []
+            for c in kids:
+                grandkids = children[c]
+                if not grandkids:
+                    alive[c] = 0
+                    globals_.append(c)
+                    continue
+                shared.append(c)
+                apc[c] = 0
+                source_set.add(c)
+                # c turned source: no longer bad for its children.
+                for d in grandkids:
+                    if alive[d]:
+                        bpc[d] -= 1
+            state.n_alive -= 1 + len(globals_)
+            shared.sort()
+            globals_.sort()
+            components.append(
+                Component(index, (s,), tuple(shared), tuple(globals_), True)
+            )
+            return True
         S = {s}
         T: set[int] = set()
         src_stack = [s]
         while src_stack:
             x = src_stack.pop()
-            for c in children_of(x):
+            for c in children[x]:
                 if c in T:
                     continue
                 if bpc[c]:
@@ -325,58 +383,47 @@ def decompose(dag: Dag, remnant: Remnant | None = None) -> Decomposition:
                     # so far shares c's closure, so sibling sources need
                     # no probe of their own until the state changes.
                     failed_since_detach.update(S)
-                    return None
+                    return False
                 T.add(c)
-                for p in parents_of(c):
+                for p in parents[c]:
                     if alive[p] and p not in S:
                         S.add(p)
                         src_stack.append(p)
-        return S, T
-
-    def detach(S: set[int], T: set[int], bipartite: bool) -> None:
-        members = S | T
+        # Roles need no membership scan: every child of an S-member was
+        # pulled into T, so an S-member with children is a non-sink; and
+        # no T-member has a child inside the block (such a child would
+        # have had an alive non-source parent and failed the probe), so a
+        # T-member with children is a shared sink.  Childless members of
+        # either are global sinks.
         nonsinks: list[int] = []
-        shared: list[int] = []
-        globals_: list[int] = []
-        if bipartite:
-            # Roles need no membership scan here: every child of an
-            # S-member was pulled into T, so an S-member with children is
-            # a non-sink (childless ones are global sinks); and no
-            # T-member has a child inside the block (such a child would
-            # have had an alive non-source parent and failed the probe).
-            for u in sorted(members):
-                if u in S:
-                    if children_of(u):
-                        nonsinks.append(u)
-                    else:
-                        globals_.append(u)
-                elif not children_of(u):
-                    globals_.append(u)
-                else:
-                    shared.append(u)  # stays alive for a later component
-        else:
-            for u in sorted(members):
-                has_child_inside = any(c in members for c in children_of(u))
-                if has_child_inside:
-                    nonsinks.append(u)
-                elif not children_of(u):
-                    globals_.append(u)
-                else:
-                    shared.append(u)  # stays alive for a later component
+        shared = []
+        globals_ = []
+        for u in S:
+            (nonsinks if children[u] else globals_).append(u)
+        for u in T:
+            (shared if children[u] else globals_).append(u)
+        nonsinks.sort()
+        shared.sort()
+        globals_.sort()
+        detach(nonsinks, shared, globals_, True)
+        return True
+
+    def detach(nonsinks: list[int], shared: list[int], globals_: list[int],
+               bipartite: bool) -> None:
+        """Detach a block given its roles, each sorted."""
         index = len(components)
         for u in nonsinks:
             comp_of[u] = index
         state.remove(children_of, nonsinks + globals_)
         failed_since_detach.clear()
-        if nonsinks or shared or globals_:
-            components.append(
-                Component(index, tuple(nonsinks), tuple(shared),
-                          tuple(globals_), bipartite)
-            )
+        components.append(
+            Component(index, tuple(nonsinks), tuple(shared),
+                      tuple(globals_), bipartite)
+        )
 
     while state.n_alive:
         # Fast path: detach every bipartite block discovered this round.
-        # bipartite_block aborts in O(1) on deep-closure sources, so rounds
+        # detach_bipartite aborts in O(1) on deep-closure sources, so rounds
         # dominated by bipartite structure never pay for the general step.
         progressed = False
         for s in sorted(source_set):
@@ -384,9 +431,7 @@ def decompose(dag: Dag, remnant: Remnant | None = None) -> Decomposition:
                 continue  # consumed by an earlier detach this round
             if s in failed_since_detach:
                 continue  # same state as when its closure failed
-            block = bipartite_block(s)
-            if block is not None:
-                detach(block[0], block[1], True)
+            if detach_bipartite(s):
                 progressed = True
         if progressed:
             continue
@@ -395,9 +440,27 @@ def decompose(dag: Dag, remnant: Remnant | None = None) -> Decomposition:
         # (each closure contains one; each one is its own source's
         # closure).  Ties go to the least source id, the (size, s) order.
         S, T = _smallest_closure(
-            n, children_of, parents_of, alive, apc, source_set
+            n, children_of, parents.__getitem__, alive, apc, source_set
         )
-        detach(S, T, False)
+        if not S:
+            # Only counts that contradict the alive set get here; fail
+            # rather than loop without progress.
+            raise AssertionError(
+                f"no closure among {state.n_alive} alive jobs: "
+                "inconsistent remnant counts"
+            )
+        members = S | T
+        nonsinks: list[int] = []
+        shared: list[int] = []
+        globals_: list[int] = []
+        for u in sorted(members):
+            if any(c in members for c in children[u]):
+                nonsinks.append(u)
+            elif not children[u]:
+                globals_.append(u)
+            else:
+                shared.append(u)  # stays alive for a later component
+        detach(nonsinks, shared, globals_, False)
 
     # Superdag: cross-component dependencies between scheduled jobs.
     k = len(components)
@@ -408,7 +471,7 @@ def decompose(dag: Dag, remnant: Remnant | None = None) -> Decomposition:
         ci = comp_of[u]
         if ci == -1:
             continue
-        for v in children_of(u):
+        for v in children[u]:
             cj = comp_of[v]
             if cj == -1 or cj == ci or (ci, cj) in seen_arcs:
                 continue

@@ -228,6 +228,20 @@ class Dag:
         """Jobs that *u* directly depends on."""
         return self._parents[u]
 
+    @property
+    def child_table(self) -> tuple[tuple[int, ...], ...]:
+        """Every job's children by id: ``child_table[u] == children(u)``.
+
+        For loops over many jobs, which index the table instead of
+        calling :meth:`children` per job.
+        """
+        return self._children
+
+    @property
+    def parent_table(self) -> tuple[tuple[int, ...], ...]:
+        """Every job's parents by id: ``parent_table[u] == parents(u)``."""
+        return self._parents
+
     def out_degree(self, u: int) -> int:
         return len(self._children[u])
 

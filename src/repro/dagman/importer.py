@@ -54,6 +54,7 @@ from __future__ import annotations
 import os
 import posixpath
 import re
+import stat
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -278,7 +279,33 @@ class _DiskTree:
             return None
 
     def resolve(self, base: str, ref: str) -> str:
-        return os.path.realpath(os.path.join(os.path.dirname(base), ref))
+        """``os.path.realpath`` of *ref* against *base*'s directory.
+
+        *base* is a key, so its directory is resolved already: only
+        *ref*'s components are walked, one ``lstat`` each.  A component
+        that is a symlink hands the include to ``os.path.realpath``,
+        which follows links (and loops) its own way.
+        """
+        if ref.startswith("/"):
+            return os.path.realpath(ref)
+        path = os.path.dirname(base)
+        for name in ref.split("/"):
+            if not name or name == ".":
+                continue
+            if name == "..":
+                path = os.path.dirname(path)
+                continue
+            step = os.path.join(path, name)
+            try:
+                mode = os.lstat(step).st_mode
+            except OSError:
+                mode = 0  # missing: realpath keeps the name as it stands
+            if stat.S_ISLNK(mode):
+                return os.path.realpath(
+                    os.path.join(os.path.dirname(base), ref)
+                )
+            path = step
+        return path
 
     def display(self, key: str) -> str:
         if key.startswith(self._prefix):

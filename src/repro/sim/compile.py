@@ -20,6 +20,7 @@ the adjacency view exactly once per unique dag.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -47,26 +48,7 @@ class CompiledDag:
 
     @classmethod
     def from_dag(cls, dag: Dag) -> "CompiledDag":
-        n = dag.n
-        degrees = np.fromiter(
-            (dag.out_degree(u) for u in range(n)), dtype=np.int64, count=n
-        )
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        children = np.empty(int(indptr[-1]), dtype=np.int32)
-        for u in range(n):
-            kids = dag.children(u)
-            children[indptr[u]: indptr[u] + len(kids)] = kids
-        indegree = np.fromiter(
-            (dag.in_degree(u) for u in range(n)), dtype=np.int32, count=n
-        )
-        return cls(
-            n=n,
-            indptr=indptr,
-            children=children,
-            indegree=indegree,
-            fingerprint=dag.fingerprint(),
-        )
+        return _compile(dag, dag.fingerprint())
 
     def to_dag(self) -> Dag:
         """The same structure as an unlabelled object :class:`Dag`.
@@ -129,6 +111,25 @@ class CompiledDag:
             (self.n, self.indptr, self.children, self.indegree,
              self.fingerprint),
         )
+
+
+def _compile(dag: Dag, fingerprint: str | None) -> CompiledDag:
+    """*dag*'s CSR arrays, children in stored order, under *fingerprint*."""
+    n = dag.n
+    child_table = dag.child_table
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(
+        np.fromiter(map(len, child_table), dtype=np.int64, count=n),
+        out=indptr[1:],
+    )
+    children = np.fromiter(
+        chain.from_iterable(child_table), dtype=np.int32,
+        count=int(indptr[-1]),
+    )
+    indegree = np.fromiter(
+        map(len, dag.parent_table), dtype=np.int32, count=n
+    )
+    return CompiledDag(n, indptr, children, indegree, fingerprint)
 
 
 def as_compiled(dag: Dag | CompiledDag) -> CompiledDag:

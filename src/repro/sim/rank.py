@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dag.graph import CycleError, Dag
-from .compile import CompiledDag, as_compiled
+from .compile import CompiledDag, _compile
 
 __all__ = [
     "upward_rank",
@@ -45,6 +45,13 @@ __all__ = [
     "dagps_order",
     "topological_levels",
 ]
+
+
+def _arrays(dag: Dag | CompiledDag) -> CompiledDag:
+    """*dag* in CSR form.  An object dag is compiled without its
+    fingerprint: no rank reads it, and a ``/schedule`` miss has hashed
+    the arcs already for its cache key."""
+    return dag if isinstance(dag, CompiledDag) else _compile(dag, None)
 
 
 def _check_weights(n: int, weights) -> np.ndarray:
@@ -109,7 +116,7 @@ def topological_levels(dag: Dag | CompiledDag) -> list[np.ndarray]:
     frontier expansion per level), so depth — not node count — is the
     Python loop bound.
     """
-    compiled = as_compiled(dag)
+    compiled = _arrays(dag)
     n = compiled.n
     indeg = compiled.indegree.astype(np.int64)
     frontier = np.flatnonzero(indeg == 0)
@@ -139,7 +146,7 @@ def upward_rank(dag: Dag | CompiledDag, weights=None) -> np.ndarray:
     (the paper's homogeneous runtime model).  One backward sweep over the
     topological levels.
     """
-    compiled = as_compiled(dag)
+    compiled = _arrays(dag)
     w = _check_weights(compiled.n, weights)
     rank = w.copy()
     for level in reversed(topological_levels(compiled)):
@@ -158,7 +165,7 @@ def downward_rank(dag: Dag | CompiledDag, weights=None) -> np.ndarray:
     ``rank[v] = max(rank[u] + weights[u] for u in parents(v))``, one
     forward sweep over the topological levels via the reverse CSR.
     """
-    compiled = as_compiled(dag)
+    compiled = _arrays(dag)
     n = compiled.n
     w = _check_weights(n, weights)
     rank = np.zeros(n, dtype=np.float64)
@@ -180,7 +187,7 @@ def upward_rank_order(dag: Dag | CompiledDag, weights=None) -> list[int]:
     valid topological order of the dag — the oblivious simulator and the
     batched kernel can both consume it directly.
     """
-    compiled = as_compiled(dag)
+    compiled = _arrays(dag)
     rank = upward_rank(compiled, weights)
     order = np.lexsort((np.arange(compiled.n), -rank))
     return order.tolist()
@@ -232,7 +239,7 @@ def dagps_order(
     """
     if not 0.0 <= troublesome_quantile < 1.0:
         raise ValueError("troublesome_quantile must be in [0, 1)")
-    compiled = as_compiled(dag)
+    compiled = _arrays(dag)
     n = compiled.n
     if n == 0:
         return []

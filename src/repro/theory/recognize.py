@@ -138,6 +138,11 @@ def _match_w(dag: Dag, sources: list[int], sinks: list[int]) -> Recognition | No
 
 
 def _match_m(dag: Dag, sources: list[int], sinks: list[int]) -> Recognition | None:
+    # _match_w's first test on the reverse, read off *dag*: skip building
+    # the reverse of a block whose sinks' in-degrees differ or are 1.
+    degrees = {dag.in_degree(t) for t in sinks}
+    if len(degrees) != 1 or degrees.pop() < 2:
+        return None
     rev = dag.reversed()
     rec = _match_w(rev, sinks, sources)
     if rec is None:

@@ -305,6 +305,32 @@ def test_hit_builds_no_dag_and_a_miss_hashes_once(monkeypatch):
     assert built == [1]  # the hit built none
 
 
+@pytest.mark.parametrize("algorithm", ["prio", "upward-rank", "dagps"])
+def test_a_miss_calls_fingerprint_arcs_once(monkeypatch, algorithm):
+    """One content hash per miss: the wire key's.  The rank orders read
+    the CSR arrays only, so compiling the miss's Dag hashes nothing."""
+    import repro.dag.graph as graph_module
+    import repro.perf.cache as cache_module
+
+    dag = Dag(6, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (2, 5)])
+    request = {"dag": dag_to_json(dag), "algorithm": algorithm}
+    expected = ("ok", encode(schedule_payload(dag, algorithm)))
+    calls = []
+    real = graph_module.fingerprint_arcs
+
+    def counting(n, arcs):
+        calls.append(n)
+        return real(n, arcs)
+
+    monkeypatch.setattr(graph_module, "fingerprint_arcs", counting)
+    monkeypatch.setattr(cache_module, "fingerprint_arcs", counting)
+    cache = ScheduleCache()
+    assert outcome(request, cache) == expected
+    assert (cache.misses, calls) == (1, [6])
+    assert outcome(request, cache) == expected  # a hit hashes once too
+    assert (cache.hits, calls) == (1, [6, 6])
+
+
 # ----------------------------------------------------------------------
 # A one-shard pool routes nothing
 # ----------------------------------------------------------------------
