@@ -4,7 +4,7 @@ Times the full pipeline across workload sizes and reports where the time
 goes.  The paper's two engineered bottlenecks (the decomposition's general
 closure search; the superdag priority selection) are kept sub-quadratic
 here by the bipartite fast path, the one-SCC-pass general step and the
-profile-class priority cache.  AIRSN and SDSS only ever take the bipartite
+profile-class priority memo.  AIRSN and SDSS only ever take the bipartite
 path; Inspiral's coincidence ring forces the general step, so its case
 guards that step.  Each case asserts near-linear growth.
 """
@@ -12,7 +12,9 @@ guards that step.  Each case asserts near-linear growth.
 import time
 
 from common import banner
+from repro.core.greedy import greedy_combine
 from repro.core.prio import prio_schedule
+from repro.theory.priority import priority_over
 from repro.workloads.airsn import airsn
 from repro.workloads.inspiral import inspiral
 from repro.workloads.sdss import sdss
@@ -76,27 +78,52 @@ def test_scaling_inspiral_segments(benchmark):
     assert times[640][0] < 64 * times[40][0]
 
 
-def test_priority_cache_effectiveness(benchmark):
+def test_priority_cache_effectiveness(benchmark, monkeypatch):
+    import repro.core.greedy as greedy
+    import repro.core.prio as prio
+
     dag = sdss(n_fields=800, n_catalogs=160)
+    computed = []
+    lookups = [0]
+
+    def counted_priority(profile_i, profile_j):
+        computed.append((bytes(profile_i), bytes(profile_j)))
+        return priority_over(profile_i, profile_j)
+
+    class CountingMemo(dict):
+        """A fresh combine memo that counts its class-pair lookups."""
+
+        def get(self, key, default=None):
+            if isinstance(key[0], bytes):
+                lookups[0] += 1
+            return dict.get(self, key, default)
+
+    def combine(decomposition, scheduled):
+        return greedy_combine(decomposition, scheduled, memo=CountingMemo())
+
+    monkeypatch.setattr(greedy, "priority_over", counted_priority)
+    monkeypatch.setattr(prio, "greedy_combine", combine)
 
     def run():
+        computed.clear()
+        lookups[0] = 0
         return prio_schedule(dag)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    cache = result.combine.cache
-    total = cache.hits + cache.misses
+    total = lookups[0]
+    misses = len(computed)
     n_blocks = result.decomposition.n_components
     n_classes = len({sc.profile_key for sc in result.scheduled_components})
-    print(banner("Profile-class priority cache (SDSS-800)"))
+    print(banner("Profile-class priority memo (SDSS-800)"))
     print(
         f"  components: {n_blocks}; profile classes: {n_classes}; "
-        f"pairwise lookups: {total}; distinct pairs computed: {cache.misses}"
+        f"pairwise lookups: {total}; distinct pairs computed: {misses}"
     )
-    print(f"  hit rate: {cache.hits / total:.1%}")
+    print(f"  hit rate: {(total - misses) / total:.1%}")
     # Thousands of isomorphic blocks share a handful of profiles: each
     # class pair is computed once, and since the combine phase memoizes
     # round winners, repeated rounds skip the lookups altogether.
-    assert cache.misses <= n_classes ** 2
+    assert len(set(computed)) == misses <= n_classes ** 2
     assert total < n_blocks
 
 

@@ -13,21 +13,21 @@ regimen reproduces its stable topological order, hence IC optimality.
 Engineering: priorities depend on blocks only through their eligibility
 profiles, and scientific dags contain thousands of blocks sharing a handful
 of distinct profiles.  Candidates are therefore grouped into *profile
-classes*; pairwise priorities are memoized per class pair
-(:class:`repro.theory.priority.PriorityCache`), and each round scores the
-classes rather than the blocks.  Rounds repeat, too: the winning classes
-are memoized per round signature (always; see :func:`greedy_combine`), so
-a dag pays the class-scoring loop once per distinct round, not once per
-block.  Within a class, blocks are emitted in detachment order, which
-keeps the sort stable in the theory's sense.
+classes*, and each round scores the classes rather than the blocks.  One
+memo (see :func:`greedy_combine`) holds both kinds of repeated work: the
+priority of each ordered class pair, and the winning classes of each round
+signature.  So a dag computes each pairwise priority once and pays the
+class-scoring loop once per distinct round, not once per block.  Within a
+class, blocks are emitted in detachment order, which keeps the sort stable
+in the theory's sense.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..theory.priority import PriorityCache
+from ..theory.priority import priority_over
 from .component import ScheduledComponent
 from .decompose import Decomposition
 
@@ -44,7 +44,6 @@ class CombineResult:
 
     component_order: list[int]
     nonsink_schedule: list[int]
-    cache: PriorityCache = field(default_factory=PriorityCache)
 
 
 class _ClassRegistry:
@@ -75,13 +74,22 @@ def greedy_combine(
     decomposition: Decomposition,
     scheduled: list[ScheduledComponent],
     *,
-    cache: PriorityCache | None = None,
     memo: dict | None = None,
 ) -> CombineResult:
     """Order the building blocks by the greedy max-min-priority rule.
 
-    Each round's winning profile classes are memoized, keyed by the round
-    *signature* — the sorted class keys plus each class's own
+    One dict, *memo*, holds two kinds of entry:
+
+    * an ordered class pair ``(key_i, key_j)`` maps to
+      ``priority_over(profile_i, profile_j)``, so each pair is computed
+      once however many rounds and blocks meet it;
+    * a round signature ``(classes, flags)`` maps to that round's winning
+      classes (a frozenset of class keys).
+
+    The two kinds cannot collide: a pair key is two ``bytes``, a round key
+    is two tuples, and bytes never equal a tuple.
+
+    The round *signature* is the sorted class keys plus each class's own
     multiplicity>=2 flag, the only inputs the score computation reads
     (scores are pure functions of profile bytes; a class's score includes
     the self-pairing term exactly when its own multiplicity is >= 2).
@@ -91,19 +99,18 @@ def greedy_combine(
     depends on the per-round detachment order, so only the score argmax
     is memoized.
 
-    *memo*, when given, is the round memo to use; the result is identical
-    with or without one, and passing one only shares the memo across
-    calls: a long-lived caller (the incremental rescheduler, which sees
-    near-identical rounds on every advance) keeps its entries from one
-    call to the next.  ``None`` uses a memo local to this call.
+    The result is identical with or without a caller's *memo*; passing one
+    only shares the entries across calls: a long-lived caller (the
+    incremental rescheduler, which sees near-identical rounds and the same
+    classes on every advance) keeps them from one call to the next.
+    ``None`` uses a memo local to this call.
     """
-    if cache is None:
-        cache = PriorityCache()
     if memo is None:
         memo = {}
     indeg = [len(ps) for ps in decomposition.super_parents]
     registry = _ClassRegistry()
     heaps = registry.heaps
+    profiles = registry.profiles
     for i, sc in enumerate(scheduled):
         if sc.index != i:
             raise AssertionError(
@@ -134,17 +141,20 @@ def greedy_combine(
                 best_score = -1.0
                 scores: dict[bytes, float] = {}
                 for key in keys:
-                    profile = registry.profiles[key]
-                    score = min(
-                        (
-                            cache.priority(
-                                key, profile, other, registry.profiles[other]
+                    profile = profiles[key]
+                    paired = len(heaps[key]) >= 2
+                    values = []
+                    for other in keys:
+                        if other == key and not paired:
+                            continue
+                        pair = (key, other)
+                        value = memo.get(pair)
+                        if value is None:
+                            value = memo[pair] = priority_over(
+                                profile, profiles[other]
                             )
-                            for other in keys
-                            if other != key or len(heaps[key]) >= 2
-                        ),
-                        default=1.0,
-                    )
+                        values.append(value)
+                    score = min(values, default=1.0)
                     scores[key] = score
                     if score > best_score:
                         best_score = score
@@ -178,7 +188,6 @@ def greedy_combine(
     return CombineResult(
         component_order=component_order,
         nonsink_schedule=nonsink_schedule,
-        cache=cache,
     )
 
 
@@ -186,8 +195,8 @@ def topological_combine(
     decomposition: Decomposition, scheduled: list[ScheduledComponent]
 ) -> CombineResult:
     """Ablation baseline: emit blocks in plain topological (detachment-order
-    tie-broken) order, ignoring priorities."""
-    by_index = {sc.index: sc for sc in scheduled}
+    tie-broken) order, ignoring priorities.  *scheduled* is in index
+    order, as :func:`greedy_combine` requires."""
     indeg = [len(ps) for ps in decomposition.super_parents]
     heap = [i for i in range(len(scheduled)) if indeg[i] == 0]
     heapq.heapify(heap)
@@ -196,7 +205,7 @@ def topological_combine(
     while heap:
         i = heapq.heappop(heap)
         component_order.append(i)
-        nonsink_schedule.extend(by_index[i].schedule)
+        nonsink_schedule.extend(scheduled[i].schedule)
         for child in decomposition.super_children[i]:
             indeg[child] -= 1
             if indeg[child] == 0:

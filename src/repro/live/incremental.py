@@ -39,8 +39,8 @@ remnant=state)``: no remnant dag is built and no job renumbered.
 Original ids order like the ascending renumbering of
 ``Dag.induced_subgraph(pending)``, so every id tie-break, hence every
 output byte, matches a from-scratch run.  Component-cache hits need no
-remap, and the combine phase shares one
-:class:`~repro.theory.priority.PriorityCache` plus a round-decision memo
+remap, and the combine phase shares one memo (pairwise class priorities
+and round decisions, see :func:`~repro.core.greedy.greedy_combine`)
 across the session.
 
 The contract — pinned by the property suite in ``tests/live/`` — is that
@@ -58,7 +58,6 @@ from ..core.decompose import Remnant, decompose
 from ..core.greedy import greedy_combine
 from ..dag.graph import Dag, fingerprint_arcs
 from ..dag.transitive import remove_shortcuts
-from ..theory.priority import PriorityCache
 
 __all__ = ["IncrementalScheduler"]
 
@@ -118,7 +117,7 @@ class IncrementalScheduler:
         self._component_cache: dict[tuple, _ReplayedComponent] = {}
         #: schedule_component's shape table, consulted on cache misses
         self._shapes: dict = {}
-        self._priority_cache = PriorityCache()
+        #: greedy_combine's memo: class-pair priorities and round winners
         self._combine_memo: dict = {}
         self.component_hits = 0
         self.component_misses = 0
@@ -183,10 +182,6 @@ class IncrementalScheduler:
             "component_hits": self.component_hits,
             "component_misses": self.component_misses,
             "components_cached": len(self._component_cache),
-            "priority_cache": {
-                "hits": self._priority_cache.hits,
-                "misses": self._priority_cache.misses,
-            },
             "combine_memo_entries": len(self._combine_memo),
         }
 
@@ -252,10 +247,7 @@ class IncrementalScheduler:
             )
 
         combined = greedy_combine(
-            decomposition,
-            scheduled,
-            cache=self._priority_cache,
-            memo=self._combine_memo,
+            decomposition, scheduled, memo=self._combine_memo
         )
         alive = remnant.alive
         schedule = combined.nonsink_schedule

@@ -42,12 +42,7 @@ from .ic_optimal import (
     is_ic_optimal,
     max_eligibility,
 )
-from .priority import (
-    PriorityCache,
-    has_priority,
-    priority_matrix,
-    priority_over,
-)
+from .priority import has_priority, priority_over
 from .recognize import Recognition, recognize_bipartite_family
 
 __all__ = [
@@ -61,7 +56,6 @@ __all__ = [
     "rounds_needed",
     "rounds_profile",
     "FamilyInstance",
-    "PriorityCache",
     "Recognition",
     "TheoreticalResult",
     "admits_ic_optimal_schedule",
@@ -84,7 +78,6 @@ __all__ = [
     "max_eligibility",
     "n_dag",
     "partial_profile",
-    "priority_matrix",
     "priority_over",
     "recognize_bipartite_family",
     "w_dag",

@@ -30,8 +30,6 @@ import numpy as np
 __all__ = [
     "priority_over",
     "has_priority",
-    "priority_matrix",
-    "PriorityCache",
 ]
 
 
@@ -94,55 +92,3 @@ def _antidiagonal_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def has_priority(profile_i: Sequence[int], profile_j: Sequence[int]) -> bool:
     """The exact relation ``C_i >= C_j`` of eq. (1) (r = 1 exactly)."""
     return priority_over(profile_i, profile_j) >= 1.0 - 1e-12
-
-
-def priority_matrix(profiles: Sequence[Sequence[int]]) -> np.ndarray:
-    """Pairwise priorities: ``out[i, j]`` = priority of block i over block j
-    (diagonal = 1)."""
-    k = len(profiles)
-    out = np.ones((k, k), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                out[i, j] = priority_over(profiles[i], profiles[j])
-    return out
-
-
-class PriorityCache:
-    """Memoized pairwise priorities keyed by profile identity.
-
-    Scientific dags contain thousands of isomorphic building blocks whose
-    profiles coincide; caching by profile content collapses the pairwise
-    work to the number of *distinct* profile classes (the engineering that
-    took the SDSS run from days to minutes in Sec. 3.5).
-    """
-
-    def __init__(self):
-        self._cache: dict[tuple[bytes, bytes], float] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key(profile: Sequence[int]) -> bytes:
-        """Canonical hashable form of a profile."""
-        return np.asarray(profile, dtype=np.int64).tobytes()
-
-    def priority(
-        self,
-        key_i: bytes,
-        profile_i: Sequence[int],
-        key_j: bytes,
-        profile_j: Sequence[int],
-    ) -> float:
-        pair = (key_i, key_j)
-        cached = self._cache.get(pair)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        value = priority_over(profile_i, profile_j)
-        self._cache[pair] = value
-        return value
-
-    def __len__(self) -> int:
-        return len(self._cache)

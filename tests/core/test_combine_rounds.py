@@ -1,12 +1,14 @@
-"""The combine phase's round memo and per-shape class keys against
-from-scratch references.
+"""The combine phase's memo and per-shape class keys against from-scratch
+references.
 
-``greedy_combine`` memoizes each round's winning profile classes by the
-round signature, whether or not the caller passes a memo; a memo passed in
-is only shared across calls (the incremental rescheduler keeps one for its
-lifetime).  The reference below scores every round from scratch, block by
-block, with no cache and no memo.  Both must emit the same blocks in the
-same order, with a fresh memo and with one memo shared across examples.
+``greedy_combine`` memoizes each ordered class pair's priority and each
+round's winning profile classes (by the round signature) in one memo,
+whether or not the caller passes one; a memo passed in is only shared
+across calls (the incremental rescheduler keeps one for its lifetime).
+The reference below scores every round from scratch, block by block, with
+no memo.  Both must emit the same blocks in the same order, with a fresh
+memo and with one memo shared across examples; and within one call no
+ordered class pair reaches ``priority_over`` twice.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.core.greedy import greedy_combine
 from repro.core.prio import prio_schedule
 from repro.dag.graph import Dag
 from repro.dag.transitive import remove_shortcuts
-from repro.theory.priority import PriorityCache, priority_over
+from repro.theory.priority import priority_over
 from repro.workloads.registry import get_workload, workload_names
 
 from .test_component_shapes import repetitive_dags
@@ -152,14 +154,13 @@ def test_combine_matches_from_scratch_rounds_with_a_fresh_memo():
 
 def test_combine_matches_from_scratch_rounds_with_a_shared_memo():
     memo: dict = {}
-    cache = PriorityCache()
     seen = {"examples": 0, "memo_grew": 0}
 
     @given(combine_cases())
     def check(case):
         decomposition, scheduled = case
         size = len(memo)
-        got = greedy_combine(decomposition, scheduled, cache=cache, memo=memo)
+        got = greedy_combine(decomposition, scheduled, memo=memo)
         assert got.component_order == reference_combine(
             decomposition, scheduled
         )
@@ -169,6 +170,38 @@ def test_combine_matches_from_scratch_rounds_with_a_shared_memo():
     check()
     # Entries written for one example must have been read for others.
     assert memo and seen["memo_grew"] < seen["examples"], seen
+
+
+def test_no_ordered_class_pair_is_computed_twice_in_one_call(monkeypatch):
+    import repro.core.greedy as greedy
+
+    computed: list[tuple[bytes, bytes]] = []
+
+    def counted(profile_i, profile_j):
+        computed.append(
+            (
+                np.asarray(profile_i, dtype=np.int64).tobytes(),
+                np.asarray(profile_j, dtype=np.int64).tobytes(),
+            )
+        )
+        return priority_over(profile_i, profile_j)
+
+    monkeypatch.setattr(greedy, "priority_over", counted)
+    seen = {"pairs": 0}
+
+    @given(combine_cases())
+    def check(case):
+        decomposition, scheduled = case
+        computed.clear()
+        got = greedy_combine(decomposition, scheduled)
+        assert len(set(computed)) == len(computed), computed
+        assert got.component_order == reference_combine(
+            decomposition, scheduled
+        )
+        seen["pairs"] += len(computed)
+
+    check()
+    assert seen["pairs"], "no example scored two classes"
 
 
 def test_profile_key_is_the_int64_profile_bytes_on_every_registry_dag():

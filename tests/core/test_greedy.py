@@ -8,6 +8,7 @@ from repro.core.greedy import greedy_combine, topological_combine
 from repro.dag.builders import chain
 from repro.dag.graph import Dag
 from repro.dag.transitive import remove_shortcuts
+from repro.theory.priority import priority_over
 
 
 def combine_of(dag, mode="greedy"):
@@ -56,8 +57,20 @@ class TestGreedyCombine:
         assert result.component_order == [0, 1]
 
     def test_cache_is_exposed(self, fig3_dag):
-        _, _, result = combine_of(fig3_dag)
-        assert result.cache.misses >= 1
+        # The pairwise priority cache is the caller's memo: after a call
+        # it holds every ordered class pair the rounds scored.
+        dec = decompose(fig3_dag)
+        scheduled = [schedule_component(fig3_dag, c) for c in dec.components]
+        memo: dict = {}
+        greedy_combine(dec, scheduled, memo=memo)
+        pairs = {
+            key: value for key, value in memo.items()
+            if isinstance(key[0], bytes)
+        }
+        assert pairs
+        profiles = {sc.profile_key: sc.profile for sc in scheduled}
+        for (key_i, key_j), value in pairs.items():
+            assert value == priority_over(profiles[key_i], profiles[key_j])
 
     def test_single_component(self):
         d = Dag(3, [(0, 2), (1, 2)])

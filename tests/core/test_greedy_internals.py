@@ -7,6 +7,7 @@ from repro.core.component import ScheduledComponent, schedule_component
 from repro.core.decompose import Component, Decomposition, decompose
 from repro.core.greedy import _ClassRegistry, greedy_combine
 from repro.dag.graph import Dag
+from repro.theory.priority import priority_over
 
 
 def make_sc(index, profile, schedule=()):
@@ -76,21 +77,35 @@ class TestCombineOrderProperties:
         )
         assert result.component_order[0] == wide
 
-    def test_cache_shared_across_calls(self):
-        from repro.theory.priority import PriorityCache
+    def test_cache_shared_across_calls(self, monkeypatch):
+        import repro.core.greedy as greedy
 
         # Two profile classes (single arcs and two-child forks), so the
-        # rounds score class pairs and the pairwise cache is consulted.
+        # rounds score class pairs and the memo holds their priorities.
         d = Dag(10, [(0, 1), (2, 3), (4, 5), (4, 6), (7, 8), (7, 9)])
         dec, scheduled = self._decomposed(d)
-        assert len({sc.profile_key for sc in scheduled}) >= 2
-        cache = PriorityCache()
-        greedy_combine(dec, scheduled, cache=cache)
-        first_misses = cache.misses
-        assert first_misses > 0 and len(cache) > 0  # the caller's cache fills
-        greedy_combine(dec, scheduled, cache=cache)
-        assert cache.misses == first_misses  # second run fully cached
-        assert cache.hits > 0
+        by_key = {sc.profile_key: sc.profile for sc in scheduled}
+        assert len(by_key) == 2
+        a, b = sorted(by_key)
+        calls = []
+
+        def counted(profile_i, profile_j):
+            calls.append(1)
+            return priority_over(profile_i, profile_j)
+
+        monkeypatch.setattr(greedy, "priority_over", counted)
+        memo: dict = {}
+        first = greedy_combine(dec, scheduled, memo=memo)
+        assert calls  # the caller's memo fills
+        # Both directions are kept, each under its own ordered pair: the
+        # priority of one class over another is not symmetric.
+        assert memo[(a, b)] == priority_over(by_key[a], by_key[b])
+        assert memo[(b, a)] == priority_over(by_key[b], by_key[a])
+        assert memo[(a, b)] != memo[(b, a)]
+        computed = len(calls)
+        again = greedy_combine(dec, scheduled, memo=memo)
+        assert len(calls) == computed  # the second call computes nothing
+        assert again.component_order == first.component_order
 
     def test_empty_decomposition(self):
         dec = Decomposition(

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from repro.theory.eligibility import partial_profile
 from repro.theory.families import clique_dag, w_dag
 from repro.theory.priority import (
-    PriorityCache,
     _antidiagonal_max,
     has_priority,
-    priority_matrix,
     priority_over,
 )
 
@@ -136,41 +134,3 @@ class TestHasPriority:
     def test_reflexive_for_monotone_profiles(self):
         # Profiles that never dip admit r = 1 against themselves.
         assert has_priority([1, 2, 3], [1, 2, 3])
-
-
-class TestPriorityMatrix:
-    def test_diagonal_is_one(self):
-        m = priority_matrix([[1, 2], [2, 1], [1, 1]])
-        assert np.allclose(np.diag(m), 1.0)
-
-    def test_entries_match_pairwise(self):
-        profiles = [[1, 2], [2, 1], [1, 1, 2]]
-        m = priority_matrix(profiles)
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    assert m[i, j] == pytest.approx(
-                        priority_over(profiles[i], profiles[j])
-                    )
-
-
-class TestPriorityCache:
-    def test_caches_by_key(self):
-        cache = PriorityCache()
-        a, b = [1, 2], [2, 1]
-        ka, kb = PriorityCache.key(a), PriorityCache.key(b)
-        v1 = cache.priority(ka, a, kb, b)
-        v2 = cache.priority(ka, a, kb, b)
-        assert v1 == v2
-        assert cache.hits == 1 and cache.misses == 1
-        assert len(cache) == 1
-
-    def test_direction_matters(self):
-        cache = PriorityCache()
-        a, b = [1, 1], [1, 2]
-        ka, kb = PriorityCache.key(a), PriorityCache.key(b)
-        assert cache.priority(ka, a, kb, b) != cache.priority(kb, b, ka, a)
-        assert len(cache) == 2
-
-    def test_key_is_content_based(self):
-        assert PriorityCache.key([1, 2]) == PriorityCache.key(np.array([1, 2]))
