@@ -1053,11 +1053,11 @@ def _cmd_advance(args: argparse.Namespace) -> int:
 
     from .dag.io_json import dag_to_json
     from .live.session import SessionError
-    from .live.store import SessionStore, session_token
+    from .live.store import SessionExists, SessionStore, session_token
 
     if not args.session and not args.dag:
         raise CliError("need --session or --dag to identify the session")
-    store = SessionStore(directory=args.session_dir, mode=args.mode)
+    store = SessionStore(directory=args.session_dir)
     dag_payload = None
     if args.dag:
         dag, _ = _load_dag(args.dag)
@@ -1073,7 +1073,12 @@ def _cmd_advance(args: argparse.Namespace) -> int:
                 "pass --dag to create it"
             )
         try:
-            session = store.create(dag_payload, name=args.name, mode=args.mode)
+            session = store.create(dag_payload, name=args.name)
+        except SessionExists:
+            raise CliError(
+                f"session {session_id} under {args.session_dir} does not "
+                "recover from its checkpoint"
+            ) from None
         except (SessionError, ValueError) as exc:
             raise CliError(str(exc)) from None
         print(
@@ -1560,12 +1565,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seq",
         type=_positive_int,
         help="batch sequence number (default: the session's next)",
-    )
-    p.add_argument(
-        "--mode",
-        choices=("incremental", "full"),
-        default="incremental",
-        help="scheduler engine for newly created sessions",
     )
     p.add_argument(
         "-o",

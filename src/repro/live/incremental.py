@@ -61,6 +61,9 @@ from ..dag.transitive import remove_shortcuts
 
 __all__ = ["IncrementalScheduler"]
 
+#: Metrics counter of priority recomputes.
+RECOMPUTE_COUNTER = "live.recompute.incremental"
+
 
 class _ReplayedComponent:
     """Cached stand-in for :class:`ScheduledComponent`.
@@ -92,18 +95,10 @@ class IncrementalScheduler:
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; recompute
         counts, cache traffic and latencies land under ``live.*``.
-    mode:
-        ``"incremental"`` (the default: structural reuse as documented in
-        the module docstring) or ``"full"`` (run the
-        :func:`~repro.core.rescheduling.reprioritize_remnant` oracle on
-        every recompute — the benchmark baseline and debugging fallback).
     """
 
-    def __init__(self, dag: Dag, *, metrics=None, mode: str = "incremental"):
-        if mode not in ("incremental", "full"):
-            raise ValueError(f"unknown scheduler mode: {mode!r}")
+    def __init__(self, dag: Dag, *, metrics=None):
         self.dag = dag
-        self.mode = mode
         self.metrics = metrics
         reduced, shortcuts = remove_shortcuts(dag)
         self._reduced = reduced
@@ -122,7 +117,6 @@ class IncrementalScheduler:
         self.component_hits = 0
         self.component_misses = 0
         self.recomputes = 0
-        self.full_recomputes = 0
         self.remnant_rebuilds = 0
 
     # ------------------------------------------------------------------
@@ -135,19 +129,15 @@ class IncrementalScheduler:
         Returns a full-length list over original job ids: executed jobs
         carry 0, the first remnant job carries ``len(pending)`` down to 1
         for the last — exactly the oracle's encoding.  The executed set is
-        trusted here (``LiveSession`` validates closure as events apply;
-        the oracle path re-validates on its own).
+        trusted here (``LiveSession`` validates closure as events apply).
         """
         started = time.perf_counter()
-        if self.mode == "full":
-            result = self._full(executed)
-        else:
-            result = self._incremental(executed)
+        result = self._incremental(executed)
         if self.metrics is not None:
             self.metrics.timer("live.recompute").add(
                 time.perf_counter() - started
             )
-            self.metrics.counter(f"live.recompute.{self.mode}").inc()
+            self.metrics.counter(RECOMPUTE_COUNTER).inc()
         return result
 
     def remnant_fingerprint(self, executed) -> str:
@@ -176,9 +166,7 @@ class IncrementalScheduler:
     def stats(self) -> dict:
         """Reuse counters (JSON-serializable)."""
         return {
-            "mode": self.mode,
             "recomputes": self.recomputes,
-            "full_recomputes": self.full_recomputes,
             "component_hits": self.component_hits,
             "component_misses": self.component_misses,
             "components_cached": len(self._component_cache),
@@ -186,18 +174,7 @@ class IncrementalScheduler:
         }
 
     # ------------------------------------------------------------------
-    # Slow path: the from-scratch oracle
-    # ------------------------------------------------------------------
-
-    def _full(self, executed) -> list[int]:
-        from ..core.rescheduling import reprioritize_remnant
-
-        self.recomputes += 1
-        self.full_recomputes += 1
-        return reprioritize_remnant(self.dag, executed).priorities
-
-    # ------------------------------------------------------------------
-    # Fast path
+    # Internals
     # ------------------------------------------------------------------
 
     def _carry(self, executed_set) -> Remnant:

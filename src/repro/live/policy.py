@@ -30,15 +30,15 @@ __all__ = ["LivePrioPolicy"]
 class LivePrioPolicy(Policy):
     """Serve the eligible job of highest priority in the current remnant.
 
-    ``mode`` selects the scheduler's engine (``"incremental"`` reuses
-    structure across recomputes, ``"full"`` is the from-scratch oracle);
-    both yield identical priorities, hence identical simulations.
+    The priorities are the :class:`IncrementalScheduler`'s, identical to
+    ``reprioritize_remnant`` on every remnant, so a policy recomputing
+    from scratch would simulate identically.
     """
 
     __slots__ = ("_scheduler", "_executed", "_eligible", "_priorities", "_dirty")
 
-    def __init__(self, dag: Dag, *, mode: str = "incremental"):
-        self._scheduler = IncrementalScheduler(dag, mode=mode)
+    def __init__(self, dag: Dag):
+        self._scheduler = IncrementalScheduler(dag)
         self._executed: set[int] = set()
         self._eligible: list[int] = []
         self._priorities = self._scheduler.priorities(self._executed)

@@ -130,7 +130,6 @@ class LiveSession:
         dag: Dag,
         *,
         session_id: str = "default",
-        mode: str = "incremental",
         metrics=None,
         telemetry=None,
     ):
@@ -138,7 +137,7 @@ class LiveSession:
         self.session_id = session_id
         self.metrics = metrics
         self.telemetry = telemetry
-        self.scheduler = IncrementalScheduler(dag, metrics=metrics, mode=mode)
+        self.scheduler = IncrementalScheduler(dag, metrics=metrics)
         self.seq = 0
         self.executed: set[int] = set()
         self.fail_counts: dict[int, int] = {}
@@ -169,7 +168,6 @@ class LiveSession:
         return {
             "session_id": self.session_id,
             "seq": self.seq,
-            "mode": self.scheduler.mode,
             "n_jobs": self.dag.n,
             "n_pending": self.n_pending,
             "n_executed": len(self.executed),
@@ -199,33 +197,13 @@ class LiveSession:
         when some ``complete`` event actually shrank the remnant.
         """
         started = time.perf_counter()
-        expected = self.seq + 1
         if seq is None:
-            seq = expected
-        if seq != expected:
-            raise SequenceError(expected=expected, got=seq)
-        normalized = validate_events(events)
-        self._check_batch(normalized)
-
-        completed = []
-        for kind, job in normalized:
-            if kind == "complete":
-                self.executed.add(job)
-                self.stragglers.discard(job)
-                completed.append(job)
-            elif kind == "fail":
-                self.fail_counts[job] = self.fail_counts.get(job, 0) + 1
-            elif kind == "retry_exhausted":
-                self.fail_counts.setdefault(job, 0)
-                self.exhausted.add(job)
-            else:  # straggler_timeout
-                self.stragglers.add(job)
-        self.seq = seq
-        self.events_applied += len(normalized)
+            seq = self.seq + 1
+        applied, completed = self._apply(seq, events)
 
         if completed:
             new_priorities = self.scheduler.priorities(self.executed)
-            recompute = self.scheduler.mode
+            recompute = "incremental"
             # String keys, as JSON will round-trip them: a delta replayed
             # from a checkpoint must encode byte-identically to the original.
             old = self._priorities
@@ -247,14 +225,14 @@ class LiveSession:
         delta = {
             "session_id": self.session_id,
             "seq": seq,
-            "applied": len(normalized),
+            "applied": applied,
             "recompute": recompute,
             "changed": changed,
             "n_pending": self.n_pending,
         }
         self.last_advance = (seq, delta)
         if self.metrics is not None:
-            self.metrics.counter("live.events.applied").inc(len(normalized))
+            self.metrics.counter("live.events.applied").inc(applied)
             self.metrics.timer("live.advance").add(elapsed)
         if self.telemetry is not None:
             self.telemetry.write(
@@ -263,7 +241,7 @@ class LiveSession:
                     "kind": "advance",
                     "session": self.session_id,
                     "seq": seq,
-                    "applied": len(normalized),
+                    "applied": applied,
                     "recompute": recompute,
                     "n_changed": len(changed),
                     "seconds": elapsed,
@@ -281,29 +259,41 @@ class LiveSession:
         """
         saw_complete = False
         for seq, events in batches:
-            expected = self.seq + 1
-            if seq != expected:
-                raise SequenceError(expected=expected, got=seq)
-            normalized = validate_events(events)
-            self._check_batch(normalized)
-            for kind, job in normalized:
-                if kind == "complete":
-                    self.executed.add(job)
-                    self.stragglers.discard(job)
-                    saw_complete = True
-                elif kind == "fail":
-                    self.fail_counts[job] = self.fail_counts.get(job, 0) + 1
-                elif kind == "retry_exhausted":
-                    self.fail_counts.setdefault(job, 0)
-                    self.exhausted.add(job)
-                else:
-                    self.stragglers.add(job)
-            self.seq = seq
-            self.events_applied += len(normalized)
+            saw_complete |= self._apply(seq, events)[1]
         if saw_complete:
             self._priorities = self.scheduler.priorities(self.executed)
 
     # ------------------------------------------------------------------
+
+    def _apply(self, seq: int, events) -> tuple[int, bool]:
+        """Validate one batch in full, then apply it as batch *seq*.
+
+        Returns the number of events applied and whether any of them
+        completed a job (shrank the remnant).  Raises before any state
+        changes: :class:`SequenceError` unless *seq* is ``self.seq + 1``,
+        :class:`EventError` for a malformed or inapplicable event.
+        """
+        expected = self.seq + 1
+        if seq != expected:
+            raise SequenceError(expected=expected, got=seq)
+        normalized = validate_events(events)
+        self._check_batch(normalized)
+        completed = False
+        for kind, job in normalized:
+            if kind == "complete":
+                self.executed.add(job)
+                self.stragglers.discard(job)
+                completed = True
+            elif kind == "fail":
+                self.fail_counts[job] = self.fail_counts.get(job, 0) + 1
+            elif kind == "retry_exhausted":
+                self.fail_counts.setdefault(job, 0)
+                self.exhausted.add(job)
+            else:  # straggler_timeout
+                self.stragglers.add(job)
+        self.seq = seq
+        self.events_applied += len(normalized)
+        return len(normalized), completed
 
     def _check_batch(self, normalized) -> None:
         """Validate a whole batch against the executed set plus the batch's

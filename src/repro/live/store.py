@@ -17,8 +17,8 @@ routes on, so a session and all its advances land on one shard, and it is
 recomputable from the id alone — no routing table to lose.
 
 **Durability.**  The checkpoint holds one ``create`` entry (the raw dag
-payload plus options) and one ``advance:<seq>`` entry per applied batch
-(events plus the response delta): each advance appends and fsyncs one
+payload and the session name) and one ``advance:<seq>`` entry per applied
+batch (events plus the response delta): each advance appends and fsyncs one
 line before it returns, whatever the session's length.  Recovery
 replays the event history through :meth:`LiveSession.replay` (one
 recompute total, not one per batch) and keeps the last stored delta for
@@ -26,7 +26,9 @@ sequence replay — so the next ``advance`` after a crash is
 byte-identical to one served by a process that never died.  A batch
 whose checkpoint write failed is applied in memory but not yet durable;
 the retry (or the next batch) writes it before answering, so the disk
-never skips a seq the client was told succeeded.
+never skips a seq the client was told succeeded.  A checkpoint that is
+unreadable, or whose records do not replay, recovers no session: the id
+answers as unknown, never with an exception from the damaged file.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 _SESSION_ID_RE = re.compile(r"^[0-9a-f]{16}\.[A-Za-z0-9._-]{1,64}$")
+_ADVANCE_KEY_RE = re.compile(r"advance:([0-9]{8,18})")
 
 
 def valid_session_name(name: str) -> bool:
@@ -74,14 +77,12 @@ class SessionStore:
         self,
         *,
         directory: str | Path | None = None,
-        mode: str = "incremental",
         metrics=None,
         telemetry=None,
     ):
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-        self.mode = mode
         self.metrics = metrics
         self.telemetry = telemetry
         self._sessions: dict[str, LiveSession] = {}
@@ -97,9 +98,7 @@ class SessionStore:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def create(
-        self, dag_payload, *, name: str = "default", mode: str | None = None
-    ) -> LiveSession:
+    def create(self, dag_payload, *, name: str = "default") -> LiveSession:
         """Create (and persist) a session for the raw ``dag`` field.
 
         Raises :class:`SessionError` for a bad name, ``ValueError`` for a
@@ -120,7 +119,6 @@ class SessionStore:
             session = LiveSession(
                 dag,
                 session_id=session_id,
-                mode=mode or self.mode,
                 metrics=self.metrics,
                 telemetry=self.telemetry,
             )
@@ -133,12 +131,7 @@ class SessionStore:
                         meta={"session_id": session_id},
                     )
                     checkpoint.record(
-                        "create",
-                        {
-                            "dag": dag_payload,
-                            "name": name,
-                            "mode": session.scheduler.mode,
-                        },
+                        "create", {"dag": dag_payload, "name": name}
                     )
                 except BaseException:
                     # Register nothing and leave no header-only file, so
@@ -252,43 +245,87 @@ class SessionStore:
             return lock
 
     def _recover(self, session_id: str) -> LiveSession | None:
-        """Rebuild a session from its checkpoint (registry lock held)."""
+        """Rebuild a session from its checkpoint (registry lock held).
+
+        A checkpoint that cannot be read, or whose records do not rebuild
+        a session, recovers nothing: the session is unknown.
+        """
         try:
             checkpoint = Checkpoint.open(
                 self._path(session_id),
                 self._fingerprint(session_id),
                 require_existing=True,
             )
+            session = self._replayed(session_id, checkpoint)
         except CheckpointError:
             return None
-        created = checkpoint.get("create")
-        if created is None:
-            return None
-        dag = dag_from_json(created["dag"])
-        session = LiveSession(
-            dag,
-            session_id=session_id,
-            mode=created.get("mode", self.mode),
-            metrics=self.metrics,
-            telemetry=self.telemetry,
-        )
-        batches = []
-        last = None
-        for key in sorted(checkpoint.done_keys):
-            if not key.startswith("advance:"):
-                continue
-            payload = checkpoint.get(key)
-            batches.append((int(key.split(":", 1)[1]), payload["events"]))
-            last = payload["delta"]
-        session.replay(batches)
-        if last is not None:
-            session.last_advance = (session.seq, last)
         self._sessions[session_id] = session
         self._checkpoints[session_id] = checkpoint
         self._locks.setdefault(session_id, threading.Lock())
         self.recovered += 1
         if self.metrics is not None:
             self.metrics.counter("live.sessions.recovered").inc()
+        return session
+
+    def _replayed(self, session_id: str, checkpoint) -> LiveSession:
+        """The session *checkpoint* records, rebuilt by replaying its
+        batches; :class:`CheckpointError` when a record is damaged.
+
+        The ``create`` record must hold the dag payload whose token the
+        id carries; any other key in it (a ``mode`` written by older
+        code) is ignored.  Each ``advance:<seq>`` record must hold the
+        batch's events and the delta answered for it, the batches must
+        replay in order, and the last delta must encode canonically.
+        """
+        path = checkpoint.path
+        created = checkpoint.get("create")
+        if not isinstance(created, dict) or "dag" not in created:
+            raise CheckpointError(f"{path}: no valid create record")
+        try:
+            dag = dag_from_json(created["dag"])
+            token = session_token(created["dag"])
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: bad dag record ({exc})") from None
+        if not session_id.startswith(token + "."):
+            raise CheckpointError(f"{path}: dag record does not match the id")
+        batches = []
+        for key in sorted(checkpoint.done_keys):
+            if not key.startswith("advance:"):
+                continue
+            match = _ADVANCE_KEY_RE.fullmatch(key)
+            seq = int(match.group(1)) if match else None
+            payload = checkpoint.get(key)
+            delta = payload.get("delta") if isinstance(payload, dict) else None
+            if not (
+                match
+                and isinstance(delta, dict)
+                and "events" in payload
+                and delta.get("session_id") == session_id
+                and delta.get("seq") == seq
+            ):
+                raise CheckpointError(f"{path}: bad record {key!r}")
+            batches.append((seq, payload["events"], delta))
+        session = LiveSession(
+            dag,
+            session_id=session_id,
+            metrics=self.metrics,
+            telemetry=self.telemetry,
+        )
+        try:
+            session.replay((seq, events) for seq, events, _ in batches)
+        except SessionError as exc:
+            raise CheckpointError(
+                f"{path}: history does not replay ({exc})"
+            ) from None
+        if batches:
+            delta = batches[-1][2]
+            try:
+                dumps_canonical(delta)  # a retry answers it again
+            except ValueError:
+                raise CheckpointError(
+                    f"{path}: last delta does not encode"
+                ) from None
+            session.last_advance = (session.seq, delta)
         return session
 
 

@@ -30,7 +30,7 @@ Record kinds and their required fields:
 ``advance``
     One per live-session event batch (:mod:`repro.live`): ``session``,
     ``seq``, ``applied`` (events in the batch), ``recompute``
-    (``"incremental"``, ``"full"`` or ``"skipped"``) and ``seconds``
+    (``"incremental"`` or ``"skipped"``) and ``seconds``
     (advance latency).
 
 Unknown extra fields are always allowed (forward compatibility); unknown

@@ -118,7 +118,7 @@ def _parse(path: Path) -> tuple[dict, dict, bool]:
     if (
         not isinstance(header, dict)
         or header.get("kind") != "header"
-        or "fingerprint" not in header
+        or not isinstance(header.get("fingerprint"), str)
     ):
         raise CheckpointError(f"{path}: line {header_line} is not a checkpoint header")
     if header.get("schema") != CHECKPOINT_SCHEMA:
@@ -131,7 +131,7 @@ def _parse(path: Path) -> tuple[dict, dict, bool]:
         if (
             not isinstance(record, dict)
             or record.get("kind") != "entry"
-            or "key" not in record
+            or not isinstance(record.get("key"), str)
             or "payload" not in record
         ):
             raise CheckpointError(

@@ -122,11 +122,9 @@ class ServeClient:
         return self.post_json("/schedule", body)
 
     def create_session(
-        self, dag: Dag, *, name: str = "default", mode: str | None = None
+        self, dag: Dag, *, name: str = "default"
     ) -> ServeResponse:
-        body: dict = {"dag": dag_to_json(dag), "name": name}
-        if mode is not None:
-            body["mode"] = mode
+        body = {"dag": dag_to_json(dag), "name": name}
         return self.post_json("/session", body)
 
     def advance(self, session_id: str, seq: int, events: list) -> ServeResponse:

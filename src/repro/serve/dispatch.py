@@ -103,9 +103,9 @@ def compute_response(
     elif path == "/session":
         if sessions is None:
             raise errors.internal("session store not configured")
-        dag_payload, name, mode = protocol.parse_session_request(request)
+        dag_payload, name = protocol.parse_session_request(request)
         try:
-            session = sessions.create(dag_payload, name=name, mode=mode)
+            session = sessions.create(dag_payload, name=name)
         except SessionExists as exc:
             raise errors.conflict(str(exc)) from None
         except SessionError as exc:

@@ -23,8 +23,7 @@ Request shapes (the parsers below validate them and raise
     POST /simulate  {"dag": <repro-dag-v1>, "params": {"mu_bit": 1.0,
                      "mu_bs": 16.0, ...}, "seed": 0,
                      "policy": "prio", "replications": 8}   # tail optional
-    POST /session   {"dag": <repro-dag-v1>, "name": "run1",
-                     "mode": "incremental"}                 # tail optional
+    POST /session   {"dag": <repro-dag-v1>, "name": "run1"}  # name optional
     POST /advance   {"session": "<token>.<name>", "seq": 1,
                      "events": [{"kind": "complete", "job": 0}, ...]}
 """
@@ -55,7 +54,6 @@ from . import errors
 __all__ = [
     "WIRE_FORMAT",
     "POLICIES",
-    "SESSION_MODES",
     "SimulateRequest",
     "encode",
     "decode_body",
@@ -74,9 +72,6 @@ WIRE_FORMAT = "repro-serve-v1"
 #: Policies ``POST /simulate`` accepts (mirrors ``prio simulate -a``:
 #: every CLI-visible kind in the policy registry).
 POLICIES = cli_policy_names()
-
-#: Scheduler modes ``POST /session`` accepts.
-SESSION_MODES = ("incremental", "full")
 
 #: ``SimParams`` fields settable over the wire, with their check.
 _PARAM_FIELDS: dict[str, type] = {
@@ -234,8 +229,8 @@ def parse_simulate_request(payload: dict) -> SimulateRequest:
     return SimulateRequest(dag, params, int(seed), policy, int(replications))
 
 
-def parse_session_request(payload: dict) -> tuple[Any, str, str]:
-    """Validate a ``POST /session`` body into ``(dag_payload, name, mode)``.
+def parse_session_request(payload: dict) -> tuple[Any, str]:
+    """Validate a ``POST /session`` body into ``(dag_payload, name)``.
 
     The *raw* dag payload is returned (not the parsed ``Dag``): the
     session store derives the session token and the checkpoint contents
@@ -254,13 +249,7 @@ def parse_session_request(payload: dict) -> tuple[Any, str, str]:
             raise errors.invalid_request(
                 "'name' must match [A-Za-z0-9._-]{1,64}"
             )
-        mode = payload.get("mode", "incremental")
-        if mode not in SESSION_MODES:
-            raise errors.invalid_request(
-                f"unknown session mode {mode!r}; "
-                f"choose from {list(SESSION_MODES)}"
-            )
-        unknown = set(payload) - {"dag", "name", "mode"}
+        unknown = set(payload) - {"dag", "name"}
         if unknown:
             raise errors.invalid_request(
                 f"unknown request fields: {sorted(unknown)}"
@@ -268,7 +257,7 @@ def parse_session_request(payload: dict) -> tuple[Any, str, str]:
     except errors.ServeError:
         _build_dag(wire)
         raise
-    return payload["dag"], name, mode
+    return payload["dag"], name
 
 
 def parse_advance_request(payload: dict) -> tuple[str, int, list]:

@@ -37,29 +37,17 @@ def test_matches_oracle_across_execution(name):
         )
 
 
-@pytest.mark.parametrize("name", PAPER_WORKLOADS)
-def test_full_mode_is_the_oracle(name):
-    dag = get_workload(name)
-    fast = IncrementalScheduler(dag)
-    slow = IncrementalScheduler(dag, mode="full")
-    executed = closed_prefixes(dag, n_steps=2)[1]
-    assert fast.priorities(executed) == slow.priorities(executed)
-    assert slow.full_recomputes == 1
-    assert fast.full_recomputes == 0
-
-
 def test_inspiral_every_completion_tick_matches_full_recompute():
     """One completion per tick over all of inspiral-small: 96 of its 445
     remnants take the decomposition's general (non-bipartite) step."""
     dag = get_workload("inspiral-small")
     scheduler = IncrementalScheduler(dag)
-    full = IncrementalScheduler(dag, mode="full")
     executed = set()
     for u in fifo_schedule(dag):
         executed.add(u)
-        assert scheduler.priorities(executed) == full.priorities(executed)
-    assert scheduler.full_recomputes == 0
-    assert full.full_recomputes == dag.n
+        oracle = reprioritize_remnant(dag, executed)
+        assert scheduler.priorities(executed) == oracle.priorities
+    assert scheduler.recomputes == dag.n
 
 
 def test_one_at_a_time_execution_matches_oracle(fig3_dag):
@@ -86,18 +74,12 @@ def test_component_cache_is_reused_across_advances():
     assert scheduler.component_misses < 3 * misses_after_first
 
 
-def test_unknown_mode_rejected(fig3_dag):
-    with pytest.raises(ValueError, match="mode"):
-        IncrementalScheduler(fig3_dag, mode="telepathic")
-
-
 def test_stats_are_json_shaped(fig3_dag):
     import json
 
     scheduler = IncrementalScheduler(fig3_dag)
     scheduler.priorities(set())
     stats = scheduler.stats()
-    assert stats["mode"] == "incremental"
     assert stats["recomputes"] == 1
     json.dumps(stats)  # must be serializable (it rides in GET /session)
 

@@ -6,9 +6,11 @@ import numpy as np
 
 import pytest
 
+from repro.core.rescheduling import reprioritize_remnant
 from repro.live.policy import LivePrioPolicy
 from repro.core.prio import prio_schedule
 from repro.sim.engine import SimParams, make_policy, simulate
+from repro.sim.policies import Policy
 from repro.sim.replication import policy_factory
 from repro.workloads.registry import get_workload
 
@@ -50,13 +52,50 @@ def test_on_complete_triggers_reprioritization(fig3_dag):
     assert policy._scheduler.recomputes == recomputes_before + 1
 
 
+class OraclePolicy(Policy):
+    """Serve the eligible job of highest remnant priority, recomputed from
+    scratch by ``reprioritize_remnant`` at the first pop after any
+    completion."""
+
+    def __init__(self, dag):
+        self.dag = dag
+        self.executed = set()
+        self.eligible = []
+        self.priorities = None
+        self.recomputes = 0
+
+    def push(self, job):
+        self.eligible.append(job)
+
+    def on_complete(self, job, t):
+        self.executed.add(job)
+        self.priorities = None
+
+    def pop(self):
+        if self.priorities is None:
+            self.priorities = reprioritize_remnant(
+                self.dag, self.executed
+            ).priorities
+            self.recomputes += 1
+        best = max(self.eligible, key=lambda u: (self.priorities[u], -u))
+        self.eligible.remove(best)
+        return best
+
+    def __len__(self):
+        return len(self.eligible)
+
+
 @pytest.mark.parametrize("name", ["airsn-small", "montage-small"])
 def test_incremental_and_full_modes_simulate_identically(name):
+    """The live policy and a from-scratch recompute per assignment round
+    assign in the same order, so their simulations agree exactly."""
     dag = get_workload(name)
-    fast = simulate(dag, LivePrioPolicy(dag), PARAMS, np.random.default_rng(11))
-    slow = simulate(dag, LivePrioPolicy(dag, mode="full"), PARAMS,
-                    np.random.default_rng(11))
+    live = LivePrioPolicy(dag)
+    fast = simulate(dag, live, PARAMS, np.random.default_rng(11))
+    oracle = OraclePolicy(dag)
+    slow = simulate(dag, oracle, PARAMS, np.random.default_rng(11))
     assert fast == slow
+    assert oracle.recomputes == live.stats()["recomputes"]
 
 
 def test_make_policy_wires_the_dag(fig3_dag):

@@ -339,6 +339,20 @@ class TestDamageTolerance:
         with pytest.raises(CheckpointError, match="schema"):
             Checkpoint.open(path, fingerprint({}))
 
+    @pytest.mark.parametrize(
+        "line, field, value",
+        [(0, "fingerprint", None), (1, "key", ["cell", 0]), (2, "key", 7)],
+    )
+    def test_mistyped_field_rejected(self, tmp_path, line, field, value):
+        path, fp = self._fresh(tmp_path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[line])
+        record[field] = value
+        lines[line] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError):
+            Checkpoint.open(path, fp)
+
     def test_corrupt_helper_validates_args(self, tmp_path):
         path, _ = self._fresh(tmp_path, n_records=1)
         with pytest.raises(IndexError):

@@ -74,7 +74,7 @@ def test_dag_error_wins(dag, extra):
     "extra, message",
     [
         ({"name": "bad name!"}, "'name' must match"),
-        ({"mode": "sideways"}, "unknown session mode"),
+        ({"mode": "incremental"}, "unknown request fields"),
         ({"bogus": 1}, "unknown request fields"),
     ],
 )

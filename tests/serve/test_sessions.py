@@ -140,11 +140,11 @@ class TestLocalSessions:
         bad_name = client.post_json("/session", {"dag": wire, "name": "a/b"})
         assert (bad_name.status, bad_name.error_code) == (400,
                                                           "invalid_request")
-        bad_mode = client.post_json(
-            "/session", {"dag": wire, "name": "m", "mode": "psychic"}
+        mode = client.post_json(
+            "/session", {"dag": wire, "name": "m", "mode": "incremental"}
         )
-        assert (bad_mode.status, bad_mode.error_code) == (400,
-                                                          "invalid_request")
+        assert (mode.status, mode.error_code) == (400, "invalid_request")
+        assert "unknown request fields" in mode.payload["error"]["message"]
         extra = client.post_json(
             "/session", {"dag": wire, "name": "x", "surprise": 1}
         )
@@ -153,13 +153,6 @@ class TestLocalSessions:
             "/advance", {"session": "f" * 16 + ".x", "events": []}
         )
         assert (no_seq.status, no_seq.error_code) == (400, "invalid_request")
-
-    def test_full_mode_session(self, client, dag):
-        created = client.create_session(dag, name="full", mode="full")
-        sid = created.payload["session_id"]
-        job = by_priority(created.payload)[0]
-        delta = client.advance(sid, 1, [{"kind": "complete", "job": job}])
-        assert delta.payload["recompute"] == "full"
 
 
 # ----------------------------------------------------------------------
