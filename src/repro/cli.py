@@ -827,16 +827,20 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from .dagman.lint import lint_dagman, lint_dagman_tree
 
     path = Path(args.dagfile)
+    if args.recursive and args.check_jsdfs:
+        raise CliError("--check-jsdfs checks one file; it does not combine with -r")
+    # The named file must read and parse in both modes; only the tree
+    # below it is linted into findings.
+    try:
+        dagman = parse_dagman_file(path)
+    except DagmanParseError as exc:
+        raise CliError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}") from None
     if args.recursive:
         findings = lint_dagman_tree(path)
         label = f"{path.name} (tree)"
     else:
-        try:
-            dagman = parse_dagman_file(path)
-        except DagmanParseError as exc:
-            raise CliError(f"{path}: {exc}") from None
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc.strerror}") from None
         findings = lint_dagman(
             dagman, root=path.parent if args.check_jsdfs else None
         )
@@ -1397,7 +1401,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check-jsdfs",
         action="store_true",
-        help="also verify referenced submit description files exist",
+        help=(
+            "also verify referenced submit description files exist "
+            "(one file only: not with -r)"
+        ),
     )
     p.add_argument(
         "-r",
@@ -1405,7 +1412,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "follow SPLICE / SUBDAG EXTERNAL references and lint the "
-            "whole tree (include cycles, missing files, undefined macros)"
+            "whole tree as the importer flattens it (include cycles, "
+            "missing files, undefined macros, name clashes)"
         ),
     )
     p.set_defaults(func=_cmd_lint)

@@ -84,7 +84,6 @@ def prio_schedule(
     outdegree_scope: str = "global",
     combine: str = "greedy",
     exact_bipartite_limit: int = 0,
-    metrics=None,
 ) -> PrioResult:
     """Run the prio heuristic on *dag*.
 
@@ -104,10 +103,6 @@ def prio_schedule(
         When positive, unrecognized bipartite blocks up to this many
         sources are scheduled exactly (IC-optimally) instead of by
         out-degree — an extension beyond the paper's catalog.
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; each
-        pipeline phase's wall-clock is folded into the
-        ``prio.<phase>`` timers (purely observational).
     """
     if combine not in ("greedy", "topological"):
         raise ValueError(f"unknown combine mode: {combine!r}")
@@ -146,10 +141,6 @@ def prio_schedule(
         "recurse": after_recurse - after_divide,
         "combine": finished - after_recurse,
     }
-    if metrics is not None:
-        for phase, seconds in phase_seconds.items():
-            metrics.timer(f"prio.{phase}").add(seconds)
-        metrics.timer("prio.total").add(elapsed)
     return PrioResult(
         dag=dag,
         schedule=schedule,

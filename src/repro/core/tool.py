@@ -106,8 +106,9 @@ def prioritize_dagman_file(
 
     A file with ``SPLICE`` statements is flattened as
     :func:`~repro.dagman.importer.load_dagman_file` does and needs
-    *output*.  A defective file tree, or a splice file without *output*,
-    raises :class:`~repro.dagman.importer.DagmanImportError`.
+    *output*.  A defective file tree, a splice file without *output*, or
+    a submit file to instrument that cannot be read as text, raises
+    :class:`~repro.dagman.importer.DagmanImportError`.
     """
     path = Path(path)
     dagman, flattened = load_dagman_file(path)
@@ -129,7 +130,12 @@ def prioritize_dagman_file(
                 continue
             seen.add(jsdf_path)
             if jsdf_path.is_file():
-                instrument_jsdf_file(jsdf_path)
+                try:
+                    instrument_jsdf_file(jsdf_path)
+                except (OSError, UnicodeDecodeError) as exc:
+                    raise DagmanImportError(
+                        f"cannot instrument submit file {str(jsdf_path)!r}: {exc}"
+                    ) from None
                 result.instrumented_jsdfs.append(str(jsdf_path))
             else:
                 result.missing_jsdfs.append(str(jsdf_path))

@@ -61,7 +61,7 @@ from pathlib import Path
 
 from ..dag.graph import Dag
 from .model import JOBPRIORITY_MACRO, DagmanFile
-from .parser import DagmanParseError, parse_dagman_text
+from .parser import DagmanParseError, _decode, parse_dagman_text
 
 __all__ = [
     "DagmanImportError",
@@ -223,7 +223,8 @@ def _quote_vars(value: str) -> str:
 class _MemoryTree:
     """An in-memory file tree: POSIX-style relative paths to file text.
 
-    Every tree offers ``read(key)`` (file text, or None when missing),
+    Every tree offers ``read(key)`` (file text, or None when missing;
+    :class:`DagmanParseError` when it is not UTF-8),
     ``resolve(base, ref)`` (an include reference canonicalized against
     the directory of the including file's *key*), ``display(key)`` (the
     name used in errors and metadata), ``find_rescue(key)`` (the key of
@@ -273,10 +274,11 @@ class _DiskTree:
 
     def read(self, key: str) -> str | None:
         try:
-            with open(key) as f:
-                return f.read()
+            with open(key, "rb") as f:
+                data = f.read()
         except OSError:
             return None
+        return _decode(data)
 
     def resolve(self, base: str, ref: str) -> str:
         """``os.path.realpath`` of *ref* against *base*'s directory.
@@ -327,27 +329,17 @@ class _DiskTree:
 _Tree = _MemoryTree | _DiskTree
 
 
-def _parse(tree: _Tree, key: str, includer: str | None = None) -> DagmanFile:
-    """Parse the file at *key*; unreadable or malformed files raise
-    :class:`DagmanImportError` naming the file (and its *includer*)."""
-    text = tree.read(key)
-    if text is None:
-        raise DagmanImportError(
-            f"cannot read workflow file {tree.display(key)!r}"
-            + (f" (included from {tree.display(includer)})" if includer else "")
-        )
-    try:
-        return parse_dagman_text(text)
-    except DagmanParseError as exc:
-        raise DagmanImportError(f"{tree.display(key)}: {exc}") from exc
-
-
 class _Resolver:
     """One pass over a file tree (see :class:`_MemoryTree`).
 
     Each file is parsed once, in include order.  A flat job gets its id
     as it is emitted; arcs come out as id pairs, each produced once, and
     the :class:`Dag` is built from them directly.
+
+    Every tree defect goes through :meth:`_defect`, which raises here.
+    The walk after a defect treats the include, unit or arc at fault as
+    empty: the import never gets there, the linter (which records the
+    defect instead) does.
     """
 
     def __init__(
@@ -370,11 +362,31 @@ class _Resolver:
         self.vars: list[dict[str, str]] = []
         self.origin: list[tuple[str, int]] = []
 
+    def _defect(self, code: str, message: str, where: str | None) -> None:
+        """Report a tree defect: *code* is its lint finding code, *where*
+        the file at fault (None for the root itself)."""
+        raise DagmanImportError(f"{where}: {message}" if where else message)
+
     # -- file access ----------------------------------------------------
 
-    def _parse(self, key: str, chain: tuple[str, ...]) -> DagmanFile:
-        parsed = _parse(self._tree, key, chain[-1] if chain else None)
-        self.sources.append(self._display(key))
+    def _parse(self, key: str, includer: str | None) -> DagmanFile:
+        """The file at *key*, parsed; an unreadable or malformed file is
+        a defect and reads as an empty one."""
+        where = self._display(key)
+        try:
+            text = self._tree.read(key)
+            parsed = None if text is None else parse_dagman_text(text)
+        except DagmanParseError as exc:
+            self._defect("parse-error", str(exc), where)
+            return DagmanFile()
+        if parsed is None:
+            self._defect(
+                "missing-include",
+                f"cannot read workflow file {where!r}",
+                self._display(includer) if includer else None,
+            )
+            return DagmanFile()
+        self.sources.append(where)
         return parsed
 
     def _rescue_done(self, key: str) -> set[str]:
@@ -382,9 +394,9 @@ class _Resolver:
         if not self._rescue:
             return set()
         rescue_key = self._tree.find_rescue(key)
-        if rescue_key is None or self._tree.read(rescue_key) is None:
+        if rescue_key is None:
             return set()
-        parsed = self._parse(rescue_key, ())
+        parsed = self._parse(rescue_key, key)
         done = set(parsed.done_names)
         done.update(n for n, d in parsed.jobs.items() if d.done)
         return done
@@ -415,11 +427,14 @@ class _Resolver:
         """
         where = self._display(key)  # once per file: each job's source
         if depth > self._max_depth:
-            raise DagmanImportError(
-                f"include nesting deeper than {self._max_depth} at "
-                f"{where} — is the tree recursive?"
+            self._defect(
+                "include-depth",
+                f"include nesting deeper than {self._max_depth} — is the "
+                "tree recursive?",
+                where,
             )
-        dagman = self._parse(key, chain[:-1])
+            return [], []
+        dagman = self._parse(key, chain[-2] if depth else None)
         rescue_done = self._rescue_done(key)
         scripts: dict[str, list[tuple[str, str]]] = {}
         for (job, when), cmd in dagman.scripts.items():
@@ -469,10 +484,13 @@ class _Resolver:
                 )
                 continue
             if flat_name in flat_jobs:
-                raise DagmanImportError(
-                    f"job name clash after flattening: {flat_name!r} "
-                    f"(declared again in {where})"
+                self._defect(
+                    "name-clash",
+                    f"job name clash after flattening: {flat_name!r}",
+                    where,
                 )
+                ends[name] = ([], [])
+                continue
             # The parsed file belongs to this import alone: its declaration
             # becomes the flat one.
             decl.name = flat_name
@@ -511,10 +529,12 @@ class _Resolver:
                 sinks = ends[p][1]
                 sources = ends[c][0]
             except KeyError as exc:
-                raise DagmanImportError(
-                    f"{where}: dependency references "
-                    f"undeclared name {exc.args[0]!r}"
-                ) from None
+                self._defect(
+                    "undeclared-job",
+                    f"dependency references undeclared name {exc.args[0]!r}",
+                    where,
+                )
+                continue
             for u in sinks:
                 for v in sources:
                     arcs.append((u, v))
@@ -554,17 +574,22 @@ class _Resolver:
         expanded_ref = _expand(ref, node_vars, flat_name)
         unresolved = _MACRO_RE.findall(expanded_ref)
         if unresolved:
-            raise DagmanImportError(
-                f"{self._display(key)}: include {name!r} references "
-                f"undefined macro(s) {sorted(set(unresolved))} in "
-                f"{ref!r}"
+            self._defect(
+                "undefined-macro",
+                f"include {name!r} references undefined macro(s) "
+                f"{sorted(set(unresolved))} in {ref!r}",
+                self._display(key),
             )
+            return [], []
         target = self._tree.resolve(key, expanded_ref)
         if target in chain:
             loop = [self._display(k) for k in chain] + [self._display(target)]
-            raise DagmanImportError(
-                "recursive include: " + " -> ".join(loop)
+            self._defect(
+                "include-cycle",
+                "recursive include: " + " -> ".join(loop),
+                self._display(key),
             )
+            return [], []
         sub_dir = _expand(directory, node_vars, flat_name) if directory else None
         return self._flatten(
             target,
@@ -696,7 +721,7 @@ def load_dagman_file(path: str | Path) -> tuple[DagmanFile, bool]:
     missing or recursive include raises :class:`DagmanImportError`.
     """
     tree = _DiskTree(path)
-    dagman = _parse(tree, tree.root)
+    dagman = _Resolver(tree)._parse(tree.root, None)
     if dagman.splices:
         return _import(tree, expand_subdags=False).flat, True
     try:

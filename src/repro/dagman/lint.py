@@ -14,11 +14,15 @@ workflow for the problems that otherwise surface only when
   in a workflow that is supposed to be one computation.
 
 :func:`lint_dagman_tree` extends the same checks across a *nested*
-workflow (``SPLICE``/``SUBDAG EXTERNAL`` trees) without raising:
-unreadable or recursively-included files, ``DIR`` targets that do not
-exist on disk, and ``$(macro)`` references that no ``VARS`` statement
-(own or inherited) ever defines all come back as structured findings
-instead of crashing the importer.
+workflow (``SPLICE``/``SUBDAG EXTERNAL`` trees) without raising.  It
+walks the tree with the importer's flattener, recording each defect the
+import would raise on (unreadable, malformed or recursively-included
+files, undefined macros in include references, name clashes after
+namespacing, undeclared names, a cycle in the flattened dag) as an
+``error`` finding, so lint and import cannot disagree.  ``DIR`` targets
+that do not exist on disk and ``$(macro)`` references that no ``VARS``
+statement (own or inherited) defines in a flattened job come back as
+warnings.
 
 Findings carry a severity: ``error`` (DAGMan would refuse or wedge) or
 ``warning`` (legal but suspicious).
@@ -30,17 +34,15 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..dag.graph import CycleError, DagBuilder
+from ..dag.graph import CycleError, Dag, DagBuilder
 from .importer import (
     _MACRO_RE,
     MAX_IMPORT_DEPTH,
     _DiskTree,
-    _expand,
-    _join_dir,
     _MemoryTree,
+    _Resolver,
 )
 from .model import DagmanFile
-from .parser import DagmanParseError, parse_dagman_text
 
 __all__ = ["Finding", "lint_dagman", "lint_dagman_tree"]
 
@@ -154,6 +156,31 @@ def lint_dagman(
     return findings
 
 
+class _LintWalk(_Resolver):
+    """The importer's walk, recording each tree defect as a finding
+    instead of raising, and linting each file as it is parsed."""
+
+    def __init__(self, tree, *, max_depth: int):
+        super().__init__(tree, max_depth=max_depth)
+        self.findings: dict[Finding, None] = {}
+
+    def _defect(self, code: str, message: str, where: str | None) -> None:
+        if code != "undeclared-job":  # lint_dagman reports it per file
+            self.findings[Finding("error", code, message, where)] = None
+
+    def _parse(self, key: str, includer: str | None) -> DagmanFile:
+        # Linted before flattening rewrites the declarations.  A cycle is
+        # checked on the flattened dag instead, as the import checks it.
+        parsed = super()._parse(key, includer)
+        where = self._display(key)
+        for finding in lint_dagman(parsed):
+            if finding.code != "cycle":
+                self.findings[
+                    Finding(finding.severity, finding.code, finding.message, where)
+                ] = None
+        return parsed
+
+
 def lint_dagman_tree(
     source: str | Path | Mapping[str, str],
     root: str = "workflow.dag",
@@ -166,191 +193,68 @@ def lint_dagman_tree(
     in-memory mapping of relative paths to file text (then *root* names
     the entry file, as in :func:`~repro.dagman.importer.import_dagman_tree`).
 
-    On top of the per-file :func:`lint_dagman` checks (reported with
-    ``where`` set to the file), the tree walk reports:
+    The tree is walked by the importer's own flattener, so every
+    condition the import raises on comes back as an ``error`` finding,
+    and ``$(JOB)``, ``VARS`` inheritance and ``DIR`` resolve as they do
+    there.  On top of the per-file :func:`lint_dagman` checks (reported
+    with ``where`` set to the file), the walk reports:
 
-    * ``missing-include`` — a ``SPLICE``/``SUBDAG EXTERNAL`` reference
-      that cannot be read;
+    * ``missing-include`` — a file that cannot be read;
+    * ``parse-error`` — a file that does not parse, or is not UTF-8;
     * ``include-cycle`` — self- or mutual file inclusion, with the chain;
     * ``include-depth`` — nesting beyond *max_depth*;
-    * ``parse-error`` — an included file that does not parse;
     * ``undefined-macro`` — a ``$(name)`` reference no ``VARS`` ever
       defines (an *error* in include-file references, which then cannot
-      resolve; a *warning* in submit-file/DIR strings, which condor
-      would expand to the empty string);
-    * ``missing-dir`` — a ``DIR`` whose directory does not exist on disk
-      (skipped for in-memory trees).
+      resolve; a *warning* in a flattened job's submit file or ``DIR``,
+      which condor would expand to the empty string);
+    * ``name-clash`` — two jobs with one name after namespacing;
+    * ``cycle`` — a dependency cycle in the flattened dag;
+    * ``missing-dir`` — a flattened job's ``DIR`` that does not exist on
+      disk (skipped for in-memory trees).
     """
-    findings: list[Finding] = []
-    seen_findings: set[tuple[str, str, str, str | None]] = set()
-
-    def add(severity: str, code: str, message: str, where: str | None) -> None:
-        key = (severity, code, message, where)
-        if key not in seen_findings:
-            seen_findings.add(key)
-            findings.append(Finding(severity, code, message, where))
-
     tree = (
         _MemoryTree(source, root)
         if isinstance(source, Mapping)
         else _DiskTree(source)
     )
-    root_dir, display = tree.root_dir, tree.display
-
-    def leftover_macros(text: str) -> list[str]:
-        return sorted(set(_MACRO_RE.findall(text)))
-
-    def check_dir(directory: str | None, scope: str | None, who: str) -> None:
-        if root_dir is None or not directory:
-            return
-        if _MACRO_RE.search(directory):
-            return  # unresolved macros reported separately
-        composed = _join_dir(scope, directory)
-        if composed and not (root_dir / composed).is_dir():
-            add(
+    walk = _LintWalk(tree, max_depth=max_depth)
+    walk.run(tree.root)
+    findings = walk.findings
+    labels = list(walk.flat.jobs)
+    try:
+        Dag(len(labels), walk.arcs, labels)
+    except ValueError as exc:
+        findings[
+            Finding("error", "cycle", f"flattened workflow: {exc}")
+        ] = None
+    checked_dirs: set[str] = set()
+    for (name, decl), (where, _) in zip(walk.flat.jobs.items(), walk.origin):
+        for what, value in (
+            ("submit file", decl.submit_file),
+            ("DIR", decl.directory),
+        ):
+            missing = sorted(set(_MACRO_RE.findall(value))) if value else ()
+            if missing:
+                findings[Finding(
+                    "warning",
+                    "undefined-macro",
+                    f"job {name!r} {what} references undefined macro(s) "
+                    f"{missing} in {value!r}",
+                    where,
+                )] = None
+        directory = decl.directory
+        if (
+            tree.root_dir is None
+            or not directory
+            or directory in checked_dirs
+            or _MACRO_RE.search(directory)  # reported above
+        ):
+            continue
+        checked_dirs.add(directory)
+        if not (tree.root_dir / directory).is_dir():
+            findings[Finding(
                 "warning",
                 "missing-dir",
-                f"{who}: DIR target {composed!r} does not exist",
-                None,
-            )
-
-    def descend(
-        key: str,
-        who: str,
-        ref: str,
-        directory: str | None,
-        macros: dict[str, str],
-        inherited: dict[str, str],
-        scope: str | None,
-        chain: tuple[str, ...],
-        depth: int,
-    ) -> None:
-        expanded_ref = _expand(ref, macros)
-        missing = leftover_macros(expanded_ref)
-        if missing:
-            add(
-                "error",
-                "undefined-macro",
-                f"{who} references undefined macro(s) "
-                f"{missing} in {ref!r}",
-                display(key),
-            )
-            return
-        sub_dir = _expand(directory, macros) if directory else None
-        check_dir(sub_dir, scope, who)
-        target = tree.resolve(key, expanded_ref)
-        if target in chain:
-            loop = [display(k) for k in chain] + [display(target)]
-            add(
-                "error",
-                "include-cycle",
-                "recursive include: " + " -> ".join(loop),
-                display(key),
-            )
-            return
-        if depth + 1 > max_depth:
-            add(
-                "error",
-                "include-depth",
-                f"include nesting deeper than {max_depth}",
-                display(key),
-            )
-            return
-        walk(
-            target,
-            scope=_join_dir(scope, sub_dir),
-            inherited=inherited,
-            chain=chain + (target,),
-            depth=depth + 1,
-            includer=display(key),
-        )
-
-    def walk(
-        key: str,
-        *,
-        scope: str | None,
-        inherited: dict[str, str],
-        chain: tuple[str, ...],
-        depth: int,
-        includer: str | None,
-    ) -> None:
-        text = tree.read(key)
-        if text is None:
-            add(
-                "error",
-                "missing-include",
-                f"cannot read workflow file {display(key)!r}",
-                includer,
-            )
-            return
-        try:
-            dagman = parse_dagman_text(text)
-        except DagmanParseError as exc:
-            add("error", "parse-error", str(exc), display(key))
-            return
-        for finding in lint_dagman(dagman):
-            add(
-                finding.severity,
-                finding.code,
-                finding.message,
-                display(key),
-            )
-        for name, decl in dagman.jobs.items():
-            node_vars = {**inherited, **dagman.vars_.get(name, {})}
-            macros = {**node_vars, "JOB": name}
-            if decl.is_subdag:
-                descend(
-                    key,
-                    f"SUBDAG {name!r}",
-                    decl.submit_file,
-                    decl.directory,
-                    macros,
-                    node_vars,
-                    scope,
-                    chain,
-                    depth,
-                )
-                continue
-            for what, value in (
-                ("submit file", decl.submit_file),
-                ("DIR", decl.directory),
-            ):
-                if not value:
-                    continue
-                missing = leftover_macros(_expand(value, macros))
-                if missing:
-                    add(
-                        "warning",
-                        "undefined-macro",
-                        f"job {name!r} {what} references undefined "
-                        f"macro(s) {missing} in {value!r}",
-                        display(key),
-                    )
-            check_dir(
-                _expand(decl.directory, macros) if decl.directory else None,
-                scope,
-                f"job {name!r}",
-            )
-        for name, spl in dagman.splices.items():
-            node_vars = {**inherited, **dagman.vars_.get(name, {})}
-            descend(
-                key,
-                f"SPLICE {name!r}",
-                spl.file,
-                spl.directory,
-                {**node_vars, "JOB": name},
-                node_vars,
-                scope,
-                chain,
-                depth,
-            )
-
-    walk(
-        tree.root,
-        scope=None,
-        inherited={},
-        chain=(tree.root,),
-        depth=0,
-        includer=None,
-    )
-    return findings
+                f"job {name!r}: DIR target {directory!r} does not exist",
+            )] = None
+    return list(findings)

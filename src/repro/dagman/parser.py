@@ -12,8 +12,9 @@ Supported statements (keywords are case-insensitive, as in DAGMan):
 * ``CONFIG`` / ``DOT`` / ``MAXJOBS`` / ``CATEGORY`` / ``ABORT-DAG-ON`` and
   any other directive — preserved verbatim and round-tripped
 
-Full-line comments start with ``#``.  Malformed statements raise
-:class:`DagmanParseError` with the line number.
+Full-line comments start with ``#``.  Malformed statements, and files
+that are not UTF-8 text, raise :class:`DagmanParseError` with the line
+number.
 """
 
 from __future__ import annotations
@@ -39,7 +40,19 @@ _VARS_RE = re.compile(r'(\w[\w.\-+]*)\s*=\s*"((?:[^"\\]|\\.)*)"')
 
 def parse_dagman_file(path: str | Path) -> DagmanFile:
     """Parse the DAGMan input file at *path*."""
-    return parse_dagman_text(Path(path).read_text())
+    return parse_dagman_text(_decode(Path(path).read_bytes()))
+
+
+def _decode(data: bytes) -> str:
+    """The UTF-8 text of a DAGMan file's bytes; anything else raises
+    :class:`DagmanParseError` on the line of the first bad byte."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise DagmanParseError(
+            f"not UTF-8 text (byte {data[exc.start]:#04x})",
+            data.count(b"\n", 0, exc.start) + 1,
+        ) from None
 
 
 #: Recognized but structurally irrelevant to scheduling; the raw line is

@@ -125,6 +125,40 @@ def test_untrusted_input_is_one_error_line(argv, case, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, bad_file",
+    [
+        (["prio"], "bad.dag"),
+        (["import"], "bad.dag"),
+        (["lint"], "bad.dag"),
+        (["lint", "-r"], "bad.dag"),
+        (["run"], "bad.dag"),
+        (["schedule"], "bad.dag"),
+        (["prio", "--jsdfs", "-o", "out.dag"], "a.sub"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+)
+def test_non_utf8_input_is_one_error_line(argv, bad_file, tmp_path, capsys):
+    (tmp_path / "bad.dag").write_text("JOB a a.sub\n")
+    (tmp_path / "a.sub").write_text("executable = /bin/true\nqueue\n")
+    target = tmp_path / bad_file
+    target.write_bytes(target.read_bytes() + b"# \xff\n")
+    argv = [str(tmp_path / a) if a == "out.dag" else a for a in argv]
+    assert main([*argv, str(tmp_path / "bad.dag")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert bad_file in err
+
+
+def test_lint_recursive_rejects_check_jsdfs(tmp_path, capsys):
+    (tmp_path / "w.dag").write_text("SPLICE s inner.dag\n")
+    (tmp_path / "inner.dag").write_text("JOB a a.sub\n")
+    assert main(["lint", str(tmp_path / "w.dag"), "-r", "--check-jsdfs"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--check-jsdfs" in captured.err and captured.out == ""
+
+
 class TestScheduleCommand:
     def test_prio_schedule_of_file(self, fig3_file, capsys):
         main(["schedule", str(fig3_file)])
