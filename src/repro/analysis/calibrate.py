@@ -23,7 +23,7 @@ import numpy as np
 from ..dag.graph import Dag
 from ..sim.compile import as_compiled
 from ..sim.engine import SimParams
-from ..sim.parallel import resolve_parallel
+from ..sim.parallel import ParallelConfig
 from ..sim.replication import MetricArrays, iter_units, policy_factory
 from ..stats.ratio import RatioStatistics, ratio_statistics
 from ._ckpt import UnitLedger
@@ -149,7 +149,7 @@ def calibrate_cell(
     steps: list[CalibrationStep] = []
     q = start_q
     converged = False
-    par = resolve_parallel(jobs, None)
+    par = ParallelConfig(jobs=jobs)
     ledger = UnitLedger(checkpoint, telemetry)
     while True:
         step_started = time.perf_counter()

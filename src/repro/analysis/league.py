@@ -25,7 +25,7 @@ import numpy as np
 from ..dag.graph import Dag
 from ..sim.compile import CompiledDag, as_compiled
 from ..sim.engine import SimParams
-from ..sim.parallel import resolve_parallel
+from ..sim.parallel import ParallelConfig
 from ..sim.policies import policy_spec
 from ..sim.replication import MetricArrays, iter_units, policy_factory
 from ..stats.tests import sign_test
@@ -188,7 +188,7 @@ def league(
 
     for key, results, elapsed in iter_units(
         units(),
-        resolve_parallel(jobs, None),
+        ParallelConfig(jobs=jobs),
         collect=telemetry is not None,
         retry=retry,
         faults=faults,

@@ -47,7 +47,7 @@ class OverheadRecord:
 
 
 def measure_overhead(
-    dag: Dag, workload: str = "dag", **prio_kwargs
+    dag: Dag, workload: str = "dag"
 ) -> tuple[OverheadRecord, PrioResult]:
     """Run the prio pipeline on *dag* under time/memory measurement.
 
@@ -57,7 +57,7 @@ def measure_overhead(
     """
     tracemalloc.start()
     started = time.perf_counter()
-    result = prio_schedule(dag, **prio_kwargs)
+    result = prio_schedule(dag)
     elapsed = time.perf_counter() - started
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

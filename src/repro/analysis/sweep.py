@@ -29,7 +29,7 @@ import numpy as np
 from ..dag.graph import Dag
 from ..sim.compile import CompiledDag, as_compiled
 from ..sim.engine import SimParams
-from ..sim.parallel import ParallelConfig, clone_seedseq, resolve_parallel
+from ..sim.parallel import ParallelConfig, clone_seedseq
 from ..sim.replication import MetricArrays, iter_units, policy_factory
 from ..stats.ratio import RatioStatistics, ratio_statistics
 from ..stats.sampling import sampling_distribution_from_values
@@ -300,7 +300,6 @@ def ratio_sweep(
     *,
     progress=None,
     jobs: int = 1,
-    parallel: ParallelConfig | None = None,
     telemetry=None,
     checkpoint=None,
     retry=None,
@@ -320,11 +319,11 @@ def ratio_sweep(
 
     Each cell is one unit of :func:`repro.sim.replication.iter_units`:
     its PRIO and FIFO batches.  At ``jobs=1`` they run in-process, one
-    chunk per batch, and cells complete row-major.  ``jobs`` (or an
-    explicit ``parallel`` config) adds one worker pool that fans out
-    across cells *and* the replications within a cell.  Results are
-    bit-identical either way; only the order in which cells *finish*
-    (and hence progress callbacks fire) changes.
+    chunk per batch, and cells complete row-major.  ``jobs`` adds one
+    worker pool that fans out across cells *and* the replications
+    within a cell.  Results are bit-identical either way; only the
+    order in which cells *finish* (and hence progress callbacks fire)
+    changes.
 
     *telemetry*, when given, is a
     :class:`~repro.obs.recorder.TelemetryRecorder`: it receives one
@@ -361,7 +360,7 @@ def ratio_sweep(
     per invocation.  Purely structural reuse — results are bit-identical
     with or without it.
     """
-    par = resolve_parallel(jobs, parallel)
+    par = ParallelConfig(jobs=jobs)
     compiled = cache.compiled(dag) if cache is not None else as_compiled(dag)
     count = config.p * config.q
     if config.policy == "prio":

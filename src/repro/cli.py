@@ -506,18 +506,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         mu_bits = tuple(args.mu_bit)
         mu_bss = tuple(args.mu_bs)
-    # ``--live`` stores its kind; it conflicts with any other --policy.
-    if args.live and args.policy not in ("prio", args.live):
-        raise CliError(
-            "--live pins PRIO-with-rescheduling as the numerator; "
-            "drop --live or --policy"
-        )
     config = SweepConfig(
         mu_bits=mu_bits, mu_bss=mu_bss, p=args.p, q=args.q, seed=args.seed,
         failure_prob=args.failure_prob,
         straggler_prob=args.straggler_prob,
         straggler_factor=args.straggler_factor,
-        policy=args.live or args.policy,
+        policy=args.policy,
     )
     from .obs.progress import ProgressMeter
     from .perf.cache import cached_schedule
@@ -1306,17 +1300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="also write the cells as CSV")
     p.add_argument("--json", help="also write the cells as JSON")
     _add_failure_arguments(p)
-    p.add_argument(
-        "--live",
-        action="store_const",
-        const="prio-live",
-        help=(
-            "replace the static PRIO side with live rescheduling "
-            "(re-prioritize the remnant after every completion); the "
-            "ratio becomes live-PRIO / FIFO (an alias of --policy "
-            "prio-live)"
-        ),
-    )
     p.add_argument(
         "--policy",
         choices=cli_policy_names(),

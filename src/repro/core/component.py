@@ -15,7 +15,7 @@ relation of the combine phase.
 
 Scientific dags repeat a handful of block *shapes* thousands of times
 (SDSS-medium: 6,305 blocks in 9 shapes), and everything above depends on
-the shape alone — plus, for the global out-degree fallback, the blocks'
+the shape alone — plus, for the out-degree fallback, the blocks'
 out-degrees in the full dag.  :func:`schedule_component` therefore keys a
 shape table on the block's local arc tuple and solves each shape once; the
 blocks of one shape share its read-only profile array and the profile's
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -92,17 +93,14 @@ class ScheduledComponent:
         )
 
 
-def outdegree_order(
-    subdag: Dag, *, weight: list[int] | None = None
-) -> list[int]:
-    """Topological order of *subdag*'s non-sinks by descending out-degree.
+def outdegree_order(subdag: Dag, *, weight: Sequence[int]) -> list[int]:
+    """Topological order of *subdag*'s non-sinks by descending *weight*.
 
-    *weight* overrides the out-degree per local node (used to rank by
-    out-degree in the full dag rather than within the block).  Ties break on
-    node id, so the order is deterministic.
+    *weight* is each local node's out-degree in the full dag the block
+    was detached from (children outside the block also benefit from
+    early execution).  Ties break on node id, so the order is
+    deterministic.
     """
-    if weight is None:
-        weight = [subdag.out_degree(u) for u in range(subdag.n)]
     indeg = [subdag.in_degree(u) for u in range(subdag.n)]
     heap = [
         (-weight[u], u)
@@ -144,7 +142,7 @@ class _Solved:
 
 
 class _Fallback:
-    """An unmatched shape under global scope: solved per weight tuple."""
+    """An unmatched shape: solved per weight tuple."""
 
     __slots__ = ("subdag", "by_weight")
 
@@ -157,7 +155,6 @@ def _solve_shape(
     subdag: Dag,
     component: Component,
     use_catalog: bool,
-    outdegree_scope: str,
     exact_bipartite_limit: int,
 ) -> _Solved | _Fallback:
     """Schedule the shape of *component*, given as *subdag* in local ids."""
@@ -177,9 +174,7 @@ def _solve_shape(
         )
         if exact is not None:
             return _Solved(subdag, exact, "<exact-bipartite>", component)
-    if outdegree_scope == "global":
-        return _Fallback(subdag)
-    return _Solved(subdag, outdegree_order(subdag), None, component)
+    return _Fallback(subdag)
 
 
 def schedule_component(
@@ -187,7 +182,6 @@ def schedule_component(
     component: Component,
     *,
     use_catalog: bool = True,
-    outdegree_scope: str = "global",
     exact_bipartite_limit: int = 0,
     shapes: dict | None = None,
 ) -> ScheduledComponent:
@@ -199,11 +193,8 @@ def schedule_component(
         The full (shortcut-free) dag the component was detached from.
     use_catalog:
         When false, skip family recognition and always use the out-degree
-        fallback (the ablation knob of DESIGN.md).
-    outdegree_scope:
-        ``"global"`` ranks fallback jobs by their out-degree in *dag*
-        (children outside the block also benefit from early execution);
-        ``"local"`` uses the out-degree within the block only.
+        fallback (the ablation knob of DESIGN.md).  The fallback ranks
+        jobs by their out-degree in *dag*.
     exact_bipartite_limit:
         When positive, unrecognized *bipartite* blocks with at most this
         many sources get an exact IC-optimal source order from
@@ -216,8 +207,6 @@ def schedule_component(
         shape is solved once; ``None`` uses a throwaway table.  Entries
         are pure functions of their keys, so a table may outlive the dag.
     """
-    if outdegree_scope not in ("global", "local"):
-        raise ValueError(f"unknown outdegree_scope: {outdegree_scope!r}")
     nonsinks = component.nonsinks
     sinks = component.shared_sinks + component.global_sinks
     nodes = nonsinks + sinks
@@ -267,22 +256,14 @@ def schedule_component(
                 for v in children[u]
             ]
         )
-    key = (
-        use_catalog,
-        outdegree_scope,
-        exact_bipartite_limit,
-        n_nonsinks,
-        len(nodes),
-        arcs,
-    )
+    key = (use_catalog, exact_bipartite_limit, n_nonsinks, len(nodes), arcs)
     if shapes is None:
         shapes = {}
     entry = shapes.get(key)
     if entry is None:
         subdag = Dag(len(nodes), arcs, None, check_acyclic=False)
         entry = shapes[key] = _solve_shape(
-            subdag, component, use_catalog, outdegree_scope,
-            exact_bipartite_limit,
+            subdag, component, use_catalog, exact_bipartite_limit
         )
     if type(entry) is _Fallback:
         weight = tuple(map(len, map(children.__getitem__, nodes)))

@@ -81,7 +81,6 @@ def prio_schedule(
     *,
     remove_shortcuts: bool = True,
     use_catalog: bool = True,
-    outdegree_scope: str = "global",
     combine: str = "greedy",
     exact_bipartite_limit: int = 0,
 ) -> PrioResult:
@@ -94,8 +93,6 @@ def prio_schedule(
         but the block structure degrades).
     use_catalog:
         Step 3 family recognition on/off (ablation knob).
-    outdegree_scope:
-        ``"global"`` or ``"local"`` out-degree for the fallback schedule.
     combine:
         ``"greedy"`` (the paper's Step 6) or ``"topological"`` (ablation:
         ignore priorities).
@@ -120,7 +117,6 @@ def prio_schedule(
             reduced,
             comp,
             use_catalog=use_catalog,
-            outdegree_scope=outdegree_scope,
             exact_bipartite_limit=exact_bipartite_limit,
             shapes=shapes,
         )

@@ -59,9 +59,7 @@ class RemnantResult:
         return self.priorities[self.dag.id_of(label)]
 
 
-def reprioritize_remnant(
-    dag: Dag, executed: Iterable[int], **prio_kwargs
-) -> RemnantResult:
+def reprioritize_remnant(dag: Dag, executed: Iterable[int]) -> RemnantResult:
     """Run the prio heuristic on the unexecuted remainder of *dag*.
 
     Raises :class:`RemnantError` (a ``ValueError``) when *executed* is
@@ -86,7 +84,7 @@ def reprioritize_remnant(
                 )
     pending = [u for u in range(dag.n) if u not in executed_set]
     remnant, mapping = dag.induced_subgraph(pending)
-    result = prio_schedule(remnant, **prio_kwargs)
+    result = prio_schedule(remnant)
     schedule = [mapping[u] for u in result.schedule]
     priorities = [0] * dag.n
     for local, orig in enumerate(mapping):

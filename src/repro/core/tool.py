@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..dagman.importer import DagmanImportError, load_dagman_file
-from ..dagman.jsdf import instrument_jsdf_file
+from ..dagman.jsdf import instrument_jsdf_text
 from ..dagman.model import DagmanFile
 from ..dagman.writer import write_dagman_file
 from .prio import PrioResult, prio_schedule
@@ -53,7 +53,7 @@ class PrioToolResult:
 
 
 def prioritize_dagman(
-    dagman: DagmanFile, *, respect_done: bool = False, **prio_kwargs
+    dagman: DagmanFile, *, respect_done: bool = False
 ) -> PrioToolResult:
     """Apply the heuristic to a parsed DAGMan file and set its VARS macros.
 
@@ -69,13 +69,13 @@ def prioritize_dagman(
     if respect_done and done_ids:
         from .rescheduling import reprioritize_remnant
 
-        remnant = reprioritize_remnant(dag, done_ids, **prio_kwargs)
+        remnant = reprioritize_remnant(dag, done_ids)
         result = remnant.prio
         priorities = {
             dag.label(u): remnant.priorities[u] for u in range(dag.n)
         }
     else:
-        result = prio_schedule(dag, **prio_kwargs)
+        result = prio_schedule(dag)
         priorities = {
             dag.label(u): result.priorities[u] for u in range(dag.n)
         }
@@ -89,7 +89,7 @@ def prioritize_dagman_file(
     output: str | Path | None = None,
     instrument_jsdfs: bool = False,
     jsdf_root: str | Path | None = None,
-    **prio_kwargs,
+    respect_done: bool = False,
 ) -> PrioToolResult:
     """Run the prio tool on the DAGMan file at *path*.
 
@@ -103,12 +103,17 @@ def prioritize_dagman_file(
         file (resolved against *jsdf_root*, default the DAGMan file's
         directory, honoring each job's ``DIR``).  Missing files are
         reported, not fatal.
+    respect_done:
+        Re-prioritize the remnant of the jobs marked ``DONE``, as
+        :func:`prioritize_dagman` does.
 
     A file with ``SPLICE`` statements is flattened as
     :func:`~repro.dagman.importer.load_dagman_file` does and needs
     *output*.  A defective file tree, a splice file without *output*, or
     a submit file to instrument that cannot be read as text, raises
-    :class:`~repro.dagman.importer.DagmanImportError`.
+    :class:`~repro.dagman.importer.DagmanImportError`.  Every submit
+    file is read and instrumented in memory before anything is
+    written, so a run that fails that way writes nothing.
     """
     path = Path(path)
     dagman, flattened = load_dagman_file(path)
@@ -118,8 +123,8 @@ def prioritize_dagman_file(
             "file structure, so pass output= (or the CLI's -o) to write "
             "the flattened, instrumented workflow elsewhere"
         )
-    result = prioritize_dagman(dagman, **prio_kwargs)
-    write_dagman_file(dagman, output if output is not None else path)
+    result = prioritize_dagman(dagman, respect_done=respect_done)
+    updates: list[tuple[Path, str]] = []
     if instrument_jsdfs:
         root = Path(jsdf_root) if jsdf_root is not None else path.parent
         seen: set[Path] = set()
@@ -129,14 +134,27 @@ def prioritize_dagman_file(
             if jsdf_path in seen:
                 continue
             seen.add(jsdf_path)
-            if jsdf_path.is_file():
-                try:
-                    instrument_jsdf_file(jsdf_path)
-                except (OSError, UnicodeDecodeError) as exc:
-                    raise DagmanImportError(
-                        f"cannot instrument submit file {str(jsdf_path)!r}: {exc}"
-                    ) from None
-                result.instrumented_jsdfs.append(str(jsdf_path))
-            else:
+            if not jsdf_path.is_file():
                 result.missing_jsdfs.append(str(jsdf_path))
+                continue
+            try:
+                original = jsdf_path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise _jsdf_error(jsdf_path, exc) from None
+            updated = instrument_jsdf_text(original)
+            if updated != original:
+                updates.append((jsdf_path, updated))
+            result.instrumented_jsdfs.append(str(jsdf_path))
+    write_dagman_file(dagman, output if output is not None else path)
+    for jsdf_path, text in updates:
+        try:
+            jsdf_path.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise _jsdf_error(jsdf_path, exc) from None
     return result
+
+
+def _jsdf_error(jsdf_path: Path, exc: Exception) -> DagmanImportError:
+    return DagmanImportError(
+        f"cannot instrument submit file {str(jsdf_path)!r}: {exc}"
+    )

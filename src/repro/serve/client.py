@@ -113,12 +113,8 @@ class ServeClient:
     def metrics(self) -> ServeResponse:
         return self.request("GET", "/metrics")
 
-    def schedule(
-        self, dag: Dag, algorithm: str = "prio", **kwargs
-    ) -> ServeResponse:
-        body: dict = {"dag": dag_to_json(dag), "algorithm": algorithm}
-        if kwargs:
-            body["kwargs"] = kwargs
+    def schedule(self, dag: Dag, algorithm: str = "prio") -> ServeResponse:
+        body = {"dag": dag_to_json(dag), "algorithm": algorithm}
         return self.post_json("/schedule", body)
 
     def create_session(

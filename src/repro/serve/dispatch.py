@@ -91,15 +91,8 @@ def compute_response(
     if stall > 0.0:
         time.sleep(stall)
     if path == "/schedule":
-        wire, algorithm, kwargs = protocol.parse_schedule_request(request)
-        try:
-            payload = protocol.schedule_payload(
-                wire, algorithm, cache=cache, **kwargs
-            )
-        except (TypeError, ValueError) as exc:
-            raise errors.invalid_request(
-                f"schedule computation rejected the request: {exc}"
-            ) from None
+        wire, algorithm = protocol.parse_schedule_request(request)
+        payload = protocol.schedule_payload(wire, algorithm, cache=cache)
     elif path == "/session":
         if sessions is None:
             raise errors.internal("session store not configured")

@@ -18,8 +18,7 @@ keys, no whitespace, ``allow_nan=False``) as UTF-8.  Floats are Python
 Request shapes (the parsers below validate them and raise
 :class:`~repro.serve.errors.ServeError` on anything else)::
 
-    POST /schedule  {"dag": <repro-dag-v1>, "algorithm": "prio",
-                     "kwargs": {...}}                       # both optional
+    POST /schedule  {"dag": <repro-dag-v1>, "algorithm": "prio"}  # optional
     POST /simulate  {"dag": <repro-dag-v1>, "params": {"mu_bit": 1.0,
                      "mu_bs": 16.0, ...}, "seed": 0,
                      "policy": "prio", "replications": 8}   # tail optional
@@ -135,9 +134,9 @@ def _build_dag(wire: tuple) -> Dag:
         raise errors.invalid_dag(str(exc)) from None
 
 
-def parse_schedule_request(payload: dict) -> tuple[tuple, str, dict]:
-    """Validate a ``POST /schedule`` body into ``(wire, algorithm,
-    kwargs)``, where *wire* is the ``(n, arcs, labels)`` decode of its dag
+def parse_schedule_request(payload: dict) -> tuple[tuple, str]:
+    """Validate a ``POST /schedule`` body into ``(wire, algorithm)``,
+    where *wire* is the ``(n, arcs, labels)`` decode of its dag
     (:func:`~repro.dag.io_json.decode_dag`).
 
     The ``Dag`` is not built here: :func:`schedule_payload` builds it only
@@ -153,12 +152,7 @@ def parse_schedule_request(payload: dict) -> tuple[tuple, str, dict]:
                 f"unknown algorithm {algorithm!r}; "
                 f"choose from {list(schedule_algorithms())}"
             )
-        kwargs = payload.get("kwargs", {})
-        if not isinstance(kwargs, dict) or any(
-            not isinstance(key, str) for key in kwargs
-        ):
-            raise errors.invalid_request("'kwargs' must be an object")
-        unknown = set(payload) - {"dag", "algorithm", "kwargs"}
+        unknown = set(payload) - {"dag", "algorithm"}
         if unknown:
             raise errors.invalid_request(
                 f"unknown request fields: {sorted(unknown)}"
@@ -166,7 +160,7 @@ def parse_schedule_request(payload: dict) -> tuple[tuple, str, dict]:
     except errors.ServeError:
         _build_dag(wire)
         raise
-    return wire, algorithm, kwargs
+    return wire, algorithm
 
 
 @dataclass(frozen=True)
@@ -313,7 +307,6 @@ def schedule_payload(
     algorithm: str = "prio",
     *,
     cache: ScheduleCache | None = None,
-    **kwargs,
 ) -> dict:
     """The ``POST /schedule`` response payload, computed in-process.
 
@@ -328,12 +321,12 @@ def schedule_payload(
     raises as it always did.  Why a hit is safe without the structural
     checks is in :mod:`repro.perf.cache`.
 
-    Deterministic in ``(dag, algorithm, kwargs)`` — the cache can only
+    Deterministic in ``(dag, algorithm)`` — the cache can only
     change *when* the order is computed, never what it is — so the
     served bytes are independent of hits and misses.
     """
     if isinstance(dag, Dag):
-        order = cached_schedule(dag, algorithm, cache=cache, **kwargs)
+        order = cached_schedule(dag, algorithm, cache=cache)
         return _schedule_body(algorithm, dag.fingerprint(), dag.n, order)
     n, arcs, labels = dag
     key = None
@@ -341,16 +334,14 @@ def schedule_payload(
         labels is None or len(labels) == n == len(set(labels))
     ):
         try:
-            key = schedule_key((n, arcs), algorithm, kwargs)
+            key = schedule_key((n, arcs), algorithm, {})
         except OverflowError:  # an id past int32 names no stored dag
             pass
     if key is None:
-        return schedule_payload(
-            _build_dag(dag), algorithm, cache=cache, **kwargs
-        )
+        return schedule_payload(_build_dag(dag), algorithm, cache=cache)
     order = cache.lookup(key, n)
     if order is None:
-        order = cached_schedule(_build_dag(dag), algorithm, **kwargs)
+        order = cached_schedule(_build_dag(dag), algorithm)
         cache.store(key, n, order)
     return _schedule_body(algorithm, key[0], n, order)
 

@@ -45,9 +45,9 @@ __all__ = [
     "clone_seedseq",
 ]
 
-#: Target number of chunks per worker when ``chunk_size`` is not forced.
-#: Several chunks per worker keeps the pool load-balanced when replication
-#: runtimes vary, while still amortizing the per-task pickling cost.
+#: Target number of chunks per worker.  Several chunks per worker keeps
+#: the pool load-balanced when replication runtimes vary, while still
+#: amortizing the per-task pickling cost.
 #: The pool loop keeps twice that per worker in flight: one two-sided
 #: sweep cell's chunks.
 _CHUNKS_PER_WORKER = 4
@@ -61,23 +61,19 @@ class _PoolStalled(Exception):
 class ParallelConfig:
     """How to fan replications out across worker processes.
 
-    ``jobs`` — worker process count (1 = no pool: tasks run in-process).
-    ``chunk_size`` — replications per submitted task (None = automatic:
-    about :data:`_CHUNKS_PER_WORKER` chunks per worker; ignored without
-    a pool, where a batch is always one chunk).
+    ``jobs`` is the worker process count (1 = no pool: tasks run
+    in-process).  A pool splits each batch into about
+    :data:`_CHUNKS_PER_WORKER` chunks per worker.
 
-    Determinism does not depend on either knob: for a fixed root seed
-    every setting yields bit-identical metrics.
+    Determinism does not depend on it: for a fixed root seed every
+    setting yields bit-identical metrics.
     """
 
     jobs: int = 1
-    chunk_size: int | None = None
 
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
 
     @property
     def enabled(self) -> bool:
@@ -92,8 +88,6 @@ class ParallelConfig:
         """
         if not self.enabled:
             return max(1, count)
-        if self.chunk_size is not None:
-            return self.chunk_size
         return max(1, math.ceil(count / (self.jobs * _CHUNKS_PER_WORKER)))
 
     def chunked(self, entries: list) -> list[list]:
@@ -105,15 +99,6 @@ class ParallelConfig:
     def executor(self) -> ProcessPoolExecutor:
         """A fresh pool of ``jobs`` workers."""
         return ProcessPoolExecutor(max_workers=self.jobs)
-
-
-def resolve_parallel(
-    jobs: int | None, parallel: ParallelConfig | None
-) -> ParallelConfig:
-    """Merge the ``jobs=N`` shorthand and an explicit config (which wins)."""
-    if parallel is not None:
-        return parallel
-    return ParallelConfig(jobs=1 if jobs is None else jobs)
 
 
 def iter_chunk_results(

@@ -6,10 +6,10 @@ The sweep experiments need ``p * q`` independent replications per
 and the whole experiment is reproducible from a single root seed.
 
 Every batch runs through the chunk driver of :mod:`repro.sim.parallel`;
-pass ``jobs=N`` (or a full :class:`~repro.sim.parallel.ParallelConfig`)
-to give it a pool of worker processes.  The spawn tree is built in the parent and results are
-reassembled in spawn order, so for a fixed root seed ``jobs=1`` and
-``jobs=N`` return **bit-identical** :class:`MetricArrays`.
+pass ``jobs=N`` to give it a pool of worker processes.  The spawn tree
+is built in the parent and results are reassembled in spawn order, so
+for a fixed root seed ``jobs=1`` and ``jobs=N`` return
+**bit-identical** :class:`MetricArrays`.
 """
 
 from __future__ import annotations
@@ -21,12 +21,7 @@ import numpy as np
 from ..dag.graph import Dag
 from .compile import CompiledDag, as_compiled, as_dag
 from .engine import SimParams, SimResult, make_policy
-from .parallel import (
-    ParallelConfig,
-    iter_chunk_results,
-    resolve_parallel,
-    run_chunk,
-)
+from .parallel import ParallelConfig, iter_chunk_results, run_chunk
 from .policies import Policy, policy_spec
 
 __all__ = [
@@ -279,7 +274,6 @@ def run_replications(
     *,
     runtime_scale=None,
     jobs: int = 1,
-    parallel: ParallelConfig | None = None,
     metrics=None,
     on_replication: Callable[[int, SimResult, float | None], None] | None = None,
     retry=None,
@@ -288,9 +282,8 @@ def run_replications(
 ) -> MetricArrays:
     """Run *count* independent simulations; returns per-run metrics.
 
-    The one-unit, one-batch case of :func:`iter_units`.  ``jobs`` (or an
-    explicit ``parallel`` config, which takes precedence) gives the
-    chunk driver a worker pool; at ``jobs=1`` (or for a single
+    The one-unit, one-batch case of :func:`iter_units`.  ``jobs`` gives
+    the chunk driver a worker pool; at ``jobs=1`` (or for a single
     replication) the batch runs in-process as one chunk.  Results are
     bit-identical either way for the same *seed*.  With worker
     processes, *build_policy* must be picklable — the factories from
@@ -327,9 +320,8 @@ def run_replications(
         if isinstance(seed, np.random.SeedSequence)
         else np.random.SeedSequence(seed)
     )
-    par = resolve_parallel(jobs, parallel)
-    if count <= 1:
-        par = ParallelConfig()  # a lone replication is not worth a pool
+    # A lone replication is not worth a pool.
+    par = ParallelConfig(jobs=jobs if count > 1 else 1)
     batch = (compiled, build_policy, params, runtime_scale, seedseq, count)
     ((_, (results,), (elapsed,)),) = iter_units(
         [(None, [batch])],

@@ -56,36 +56,19 @@ class TheoreticalResult:
 
 
 def theoretical_algorithm(
-    dag: Dag, *, width_limit: int = EXACT_BIPARTITE_LIMIT, metrics=None
+    dag: Dag, *, width_limit: int = EXACT_BIPARTITE_LIMIT
 ) -> TheoreticalResult:
     """Run the idealized algorithm; see the module docstring.
 
     ``width_limit`` caps the exact per-block IC-optimality search (blocks
     wider than this fail step 3 as "too wide to certify" — the theory
     would consult its family catalog, which the exact solver subsumes for
-    blocks within the limit).  *metrics*, when given, is a
-    :class:`~repro.obs.metrics.MetricsRegistry` whose
-    ``theory.<stage>`` timers receive each step's wall-clock (on failure,
-    the steps reached so far).
+    blocks within the limit).
     """
-    import time
-
-    mark = time.perf_counter() if metrics is not None else 0.0
-
-    def lap(stage: str) -> None:
-        nonlocal mark
-        if metrics is None:
-            return
-        now = time.perf_counter()
-        metrics.timer(f"theory.{stage}").add(now - mark)
-        mark = now
-
     if dag.n == 0:
         return TheoreticalResult(dag=dag, success=True, schedule=[])
     reduced, _ = remove_shortcuts(dag)  # Step 1
-    lap("transitive_reduction")
     dec = decompose(reduced)  # Step 2 (the generalized decomposition...)
-    lap("decompose")
     non_bipartite = [c for c in dec.components if not c.is_bipartite]
     if non_bipartite:
         # ...which resorts to non-bipartite closures exactly when the
@@ -136,7 +119,6 @@ def theoretical_algorithm(
             )
         schedules[comp.index] = [mapping[u] for u in order]
         profiles[comp.index] = partial_profile(subdag, order)
-    lap("block_schedules")
 
     # Step 4: every pair of blocks must be ≻-comparable.
     indices = [c.index for c in blocks]
@@ -188,7 +170,6 @@ def theoretical_algorithm(
     for index in ordered:
         schedule.extend(schedules[index])
     schedule.extend(dag.sinks())
-    lap("combine")
     return TheoreticalResult(
         dag=dag, success=True, schedule=schedule, decomposition=dec
     )

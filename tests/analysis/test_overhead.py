@@ -4,6 +4,7 @@ from repro.analysis.overhead import (
     measure_overhead,
     render_overhead_table,
 )
+from repro.core.prio import prio_schedule
 from repro.workloads.airsn import airsn
 
 
@@ -16,11 +17,9 @@ class TestMeasureOverhead:
         assert record.peak_mb > 0
         assert record.n_components == result.decomposition.n_components
 
-    def test_prio_kwargs_forwarded(self):
-        record, result = measure_overhead(
-            airsn(10), "airsn-10", use_catalog=False
-        )
-        assert result.families_used.keys() == {"<out-degree fallback>"}
+    def test_result_matches_prio_schedule(self):
+        _, result = measure_overhead(airsn(10), "airsn-10")
+        assert result.priorities == prio_schedule(airsn(10)).priorities
 
     def test_table_rendering(self):
         r1, _ = measure_overhead(airsn(5), "tiny")

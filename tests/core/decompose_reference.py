@@ -255,7 +255,6 @@ def schedule_component(
     component: Component,
     *,
     use_catalog: bool = True,
-    outdegree_scope: str = "global",
     exact_bipartite_limit: int = 0,
     shapes: dict | None = None,
 ) -> ScheduledComponent:
@@ -267,11 +266,8 @@ def schedule_component(
         The full (shortcut-free) dag the component was detached from.
     use_catalog:
         When false, skip family recognition and always use the out-degree
-        fallback (the ablation knob of DESIGN.md).
-    outdegree_scope:
-        ``"global"`` ranks fallback jobs by their out-degree in *dag*
-        (children outside the block also benefit from early execution);
-        ``"local"`` uses the out-degree within the block only.
+        fallback (the ablation knob of DESIGN.md).  The fallback ranks
+        jobs by their out-degree in *dag*.
     exact_bipartite_limit:
         When positive, unrecognized *bipartite* blocks with at most this
         many sources get an exact IC-optimal source order from
@@ -284,8 +280,6 @@ def schedule_component(
         shape is solved once; ``None`` uses a throwaway table.  Entries
         are pure functions of their keys, so a table may outlive the dag.
     """
-    if outdegree_scope not in ("global", "local"):
-        raise ValueError(f"unknown outdegree_scope: {outdegree_scope!r}")
     nodes = component.nodes
     n_nonsinks = len(component.nonsinks)
     # Local ids follow ``nodes``; arcs follow Dag.induced_subgraph's order.
@@ -301,22 +295,14 @@ def schedule_component(
             if v in local
         ]
     )
-    key = (
-        use_catalog,
-        outdegree_scope,
-        exact_bipartite_limit,
-        n_nonsinks,
-        len(nodes),
-        arcs,
-    )
+    key = (use_catalog, exact_bipartite_limit, n_nonsinks, len(nodes), arcs)
     if shapes is None:
         shapes = {}
     entry = shapes.get(key)
     if entry is None:
         subdag = Dag(len(nodes), arcs, None, check_acyclic=False)
         entry = shapes[key] = _solve_shape(
-            subdag, component, use_catalog, outdegree_scope,
-            exact_bipartite_limit,
+            subdag, component, use_catalog, exact_bipartite_limit
         )
     if type(entry) is _Fallback:
         weight = tuple(map(dag.out_degree, nodes))

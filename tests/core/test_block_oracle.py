@@ -29,10 +29,8 @@ from repro.workloads.registry import get_workload, workload_names
 from . import decompose_reference as reference
 
 KNOBS = [
-    dict(use_catalog=c, outdegree_scope=s, exact_bipartite_limit=e)
-    for c, s, e in itertools.product(
-        (True, False), ("global", "local"), (0, 4)
-    )
+    dict(use_catalog=c, exact_bipartite_limit=e)
+    for c, e in itertools.product((True, False), (0, 4))
 ]
 
 

@@ -1,7 +1,5 @@
 """Tests for per-component scheduling (Step 3)."""
 
-import pytest
-
 from repro.core.component import outdegree_order, schedule_component
 from repro.core.decompose import decompose
 from repro.dag.builders import chain, complete_bipartite
@@ -9,20 +7,24 @@ from repro.dag.graph import Dag
 from repro.theory.families import w_dag
 
 
+def out_degrees(d):
+    return [d.out_degree(u) for u in range(d.n)]
+
+
 class TestOutdegreeOrder:
     def test_orders_by_descending_outdegree(self):
         # 0 -> 2, 1 -> {2, 3}: source 1 has higher out-degree.
         d = Dag(4, [(0, 2), (1, 2), (1, 3)])
-        assert outdegree_order(d) == [1, 0]
+        assert outdegree_order(d, weight=out_degrees(d)) == [1, 0]
 
     def test_respects_precedence(self):
         # High-out-degree node behind a low-out-degree parent must wait.
         d = Dag(5, [(0, 1), (1, 2), (1, 3), (1, 4)])
-        order = outdegree_order(d)
+        order = outdegree_order(d, weight=out_degrees(d))
         assert order.index(0) < order.index(1)
 
     def test_excludes_sinks(self, diamond):
-        assert 3 not in outdegree_order(diamond)
+        assert 3 not in outdegree_order(diamond, weight=out_degrees(diamond))
 
     def test_custom_weight(self):
         d = Dag(4, [(0, 2), (1, 2), (1, 3)])
@@ -31,7 +33,7 @@ class TestOutdegreeOrder:
 
     def test_tie_break_by_id(self):
         d = Dag(4, [(0, 2), (1, 3)])
-        assert outdegree_order(d) == [0, 1]
+        assert outdegree_order(d, weight=out_degrees(d)) == [0, 1]
 
 
 class TestScheduleComponent:
@@ -66,18 +68,16 @@ class TestScheduleComponent:
         assert a.profile_key == b.profile_key
 
     def test_global_vs_local_outdegree(self):
-        # Non-sink 1 has one child inside the block but two in the full dag.
-        d = Dag(6, [(0, 2), (1, 2), (0, 3), (2, 4), (3, 5), (1, 4)])
-        dec = decompose(d)
-        comp = dec.components[0]
-        glob = schedule_component(d, comp, outdegree_scope="global")
-        loc = schedule_component(d, comp, outdegree_scope="local")
-        assert set(glob.schedule) == set(loc.schedule)
-
-    def test_invalid_scope_rejected(self, diamond):
-        dec = decompose(diamond)
-        with pytest.raises(ValueError, match="outdegree_scope"):
-            schedule_component(diamond, dec.components[0], outdegree_scope="x")
+        # Job 2 has one child inside the block {0, 1, 2, 4} but two in the
+        # full dag.  The fallback ranks by the full dag, so 2 runs before
+        # 0; ranked by the block alone, 0 would run before 2.
+        d = Dag(5, [(0, 4), (1, 2), (1, 4), (2, 3), (2, 4)])
+        comp = decompose(d).components[0]
+        assert comp.nodes == (0, 1, 2, 4)
+        assert schedule_component(d, comp).schedule == (1, 2, 0)
+        subdag, mapping = d.induced_subgraph(comp.nodes)
+        local = outdegree_order(subdag, weight=out_degrees(subdag))
+        assert [mapping[u] for u in local] == [1, 0, 2]
 
     def test_chain_pair_block(self):
         d = chain(2)

@@ -34,10 +34,8 @@ component_module = importlib.import_module("repro.core.component")
 prio_module = importlib.import_module("repro.core.prio")
 
 KNOBS = [
-    dict(use_catalog=c, outdegree_scope=s, exact_bipartite_limit=e)
-    for c, s, e in itertools.product(
-        (True, False), ("global", "local"), (0, 4)
-    )
+    dict(use_catalog=c, exact_bipartite_limit=e)
+    for c, e in itertools.product((True, False), (0, 4))
 ]
 
 
@@ -46,7 +44,6 @@ def reference_schedule(
     component,
     *,
     use_catalog=True,
-    outdegree_scope="global",
     exact_bipartite_limit=0,
 ):
     """One block, scheduled on its own induced subgraph."""
@@ -71,9 +68,7 @@ def reference_schedule(
             family = "<exact-bipartite>"
             local_order = exact
     if local_order is None:
-        weight = None
-        if outdegree_scope == "global":
-            weight = [dag.out_degree(orig) for orig in mapping]
+        weight = [dag.out_degree(orig) for orig in mapping]
         local_order = outdegree_order(subdag, weight=weight)
     profile = partial_profile(subdag, local_order)
     schedule = tuple(mapping[u] for u in local_order)

@@ -75,9 +75,12 @@ class TestReprioritizeRemnant:
         assert remnant.schedule == []
         assert remnant.priorities == [0] * 5
 
-    def test_kwargs_forwarded(self, fig3_dag):
-        remnant = reprioritize_remnant(fig3_dag, [], combine="topological")
-        assert remnant.priority_of("a") == 5
+    def test_remnant_priorities_match_prio_schedule(self, fig3_dag):
+        a, c = fig3_dag.id_of("a"), fig3_dag.id_of("c")
+        remnant = reprioritize_remnant(fig3_dag, [a, c])
+        assert remnant.prio.priorities == prio_schedule(
+            remnant.remnant
+        ).priorities
 
     def test_remnant_priorities_are_dense(self):
         dag = airsn(10)

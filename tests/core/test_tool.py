@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.prio import prio_schedule
 from repro.core.tool import prioritize_dagman, prioritize_dagman_file
 from repro.dagman.parser import parse_dagman_text
 
@@ -151,8 +152,11 @@ class TestPrioritizeFile:
         result = prioritize_dagman_file(dagfile, instrument_jsdfs=True)
         assert result.instrumented_jsdfs == [str(tmp_path / "subdir" / "x.sub")]
 
-    def test_prio_kwargs_forwarded(self, tmp_path):
+    def test_priorities_match_prio_schedule(self, tmp_path):
         dagfile = self._write_workflow(tmp_path, jsdfs=False)
-        result = prioritize_dagman_file(dagfile, combine="topological")
-        # topological combine emits block {a,b} first: a gets top priority.
-        assert result.priorities["a"] == 5
+        result = prioritize_dagman_file(dagfile)
+        dag = parse_dagman_text(FIG3).to_dag()
+        direct = prio_schedule(dag).priorities
+        assert result.priorities == {
+            dag.label(u): direct[u] for u in range(dag.n)
+        }

@@ -21,10 +21,13 @@ import numpy as np
 import pytest
 
 from repro.dag.graph import Dag
+from repro.dag.io_json import dag_to_json
 from repro.perf.cache import ScheduleCache
 from repro.robust.retry import RetryPolicy
 from repro.serve.app import PrioService, ServerThread
 from repro.serve.client import ServeClient
+from repro.serve.dispatch import compute_response
+from repro.serve.errors import ServeError
 from repro.serve.protocol import encode, schedule_payload, simulate_payload
 from repro.sim.engine import SimParams
 from repro.workloads.registry import get_workload
@@ -70,13 +73,15 @@ def test_schedule_bit_identity_all_algorithms(client):
 
 
 def test_schedule_bit_identity_with_kwargs(client):
-    dag = get_workload("airsn-small")
-    response = client.schedule(dag, "prio", combine="topological")
-    assert response.status == 200
-    expected = encode(
-        schedule_payload(dag, "prio", combine="topological")
-    )
-    assert response.body == expected
+    # "kwargs" is not a request field: the socket answers the same 400
+    # bytes that the in-process compute raises.
+    body = {"dag": dag_to_json(get_workload("airsn-small")),
+            "algorithm": "prio", "kwargs": {"combine": "topological"}}
+    response = client.post_json("/schedule", body)
+    assert (response.status, response.error_code) == (400, "invalid_request")
+    with pytest.raises(ServeError) as exc:
+        compute_response("/schedule", json.dumps(body).encode())
+    assert response.body == encode(exc.value.payload())
 
 
 def test_simulate_single_bit_identity_all_policies(client):

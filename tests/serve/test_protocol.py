@@ -216,14 +216,37 @@ def test_bad_schedule_fields_return_invalid_request(client, mutation):
     assert (response.status, response.error_code) == (400, "invalid_request")
 
 
-def test_unknown_prio_kwargs_return_invalid_request(client):
-    body = {
-        "dag": dag_to_json(Dag(2, [(0, 1)])),
-        "kwargs": {"no_such_knob": True},
-    }
-    response = client.post_json("/schedule", body)
-    assert (response.status, response.error_code) == (400, "invalid_request")
-    assert "no_such_knob" in response.payload["error"]["message"]
+def test_unknown_prio_kwargs_return_invalid_request(client, monkeypatch):
+    # The request has no keyword field: any "kwargs" is an unknown field,
+    # refused before prio runs, and a broken dag is still reported first.
+    import repro.core.prio
+
+    calls = []
+    real = repro.core.prio.prio_schedule
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(repro.core.prio, "prio_schedule", spy)
+    dag = dag_to_json(Dag(6, [(0, 5), (1, 5), (2, 5), (3, 4)]))
+    for kwargs in ({"exact_bipartite_limit": 64}, {"no_such_knob": True},
+                   {}, "not-an-object"):
+        body = {"dag": dag, "kwargs": kwargs}
+        response = client.post_json("/schedule", body)
+        assert (response.status, response.error_code) == (
+            400, "invalid_request"
+        )
+        assert response.payload["error"]["message"] == (
+            "unknown request fields: ['kwargs']"
+        )
+        body["dag"] = {"format": "repro-dag-v1", "n": 2,
+                       "arcs": [[0, 1], [1, 0]]}
+        response = client.post_json("/schedule", body)
+        assert (response.status, response.error_code) == (400, "invalid_dag")
+    assert calls == []
+    assert client.post_json("/schedule", {"dag": dag}).status == 200
+    assert len(calls) == 1  # the spy sees a request without the field
 
 
 @pytest.mark.parametrize(

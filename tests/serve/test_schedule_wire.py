@@ -156,8 +156,11 @@ def unknown_algorithm(request, draw):
     request["algorithm"] = "no-such-algorithm"
 
 
-def kwargs_not_object(request, draw):
-    request["kwargs"] = draw(st.sampled_from([[], 1, "prio", None]))
+def any_kwargs(request, draw):
+    request["kwargs"] = draw(st.sampled_from(
+        [{}, {"exact_bipartite_limit": 64}, {"combine": "topological"},
+         [], 1, "prio", None]
+    ))
 
 
 MUTATIONS = (
@@ -175,7 +178,7 @@ MUTATIONS = (
     non_string_label,
     extra_field,
     unknown_algorithm,
-    kwargs_not_object,
+    any_kwargs,
 )
 
 

@@ -69,21 +69,20 @@ class TestParallelConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="jobs"):
             ParallelConfig(jobs=0)
-        with pytest.raises(ValueError, match="chunk_size"):
-            ParallelConfig(jobs=2, chunk_size=0)
 
     def test_chunking_covers_all_entries_in_order(self):
-        cfg = ParallelConfig(jobs=3, chunk_size=4)
-        entries = list(range(10))
+        cfg = ParallelConfig(jobs=2)
+        entries = list(range(30))
         chunks = cfg.chunked(entries)
-        assert chunks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+        assert [len(chunk) for chunk in chunks] == [4] * 7 + [2]
+        assert [u for chunk in chunks for u in chunk] == entries
 
     def test_one_chunk_without_a_pool(self):
         # jobs=1 runs a batch as one in-process task, so the batched
-        # kernel sees every replication; chunk_size only splits pool work.
-        for cfg in (ParallelConfig(), ParallelConfig(chunk_size=3)):
-            assert cfg.chunked(list(range(10))) == [list(range(10))]
-            assert cfg.chunked([]) == []
+        # kernel sees every replication; only a pool splits the work.
+        cfg = ParallelConfig()
+        assert cfg.chunked(list(range(10))) == [list(range(10))]
+        assert cfg.chunked([]) == []
 
     def test_automatic_chunk_size(self):
         cfg = ParallelConfig(jobs=4)
@@ -133,25 +132,14 @@ class TestRunReplicationsParallel:
         dag = fork_join(6)
         factory = policy_factory("fifo")
         serial = run_replications(dag, factory, params, 9, seed=5)
-        for chunk_size in (1, 2, 9):
-            parallel = run_replications(
-                dag,
-                factory,
-                params,
-                9,
-                seed=5,
-                parallel=ParallelConfig(jobs=2, chunk_size=chunk_size),
+        # 9 replications split into chunks of 9, 2 and 1 at these jobs.
+        for jobs, chunk_size in ((1, 9), (2, 2), (3, 1)):
+            par = ParallelConfig(jobs=jobs)
+            assert par.resolve_chunk_size(9) == chunk_size
+            chunked = run_replications(
+                dag, factory, params, 9, seed=5, jobs=jobs
             )
-            assert metrics_equal(serial, parallel)
-
-    def test_explicit_parallel_config_wins_over_jobs(self, params):
-        dag = fork_join(4)
-        factory = policy_factory("fifo")
-        serial = run_replications(dag, factory, params, 4, seed=3)
-        forced_serial = run_replications(
-            dag, factory, params, 4, seed=3, jobs=8, parallel=ParallelConfig()
-        )
-        assert metrics_equal(serial, forced_serial)
+            assert metrics_equal(serial, chunked)
 
     def test_single_replication_stays_serial(self, params, pools):
         dag = fork_join(3)
@@ -173,7 +161,7 @@ class TestIterUnits:
                    (compiled, rand, params, None, seeds[1], 3)]),
             ("b", [(compiled, fifo, params, None, seeds[2], 0)]),
         ]
-        par = ParallelConfig(jobs=2, chunk_size=2)
+        par = ParallelConfig(jobs=2)
         done = {key: results for key, results, _ in iter_units(units, par)}
         assert sorted(done) == ["a", "b"]
         for results, (factory, seed, count) in zip(

@@ -150,6 +150,25 @@ def test_non_utf8_input_is_one_error_line(argv, bad_file, tmp_path, capsys):
     assert bad_file in err
 
 
+def test_failed_jsdf_run_writes_nothing(tmp_path, capsys):
+    (tmp_path / "ok.dag").write_text(
+        "JOB a a.sub\nJOB b b.sub\nPARENT a CHILD b\n"
+    )
+    first = b"executable = /bin/true\nqueue\n"
+    (tmp_path / "a.sub").write_bytes(first)
+    (tmp_path / "b.sub").write_bytes(
+        b"executable = /bin/true\n# \xff\nqueue\n"
+    )
+    out = tmp_path / "out.dag"
+    argv = ["prio", str(tmp_path / "ok.dag"), "--jsdfs", "-o", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "b.sub" in err
+    assert not out.exists()
+    assert (tmp_path / "a.sub").read_bytes() == first
+
+
 def test_lint_recursive_rejects_check_jsdfs(tmp_path, capsys):
     (tmp_path / "w.dag").write_text("SPLICE s inner.dag\n")
     (tmp_path / "inner.dag").write_text("JOB a a.sub\n")
@@ -233,19 +252,15 @@ class TestSweepCommand:
         assert "mu_BIT = 1" in out
         assert out.count("|") >= 6
 
-    def test_live_is_an_alias_of_policy_prio_live(self, capsys):
+    def test_policy_prio_live_replaces_the_live_flag(self, capsys):
         argv = ["sweep", "airsn-small", "--mu-bit", "1", "--mu-bs", "4",
                 "-p", "2", "-q", "1"]
-        outputs = []
-        for extra in (["--live"], ["--policy", "prio-live"],
-                      ["--live", "--policy", "prio-live"]):
-            assert main([*argv, *extra]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0].startswith("PRIO-LIVE/FIFO")
-        assert outputs[0] == outputs[1] == outputs[2]
-        assert main([*argv, "--live", "--policy", "fifo"]) == 2
-        assert "--live pins" in capsys.readouterr().err
-
+        assert main([*argv, "--policy", "prio-live"]) == 0
+        assert capsys.readouterr().out.startswith("PRIO-LIVE/FIFO")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--live"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --live" in capsys.readouterr().err
 
     def test_stdout_identical_at_one_and_two_jobs(self, capsys):
         argv = ["sweep", "airsn-small", "--mu-bit", "1.0", "--mu-bs", "4.0",
