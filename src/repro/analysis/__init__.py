@@ -10,7 +10,6 @@ from .overhead import OverheadRecord, measure_overhead, render_overhead_table
 from .report_all import WorkloadReport, full_report, render_report
 from .report import (
     format_ratio,
-    metric_titles,
     render_curves_table,
     render_sweep,
     render_sweep_series,
@@ -54,7 +53,6 @@ __all__ = [
     "eligibility_curves",
     "format_ratio",
     "measure_overhead",
-    "metric_titles",
     "paper_grid",
     "quick_grid",
     "ratio_sweep",

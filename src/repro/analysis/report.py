@@ -19,7 +19,6 @@ __all__ = [
     "render_sweep",
     "render_sweep_series",
     "render_curves_table",
-    "metric_titles",
 ]
 
 #: Panel titles as the figures label them.
@@ -28,11 +27,6 @@ _METRIC_TITLES = {
     "stalling_probability": "b. Ratio of probability of stalling",
     "utilization": "c. Ratio of expected utilization",
 }
-
-
-def metric_titles() -> dict[str, str]:
-    """Panel titles keyed by metric, as the paper's figures label them."""
-    return dict(_METRIC_TITLES)
 
 
 def format_ratio(stats: RatioStatistics | None) -> str:

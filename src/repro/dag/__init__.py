@@ -12,29 +12,12 @@ from .builders import (
     layered_random,
     random_dag,
 )
-from .graph import CycleError, Dag, DagBuilder, relabel_by_mapping
+from .graph import CycleError, Dag, DagBuilder
 from .io_dot import to_dot
-from .io_json import (
-    dag_from_json,
-    dag_to_json,
-    load_dag,
-    save_dag,
-    schedule_from_json,
-    schedule_to_json,
-)
+from .io_json import dag_from_json, dag_to_json
 from .metrics import DagShape, dag_shape
-from .transitive import (
-    find_shortcuts,
-    remove_shortcuts,
-    transitive_closure_sets,
-    transitive_reduction_reference,
-)
-from .validate import (
-    assert_valid_schedule,
-    is_topological_order,
-    is_valid_schedule,
-    schedule_violations,
-)
+from .transitive import find_shortcuts, remove_shortcuts
+from .validate import is_valid_schedule, schedule_violations
 
 __all__ = [
     "CycleError",
@@ -44,11 +27,6 @@ __all__ = [
     "dag_from_json",
     "dag_shape",
     "dag_to_json",
-    "load_dag",
-    "save_dag",
-    "schedule_from_json",
-    "schedule_to_json",
-    "assert_valid_schedule",
     "chain",
     "complete_bipartite",
     "compose_identified",
@@ -57,15 +35,11 @@ __all__ = [
     "find_shortcuts",
     "fork",
     "fork_join",
-    "is_topological_order",
     "is_valid_schedule",
     "join",
     "layered_random",
     "random_dag",
-    "relabel_by_mapping",
     "remove_shortcuts",
     "schedule_violations",
     "to_dot",
-    "transitive_closure_sets",
-    "transitive_reduction_reference",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from typing import NoReturn
 
 __all__ = ["Dag", "DagBuilder", "CycleError", "fingerprint_arcs"]
@@ -406,25 +406,6 @@ class Dag:
                 stack.extend(self._parents[v])
         return seen
 
-    def has_path(self, u: int, v: int, *, skip_direct: bool = False) -> bool:
-        """True when a directed path ``u -> ... -> v`` exists.
-
-        With ``skip_direct`` the one-arc path ``u -> v`` is ignored, which is
-        exactly the *shortcut* test of the paper's Step 1.
-        """
-        if u == v:
-            return True
-        seen: set[int] = set()
-        stack = [w for w in self._children[u] if not (skip_direct and w == v)]
-        while stack:
-            w = stack.pop()
-            if w == v:
-                return True
-            if w not in seen:
-                seen.add(w)
-                stack.extend(self._children[w])
-        return False
-
     # ------------------------------------------------------------------
     # Derived dags
     # ------------------------------------------------------------------
@@ -468,10 +449,6 @@ class Dag:
             raise ValueError(f"arcs not present: {sorted(missing)}")
         arcs = [a for a in self.arcs() if a not in dropset]
         return Dag(self._n, arcs, self._labels, check_acyclic=False)
-
-    def relabelled(self, labels: Sequence[str]) -> "Dag":
-        """A copy of the dag with new job names."""
-        return Dag(self._n, self.arcs(), labels, check_acyclic=False)
 
     # ------------------------------------------------------------------
     # Dunder / misc
@@ -578,11 +555,3 @@ class DagBuilder:
         for name, i in self._ids.items():
             labels[i] = name
         return Dag(len(self._ids), self._arcs, labels, check_acyclic=check_acyclic)
-
-
-def relabel_by_mapping(dag: Dag, mapping: Mapping[str, str]) -> Dag:
-    """Rename jobs of a labelled dag according to *mapping* (missing keys keep
-    their old name)."""
-    if dag.labels is None:
-        raise ValueError("dag has no labels to relabel")
-    return dag.relabelled([mapping.get(name, name) for name in dag.labels])

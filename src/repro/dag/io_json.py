@@ -1,16 +1,14 @@
-"""JSON serialization of dags and schedules.
+"""JSON serialization of dags.
 
-A stable on-disk form for dags, schedules and priorities, so prioritized
-workloads can be cached between runs and exchanged with other tools
-(DAGMan files remain the canonical *workflow* format; JSON carries the
-pure graph + scheduling data).
+The ``repro-dag-v1`` payload that the service wire and the session
+checkpoints carry (DAGMan files remain the canonical *workflow* format;
+JSON carries the pure graph).
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
-from pathlib import Path
 from typing import Any
 
 from .graph import Dag
@@ -19,10 +17,6 @@ __all__ = [
     "dag_to_json",
     "dag_from_json",
     "decode_dag",
-    "save_dag",
-    "load_dag",
-    "schedule_to_json",
-    "schedule_from_json",
     "dumps_canonical",
 ]
 
@@ -145,44 +139,3 @@ def dag_from_json(payload: dict[str, Any]) -> Dag:
     """
     return Dag(*decode_dag(payload))
 
-
-def save_dag(dag: Dag, path: str | Path) -> None:
-    """Write *dag* as JSON to *path*."""
-    Path(path).write_text(json.dumps(dag_to_json(dag)) + "\n")
-
-
-def load_dag(path: str | Path) -> Dag:
-    """Read a dag written by :func:`save_dag`."""
-    return dag_from_json(json.loads(Path(path).read_text()))
-
-
-def schedule_to_json(dag: Dag, schedule: list[int]) -> dict[str, Any]:
-    """A JSON-ready dict bundling a dag with one of its schedules.
-
-    The schedule is stored by job *name* when the dag is labelled, making
-    the file robust to id renumbering.
-    """
-    payload = dag_to_json(dag)
-    payload["format"] = _FORMAT + "+schedule"
-    if dag.labels is not None:
-        payload["schedule"] = [dag.label(u) for u in schedule]
-    else:
-        payload["schedule"] = list(schedule)
-    return payload
-
-
-def schedule_from_json(payload: dict[str, Any]) -> tuple[Dag, list[int]]:
-    """Rebuild ``(dag, schedule)`` from :func:`schedule_to_json` output."""
-    if payload.get("format") != _FORMAT + "+schedule":
-        raise ValueError("not a schedule payload")
-    base = dict(payload)
-    base["format"] = _FORMAT
-    dag = dag_from_json(base)
-    raw = payload["schedule"]
-    if dag.labels is not None:
-        schedule = [dag.id_of(str(name)) for name in raw]
-    else:
-        schedule = [int(u) for u in raw]
-    if sorted(schedule) != list(range(dag.n)):
-        raise ValueError("schedule is not a permutation of the jobs")
-    return dag, schedule

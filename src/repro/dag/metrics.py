@@ -33,12 +33,6 @@ class DagShape:
     mean_degree: float         # arcs per job
     n_isolated: int
 
-    @property
-    def parallelism_bound(self) -> int:
-        """No execution can run more jobs at once than the widest level
-        lets it (an upper bound; eligibility can be far lower)."""
-        return self.max_level_width
-
     def row(self, name: str = "dag") -> str:
         return (
             f"{name:<12s} jobs={self.n_jobs:<7d} arcs={self.n_arcs:<7d} "

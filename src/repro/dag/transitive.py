@@ -16,21 +16,13 @@ The implementation here is engineered for large sparse workflow dags:
   arcs connect adjacent levels and are dismissed in O(1).
 * Remaining candidates are settled by a depth-first search from *u*'s other
   children, restricted to nodes with ``level < level(v)``.
-
-``transitive_reduction_reference`` delegates to networkx and serves as the
-oracle in tests.
 """
 
 from __future__ import annotations
 
 from .graph import Dag
 
-__all__ = [
-    "find_shortcuts",
-    "remove_shortcuts",
-    "transitive_reduction_reference",
-    "transitive_closure_sets",
-]
+__all__ = ["find_shortcuts", "remove_shortcuts"]
 
 
 def find_shortcuts(dag: Dag) -> list[tuple[int, int]]:
@@ -82,25 +74,3 @@ def remove_shortcuts(dag: Dag) -> tuple[Dag, list[tuple[int, int]]]:
         return dag, []
     return dag.without_arcs(shortcuts), shortcuts
 
-
-def transitive_reduction_reference(dag: Dag) -> Dag:
-    """Transitive reduction via networkx (test oracle; O(V*E))."""
-    import networkx as nx
-
-    reduced = nx.transitive_reduction(dag.to_networkx())
-    return Dag(dag.n, reduced.edges(), dag.labels, check_acyclic=False)
-
-
-def transitive_closure_sets(dag: Dag) -> list[set[int]]:
-    """``closure[u]`` = all jobs reachable from *u* (excluding *u* itself).
-
-    Computed bottom-up in reverse topological order; quadratic memory in the
-    worst case, intended for validation and small/medium dags.
-    """
-    closure: list[set[int]] = [set() for _ in range(dag.n)]
-    for u in reversed(dag.topological_order()):
-        acc = closure[u]
-        for v in dag.children(u):
-            acc.add(v)
-            acc |= closure[v]
-    return closure

@@ -11,15 +11,10 @@ from collections.abc import Sequence
 
 from .graph import Dag
 
-__all__ = [
-    "is_valid_schedule",
-    "assert_valid_schedule",
-    "is_topological_order",
-    "schedule_violations",
-]
+__all__ = ["is_valid_schedule", "schedule_violations"]
 
 
-def is_topological_order(dag: Dag, order: Sequence[int]) -> bool:
+def is_valid_schedule(dag: Dag, order: Sequence[int]) -> bool:
     """True when *order* is a permutation of ``0..n-1`` honoring all arcs."""
     return not schedule_violations(dag, order, limit=1)
 
@@ -65,14 +60,3 @@ def schedule_violations(
                 return problems
     return problems
 
-
-def is_valid_schedule(dag: Dag, order: Sequence[int]) -> bool:
-    """True when *order* is a valid schedule for *dag*."""
-    return is_topological_order(dag, order)
-
-
-def assert_valid_schedule(dag: Dag, order: Sequence[int]) -> None:
-    """Raise ``ValueError`` with a diagnostic when *order* is not a schedule."""
-    problems = schedule_violations(dag, order, limit=3)
-    if problems:
-        raise ValueError("invalid schedule: " + "; ".join(problems))

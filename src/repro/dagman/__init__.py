@@ -10,7 +10,6 @@ from .importer import (
 )
 from .jsdf import (
     PRIORITY_LINE,
-    instrument_jsdf_file,
     instrument_jsdf_text,
     parse_jsdf,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "run_workflow",
     "PRIORITY_LINE",
     "dag_to_dagman",
-    "instrument_jsdf_file",
     "instrument_jsdf_text",
     "parse_dagman_file",
     "parse_dagman_text",

@@ -15,7 +15,6 @@ priorities.
 from __future__ import annotations
 
 import re
-from pathlib import Path
 
 from .model import JOBPRIORITY_MACRO
 
@@ -23,7 +22,6 @@ __all__ = [
     "PRIORITY_LINE",
     "parse_jsdf",
     "instrument_jsdf_text",
-    "instrument_jsdf_file",
 ]
 
 #: The exact line the prio tool adds.
@@ -71,13 +69,3 @@ def instrument_jsdf_text(text: str) -> str:
         lines.append(PRIORITY_LINE)
     return "\n".join(lines) + "\n"
 
-
-def instrument_jsdf_file(path: str | Path) -> bool:
-    """Instrument the JSDF at *path* in place; returns True if it changed."""
-    path = Path(path)
-    original = path.read_text()
-    updated = instrument_jsdf_text(original)
-    if updated != original:
-        path.write_text(updated)
-        return True
-    return False

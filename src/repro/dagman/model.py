@@ -80,9 +80,6 @@ class DagmanFile:
     # Queries
     # ------------------------------------------------------------------
 
-    def job_names(self) -> list[str]:
-        return list(self.jobs)
-
     def to_dag(self) -> Dag:
         """The dependency dag (labels = job names, ids in declaration order).
 

@@ -28,7 +28,8 @@ whose checkpoint write failed is applied in memory but not yet durable;
 the retry (or the next batch) writes it before answering, so the disk
 never skips a seq the client was told succeeded.  A checkpoint that is
 unreadable, or whose records do not replay, recovers no session: the id
-answers as unknown, never with an exception from the damaged file.
+answers as unknown, never with an exception from the damaged file, and
+the store remembers the failure instead of reading the file again.
 """
 
 from __future__ import annotations
@@ -90,6 +91,9 @@ class SessionStore:
         #: session id -> (key, payload) of an applied advance whose
         #: checkpoint write raised; written before the session answers again.
         self._unpersisted: dict[str, tuple[str, dict]] = {}
+        #: ids whose checkpoint failed to recover: answered as unknown
+        #: without another read (``create`` refuses them while on disk).
+        self._unrecoverable: set[str] = set()
         self._locks: dict[str, threading.Lock] = {}
         self._registry_lock = threading.Lock()
         self.recovered = 0
@@ -150,6 +154,8 @@ class SessionStore:
             session = self._sessions.get(session_id)
             if session is not None:
                 return session
+            if session_id in self._unrecoverable:
+                return None
             if self._on_disk(session_id):
                 return self._recover(session_id)
         return None
@@ -248,7 +254,8 @@ class SessionStore:
         """Rebuild a session from its checkpoint (registry lock held).
 
         A checkpoint that cannot be read, or whose records do not rebuild
-        a session, recovers nothing: the session is unknown.
+        a session, recovers nothing: the session is unknown, and stays
+        unknown to this store without the file being read again.
         """
         try:
             checkpoint = Checkpoint.open(
@@ -258,6 +265,7 @@ class SessionStore:
             )
             session = self._replayed(session_id, checkpoint)
         except CheckpointError:
+            self._unrecoverable.add(session_id)
             return None
         self._sessions[session_id] = session
         self._checkpoints[session_id] = checkpoint

@@ -125,11 +125,11 @@ def _compute_dagps(dag: Dag | CompiledDag, **kwargs) -> list[int]:
 #: dag form: ``upward-rank`` and ``dagps`` run on the CSR directly, the
 #: others convert a compiled dag once with ``CompiledDag.to_dag``.
 #: ``prio`` accepts the full :func:`repro.core.prio.prio_schedule` knob
-#: set; ``upward-rank`` and ``dagps`` accept the :mod:`repro.sim.rank`
-#: knobs (``weights``, ``troublesome_quantile``).  Every knob is part of
-#: the cache key, so ablation variants never collide — and because the
-#: *algorithm name* is part of the key too, the same dag under ``prio``,
-#: ``upward-rank`` and ``dagps`` occupies three distinct cache slots.
+#: set; ``upward-rank`` and ``dagps`` accept :mod:`repro.sim.rank`'s
+#: ``weights``.  Every knob is part of the cache key, so ablation
+#: variants never collide — and because the *algorithm name* is part of
+#: the key too, the same dag under ``prio``, ``upward-rank`` and
+#: ``dagps`` occupies three distinct cache slots.
 _ALGORITHMS: dict[str, Callable[..., list[int]]] = {
     "prio": _compute_prio,
     "fifo": _compute_fifo,

@@ -42,10 +42,12 @@ double arithmetic is applied to the samples.  The load-bearing details:
   :meth:`~repro.sim.arrivals.BatchArrivals.refill_block` at the step where
   the reference engine's first ``peek_time`` after exhaustion would refill
   (before that window's completions are processed — which draw nothing);
-* runtime blocks are drawn with one
-  :meth:`~repro.sim.runtime.RuntimeSampler.draw_into` per replication per
-  assignment event, reproducing the reference sampler's refill boundaries
-  (including the discarded buffer tails) exactly; under churn each
+* runtime samples come from per-replication blocks that the kernel takes
+  over with :meth:`~repro.sim.runtime.RuntimeSampler.refill_block`, keeping
+  its own cursor into each: a replication whose block cannot cover an
+  assignment event's draws refills exactly where the reference sampler's
+  ``draw`` would, so refill boundaries (including the discarded buffer
+  tails) match the reference exactly; under churn each
   assigning replication then draws its failure flags with one
   ``rng.random(take)``, the reference's draw order, and a failed job's
   finish is ``t + dur * failure_time_fraction``;

@@ -22,8 +22,13 @@ Safety rules, enforced loudly:
 * a crash mid-append can tear only the last line.  That torn tail is
   dropped on open, its work simply redone, and the file is rewritten
   once without it so the next append cannot land after the fragment;
-* a checkpoint that is damaged anywhere else (bit rot, hand editing,
-  the fault injector) fails to load with :class:`CheckpointError`.
+* damage anywhere else (bit rot, hand editing, the fault injector)
+  that breaks a line's JSON or its record shape fails to load with
+  :class:`CheckpointError` (:class:`FingerprintMismatch` when it hits
+  the header's fingerprint).  Damage that still parses as a record of
+  the right shape loads as written: no line carries a checksum, so a
+  flipped bit inside a key, a number or a string changes that record
+  silently, and a damaged last line reads as a torn tail.
 """
 
 from __future__ import annotations

@@ -54,9 +54,6 @@ class MultiDagResult:
     total_requests: int
     makespan: float
 
-    def completion_of(self, user: int) -> float:
-        return self.users[user].completion_time
-
 
 def simulate_shared(
     dags: list[Dag | CompiledDag],

@@ -213,12 +213,11 @@ def _closure_mask(
     return seen & ~seed_mask
 
 
-def dagps_order(
-    dag: Dag | CompiledDag,
-    weights=None,
-    *,
-    troublesome_quantile: float = 0.75,
-) -> list[int]:
+#: Criticality quantile above which a job is *troublesome* (the top 25%).
+_TROUBLESOME_QUANTILE = 0.75
+
+
+def dagps_order(dag: Dag | CompiledDag, weights=None) -> list[int]:
     """DAGPS-style packing-aware priority order (troublesome-first).
 
     Following the Graphene/DAGPS recipe (arXiv 1604.07371) adapted to the
@@ -226,9 +225,8 @@ def dagps_order(
 
     1. score every job by its *criticality* — the weight of the heaviest
        directed path through it (``downward_rank + upward_rank``);
-    2. the **troublesome set T** is the top ``1 - troublesome_quantile``
-       fraction by criticality (jobs on or near the heaviest paths: the
-       hard stuff);
+    2. the **troublesome set T** is the top quarter by criticality
+       (jobs on or near the heaviest paths: the hard stuff);
     3. emit four groups — T, then T's ancestors (P, the jobs that unlock
        T), then T's descendants (C), then the rest (O) — each internally
        by decreasing upward rank, ascending id on ties.
@@ -237,8 +235,6 @@ def dagps_order(
     serves only *eligible* jobs, so precedence is respected regardless of
     group boundaries.
     """
-    if not 0.0 <= troublesome_quantile < 1.0:
-        raise ValueError("troublesome_quantile must be in [0, 1)")
     compiled = _arrays(dag)
     n = compiled.n
     if n == 0:
@@ -247,7 +243,7 @@ def dagps_order(
     ur = upward_rank(compiled, w)
     dr = downward_rank(compiled, w)
     crit = ur + dr
-    threshold = np.quantile(crit, troublesome_quantile)
+    threshold = np.quantile(crit, _TROUBLESOME_QUANTILE)
     trouble = crit >= threshold
     pindptr, parents = _reverse_csr(compiled)
     ancestors = _closure_mask(compiled, trouble, pindptr, parents)

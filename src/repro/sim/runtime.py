@@ -59,18 +59,6 @@ class RuntimeSampler:
         self._pos += k
         return out
 
-    def draw_into(self, out: np.ndarray) -> None:
-        """Write ``len(out)`` samples into *out*, preserving refill order.
-
-        Block-draw API for the batched kernel: consumption is exactly
-        :meth:`draw` — the same refill boundary check (``pos + k`` past
-        the buffer triggers ``_refill(k)``, discarding any unconsumed
-        tail), so a replication's normal stream is bit-identical whether
-        it is drawn per assignment event or copied straight into a
-        struct-of-arrays duration block.
-        """
-        out[...] = self.draw(len(out))
-
     def refill_block(self, at_least: int) -> np.ndarray:
         """Draw one refill block and hand it over (consumed).
 

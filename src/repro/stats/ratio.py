@@ -37,9 +37,6 @@ class RatioStatistics:
         ``interval_below(0.87)`` for the execution-time ratio."""
         return self.ci_high < threshold
 
-    def interval_above(self, threshold: float) -> bool:
-        return self.ci_low > threshold
-
     def __str__(self) -> str:
         return (
             f"median={self.median:.4f} mean={self.mean:.4f} "

@@ -9,11 +9,9 @@ and the callers default to laptop-scale values (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
-__all__ = ["sampling_distribution", "sampling_distribution_from_values"]
+__all__ = ["sampling_distribution_from_values"]
 
 
 def sampling_distribution_from_values(
@@ -33,16 +31,3 @@ def sampling_distribution_from_values(
         raise ValueError("p and q must be positive")
     return values.reshape(p, q).mean(axis=1)
 
-
-def sampling_distribution(
-    measure: Callable[[int], float], p: int, q: int
-) -> np.ndarray:
-    """Build the sampling distribution by calling ``measure(i)`` p*q times.
-
-    ``measure`` receives the global measurement index (0-based) so callers
-    can derive per-measurement seeds.
-    """
-    values = np.fromiter(
-        (measure(i) for i in range(p * q)), dtype=np.float64, count=p * q
-    )
-    return sampling_distribution_from_values(values, p, q)

@@ -1,13 +1,8 @@
-"""Significance tests for paired PRIO-vs-FIFO comparisons (extension).
+"""Significance test for paired PRIO-vs-FIFO comparisons (extension).
 
-The paper reports trimmed ratio CIs; these helpers add two standard
-distribution-free checks used when claiming "PRIO is faster with
-confidence":
-
-* :func:`sign_test` — exact binomial sign test on paired measurements;
-* :func:`bootstrap_mean_ratio` — percentile bootstrap CI for the ratio of
-  means of two *independent* samples (the sweep's PRIO and FIFO batches
-  use separate seeds, hence independence).
+The paper reports trimmed ratio CIs; :func:`sign_test` adds a standard
+distribution-free check, the exact binomial sign test on paired
+measurements, used when claiming "PRIO is faster with confidence".
 """
 
 from __future__ import annotations
@@ -17,7 +12,7 @@ from math import comb
 
 import numpy as np
 
-__all__ = ["SignTestResult", "sign_test", "bootstrap_mean_ratio"]
+__all__ = ["SignTestResult", "sign_test"]
 
 
 @dataclass(frozen=True)
@@ -28,9 +23,6 @@ class SignTestResult:
     n_wins: int  # pairs where the first sample is strictly smaller
     n_ties: int
     p_value: float  # one-sided: P[wins >= observed | p = 1/2]
-
-    def significant(self, alpha: float = 0.05) -> bool:
-        return self.p_value < alpha
 
 
 def sign_test(first: np.ndarray, second: np.ndarray) -> SignTestResult:
@@ -51,37 +43,3 @@ def sign_test(first: np.ndarray, second: np.ndarray) -> SignTestResult:
     tail = sum(comb(m, k) for k in range(wins, m + 1)) / 2.0 ** m
     return SignTestResult(a.size, wins, ties, float(tail))
 
-
-def bootstrap_mean_ratio(
-    numerator: np.ndarray,
-    denominator: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    n_resamples: int = 2000,
-    confidence: float = 0.95,
-) -> tuple[float, float, float]:
-    """Bootstrap CI for ``mean(numerator) / mean(denominator)``.
-
-    Returns ``(point_estimate, ci_low, ci_high)``.  Raises when either
-    sample is empty or the denominator mean resamples to zero.
-    """
-    num = np.asarray(numerator, dtype=np.float64)
-    den = np.asarray(denominator, dtype=np.float64)
-    if num.size == 0 or den.size == 0:
-        raise ValueError("samples must be non-empty")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    if den.mean() == 0.0:
-        raise ValueError("denominator sample has zero mean")
-    point = num.mean() / den.mean()
-    idx_n = rng.integers(0, num.size, size=(n_resamples, num.size))
-    idx_d = rng.integers(0, den.size, size=(n_resamples, den.size))
-    means_n = num[idx_n].mean(axis=1)
-    means_d = den[idx_d].mean(axis=1)
-    if np.any(means_d == 0.0):
-        raise ValueError("denominator resampled to zero mean")
-    ratios = np.sort(means_n / means_d)
-    tail = (1.0 - confidence) / 2.0
-    lo = ratios[int(np.floor(tail * n_resamples))]
-    hi = ratios[min(int(np.ceil((1.0 - tail) * n_resamples)) - 1, n_resamples - 1)]
-    return float(point), float(lo), float(hi)

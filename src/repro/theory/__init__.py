@@ -13,15 +13,9 @@ from .bipartite_exact import (
     coverage_profile,
     exact_bipartite_schedule,
 )
-from .eligibility import (
-    count_eligible,
-    eligibility_profile,
-    eligible_after,
-    partial_profile,
-)
+from .eligibility import eligibility_profile, partial_profile
 from .families import (
     FamilyInstance,
-    bipartite_dag,
     clique_dag,
     cycle_dag,
     fig2_catalog,
@@ -37,7 +31,6 @@ from .mesh import (
 )
 from .ic_optimal import (
     BRUTE_FORCE_LIMIT,
-    admits_ic_optimal_schedule,
     find_ic_optimal_schedule,
     is_ic_optimal,
     max_eligibility,
@@ -58,14 +51,10 @@ __all__ = [
     "FamilyInstance",
     "Recognition",
     "TheoreticalResult",
-    "admits_ic_optimal_schedule",
     "theoretical_algorithm",
-    "bipartite_dag",
     "clique_dag",
-    "count_eligible",
     "cycle_dag",
     "eligibility_profile",
-    "eligible_after",
     "fig2_catalog",
     "find_ic_optimal_schedule",
     "diagonal_schedule",

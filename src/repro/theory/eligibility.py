@@ -23,12 +23,7 @@ import numpy as np
 
 from ..dag.graph import Dag
 
-__all__ = [
-    "eligibility_profile",
-    "partial_profile",
-    "eligible_after",
-    "count_eligible",
-]
+__all__ = ["eligibility_profile", "partial_profile"]
 
 
 def eligibility_profile(dag: Dag, schedule: Sequence[int]) -> np.ndarray:
@@ -81,31 +76,3 @@ def _profile(dag: Dag, order: Sequence[int]) -> np.ndarray:
         out[t] = eligible_now
     return np.asarray(out, dtype=np.int64)
 
-
-def eligible_after(dag: Dag, executed: set[int]) -> list[int]:
-    """The eligible jobs once the set *executed* has run (order: id).
-
-    *executed* must be downward-closed (contain every ancestor of each of
-    its members); this is checked.
-    """
-    for u in executed:
-        for p in dag.parents(u):
-            if p not in executed:
-                raise ValueError(
-                    f"executed set is not precedence-closed: {dag.label(u)} "
-                    f"ran but its parent {dag.label(p)} did not"
-                )
-    return [
-        u
-        for u in range(dag.n)
-        if u not in executed and all(p in executed for p in dag.parents(u))
-    ]
-
-
-def count_eligible(dag: Dag, executed: set[int]) -> int:
-    """Number of eligible jobs given the executed set (no closure check)."""
-    return sum(
-        1
-        for u in range(dag.n)
-        if u not in executed and all(p in executed for p in dag.parents(u))
-    )

@@ -34,7 +34,6 @@ __all__ = [
     "n_dag",
     "cycle_dag",
     "clique_dag",
-    "bipartite_dag",
     "fig2_catalog",
 ]
 
@@ -140,19 +139,6 @@ def clique_dag(q: int) -> FamilyInstance:
     arcs = [(i, q + j) for i in range(q) for j in range(q)]
     dag = Dag(2 * q, arcs, check_acyclic=False)
     return FamilyInstance(f"{q}-Clique", dag, list(range(q)))
-
-
-def bipartite_dag(n_sources: int, n_sinks: int) -> FamilyInstance:
-    """A complete bipartite dag with unequal parts (generalized clique)."""
-    if n_sources < 1 or n_sinks < 1:
-        raise ValueError("both parts must be non-empty")
-    arcs = [
-        (i, n_sources + j) for i in range(n_sources) for j in range(n_sinks)
-    ]
-    dag = Dag(n_sources + n_sinks, arcs, check_acyclic=False)
-    return FamilyInstance(
-        f"K({n_sources},{n_sinks})", dag, list(range(n_sources))
-    )
 
 
 def fig2_catalog() -> list[FamilyInstance]:

@@ -26,7 +26,6 @@ __all__ = [
     "max_eligibility",
     "is_ic_optimal",
     "find_ic_optimal_schedule",
-    "admits_ic_optimal_schedule",
     "BRUTE_FORCE_LIMIT",
 ]
 
@@ -158,7 +157,3 @@ def find_ic_optimal_schedule(
         return schedule
     return None
 
-
-def admits_ic_optimal_schedule(dag: Dag, *, limit: int | None = None) -> bool:
-    """True when some IC-optimal schedule exists for *dag*."""
-    return find_ic_optimal_schedule(dag, limit=limit) is not None

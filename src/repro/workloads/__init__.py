@@ -3,13 +3,7 @@
 from .airsn import AIRSN_HANDLE_LENGTH, airsn
 from .inspiral import inspiral
 from .montage import montage
-from .registry import (
-    PAPER_ORDER,
-    WORKLOADS,
-    get_workload,
-    paper_workloads,
-    workload_names,
-)
+from .registry import PAPER_ORDER, WORKLOADS, get_workload, workload_names
 from .export import export_workflow, stage_of
 from .repertoire import StageSpec, WorkflowSpec, build_workflow, sample_spec
 from .runtimes import (
@@ -18,7 +12,6 @@ from .runtimes import (
     workload_runtime_scale,
 )
 from .sdss import sdss
-from .synthetic import family_block, random_block_series, random_pipeline
 
 __all__ = [
     "AIRSN_STAGE_WEIGHTS",
@@ -34,13 +27,9 @@ __all__ = [
     "PAPER_ORDER",
     "WORKLOADS",
     "airsn",
-    "family_block",
     "get_workload",
     "inspiral",
     "montage",
-    "paper_workloads",
-    "random_block_series",
-    "random_pipeline",
     "sdss",
     "workload_names",
 ]

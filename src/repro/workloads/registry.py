@@ -23,7 +23,7 @@ from .inspiral import inspiral
 from .montage import montage
 from .sdss import sdss
 
-__all__ = ["WORKLOADS", "get_workload", "workload_names", "paper_workloads"]
+__all__ = ["WORKLOADS", "get_workload", "workload_names"]
 
 WORKLOADS: dict[str, Callable[[], Dag]] = {
     # The paper's four scientific dags at full size.
@@ -63,7 +63,3 @@ def get_workload(name: str) -> Dag:
         ) from None
     return factory()
 
-
-def paper_workloads() -> dict[str, Dag]:
-    """The four scientific dags at paper scale, in presentation order."""
-    return {name: get_workload(name) for name in PAPER_ORDER}

@@ -1,8 +1,7 @@
 """Synthetic workload dags beyond the paper's four (extensions).
 
-Used by the property-based tests, the ablation benches, and as extra
-example inputs: random layered "pipelines", random series compositions of
-catalog families, and scaled-down stand-ins for the big scientific dags.
+Random layered, fork-join and chain-bundle dags for the grand league and
+the ablation benches.
 
 **Arena build path.**  The :class:`~repro.dag.graph.Dag` constructor
 builds per-node Python tuples — fine up to tens of thousands of jobs,
@@ -20,18 +19,12 @@ pins the byte-for-byte parity).
 
 from __future__ import annotations
 
-
 import numpy as np
 
-from ..dag.builders import layered_random
-from ..dag.graph import Dag, fingerprint_arcs
+from ..dag.graph import fingerprint_arcs
 from ..sim.compile import CompiledDag
-from ..theory.families import clique_dag, cycle_dag, m_dag, n_dag, w_dag
 
 __all__ = [
-    "random_pipeline",
-    "random_block_series",
-    "family_block",
     "compiled_fingerprint",
     "arena_layered",
     "arena_fork_join",
@@ -39,74 +32,6 @@ __all__ = [
     "arena_families",
     "arena_family",
 ]
-
-
-def random_pipeline(
-    n_stages: int,
-    width_range: tuple[int, int],
-    arc_prob: float,
-    rng: np.random.Generator,
-) -> Dag:
-    """A random staged workflow: *n_stages* layers of random width.
-
-    Every non-first-stage job keeps at least one parent in the previous
-    stage, mimicking the shape of real scientific pipelines.
-    """
-    if n_stages < 1:
-        raise ValueError("need at least one stage")
-    lo, hi = width_range
-    if not 1 <= lo <= hi:
-        raise ValueError("width_range must satisfy 1 <= lo <= hi")
-    sizes = [int(rng.integers(lo, hi + 1)) for _ in range(n_stages)]
-    return layered_random(sizes, arc_prob, rng)
-
-
-def family_block(kind: str, size: int) -> Dag:
-    """One catalog-family dag by name: 'w', 'm', 'n', 'cycle' or 'clique'."""
-    if kind == "w":
-        return w_dag(max(size, 1), 2).dag
-    if kind == "m":
-        return m_dag(max(size, 1), 2).dag
-    if kind == "n":
-        return n_dag(max(2 * size, 4)).dag
-    if kind == "cycle":
-        return cycle_dag(max(2 * size, 4)).dag
-    if kind == "clique":
-        return clique_dag(max(size, 1)).dag
-    raise ValueError(f"unknown family kind: {kind!r}")
-
-
-def random_block_series(
-    n_blocks: int, max_block_size: int, rng: np.random.Generator
-) -> Dag:
-    """A series composition of random catalog blocks.
-
-    Consecutive blocks are glued by arcs from every sink of one to every
-    source of the next — dags "assembled in a uniform way" like those the
-    theoretical algorithm targets.
-    """
-    if n_blocks < 1:
-        raise ValueError("need at least one block")
-    if max_block_size < 1:
-        raise ValueError("max_block_size must be positive")
-    kinds = ["w", "m", "n", "cycle", "clique"]
-    arcs: list[tuple[int, int]] = []
-    offset = 0
-    prev_sinks: list[int] = []
-    for _ in range(n_blocks):
-        kind = kinds[int(rng.integers(0, len(kinds)))]
-        size = int(rng.integers(1, max_block_size + 1))
-        block = family_block(kind, size)
-        arcs.extend((u + offset, v + offset) for u, v in block.arcs())
-        srcs = [s + offset for s in block.sources()]
-        arcs.extend((t, s) for t in prev_sinks for s in srcs)
-        prev_sinks = [t + offset for t in block.sinks()]
-        offset += block.n
-    return Dag(offset, arcs, check_acyclic=False)
-
-
-# --------------------------------------------------------------------------
-# Arena build path: CompiledDag straight from flat arc arrays
 
 
 def compiled_fingerprint(n: int, us: np.ndarray, vs: np.ndarray) -> str:
@@ -160,7 +85,8 @@ def _arena_from_arcs(n: int, us: np.ndarray, vs: np.ndarray) -> CompiledDag:
 def arena_layered(
     widths, arc_prob: float, rng: np.random.Generator
 ) -> CompiledDag:
-    """Random layered pipeline, arena-built (cf. :func:`random_pipeline`).
+    """Random layered pipeline, arena-built (cf.
+    :func:`repro.dag.builders.layered_random`).
 
     ``widths[k]`` jobs in layer *k*; each consecutive-layer arc appears
     with probability *arc_prob*, and every non-first-layer job keeps at

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.eligibility_curves import eligibility_curves
 from repro.analysis.report import (
     format_ratio,
-    metric_titles,
     render_curves_table,
     render_sweep,
     render_sweep_series,
@@ -55,9 +54,11 @@ class TestRenderSweep:
         with pytest.raises(KeyError):
             render_sweep_series(sweep_result, "throughput")
 
-    def test_metric_titles_match_figures(self):
-        titles = metric_titles()
-        assert titles["stalling_probability"].startswith("b.")
+    def test_metric_titles_match_figures(self, sweep_result):
+        panels = ("execution_time", "stalling_probability", "utilization")
+        for letter, metric in zip("abc", panels):
+            title = render_sweep_series(sweep_result, metric).splitlines()[0]
+            assert title.startswith(f"{letter}. Ratio of")
 
 
 class TestRenderCurves:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dag.graph import CycleError, Dag, DagBuilder, relabel_by_mapping
+from repro.dag.graph import CycleError, Dag, DagBuilder
 
 
 class TestConstruction:
@@ -226,17 +226,6 @@ class TestStructureQueries:
         assert d.ancestors(4) == {0, 1, 2, 3}
         assert d.descendants(4) == set()
 
-    def test_has_path(self, diamond):
-        assert diamond.has_path(0, 3)
-        assert not diamond.has_path(1, 2)
-        assert diamond.has_path(0, 0)
-
-    def test_has_path_skip_direct(self, diamond_with_shortcut):
-        # 0 -> 3 exists directly, but also via 1 or 2.
-        assert diamond_with_shortcut.has_path(0, 3, skip_direct=True)
-        d = Dag(2, [(0, 1)])
-        assert not d.has_path(0, 1, skip_direct=True)
-
 
 class TestDerivedDags:
     def test_induced_subgraph(self, diamond):
@@ -266,16 +255,6 @@ class TestDerivedDags:
     def test_without_arcs_rejects_missing(self, diamond):
         with pytest.raises(ValueError, match="not present"):
             diamond.without_arcs([(3, 0)])
-
-    def test_relabelled(self, diamond):
-        d = diamond.relabelled(["a", "b", "c", "d"])
-        assert d.label(3) == "d"
-        assert set(d.arcs()) == set(diamond.arcs())
-
-    def test_relabel_by_mapping(self, fig3_dag):
-        d = relabel_by_mapping(fig3_dag, {"a": "alpha"})
-        assert d.label(0) == "alpha"
-        assert d.label(1) == "b"
 
 
 class TestInterop:

@@ -1,19 +1,8 @@
 """Tests for JSON serialization."""
 
-import json
-
 import pytest
 
-from repro.core.prio import prio_schedule
-from repro.dag.graph import Dag
-from repro.dag.io_json import (
-    dag_from_json,
-    dag_to_json,
-    load_dag,
-    save_dag,
-    schedule_from_json,
-    schedule_to_json,
-)
+from repro.dag.io_json import dag_from_json, dag_to_json
 from repro.workloads.airsn import airsn
 
 
@@ -26,18 +15,6 @@ class TestDagRoundTrip:
         back = dag_from_json(dag_to_json(diamond))
         assert set(back.arcs()) == set(diamond.arcs())
         assert back.labels is None
-
-    def test_file_round_trip(self, tmp_path, fig3_dag):
-        path = tmp_path / "dag.json"
-        save_dag(fig3_dag, path)
-        assert load_dag(path) == fig3_dag
-
-    def test_file_is_plain_json(self, tmp_path, fig3_dag):
-        path = tmp_path / "dag.json"
-        save_dag(fig3_dag, path)
-        payload = json.loads(path.read_text())
-        assert payload["format"] == "repro-dag-v1"
-        assert payload["n"] == 5
 
     def test_format_check(self):
         with pytest.raises(ValueError, match="format"):
@@ -54,32 +31,3 @@ class TestDagRoundTrip:
         back = dag_from_json(dag_to_json(dag))
         assert back == dag
 
-
-class TestScheduleRoundTrip:
-    def test_by_name_for_labelled(self, fig3_dag):
-        schedule = prio_schedule(fig3_dag).schedule
-        payload = schedule_to_json(fig3_dag, schedule)
-        assert payload["schedule"] == ["c", "a", "b", "d", "e"]
-        dag, back = schedule_from_json(payload)
-        assert back == schedule
-
-    def test_by_id_for_unlabelled(self, diamond):
-        payload = schedule_to_json(diamond, [0, 2, 1, 3])
-        dag, back = schedule_from_json(payload)
-        assert back == [0, 2, 1, 3]
-
-    def test_permutation_check(self, diamond):
-        payload = schedule_to_json(diamond, [0, 2, 1, 3])
-        payload["schedule"] = [0, 0, 1, 2]
-        with pytest.raises(ValueError, match="permutation"):
-            schedule_from_json(payload)
-
-    def test_format_check(self, diamond):
-        with pytest.raises(ValueError, match="schedule payload"):
-            schedule_from_json(dag_to_json(diamond))
-
-    def test_json_serializable(self, fig3_dag):
-        schedule = prio_schedule(fig3_dag).schedule
-        text = json.dumps(schedule_to_json(fig3_dag, schedule))
-        dag, back = schedule_from_json(json.loads(text))
-        assert back == schedule

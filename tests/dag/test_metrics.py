@@ -39,7 +39,6 @@ class TestDagShape:
         # depth: 21-handle + snr + collect1 + smooth + collect2
         assert s.depth == 24
         assert s.max_level_width >= 250
-        assert s.parallelism_bound == s.max_level_width
 
     def test_row_rendering(self):
         text = dag_shape(chain(3)).row("mychain")

@@ -5,9 +5,9 @@ import pytest
 
 from repro.dag.builders import chain, complete_bipartite, random_dag
 from repro.dag.graph import Dag
-from repro.dag.transitive import (
-    find_shortcuts,
-    remove_shortcuts,
+from repro.dag.transitive import find_shortcuts, remove_shortcuts
+
+from .transitive_reference import (
     transitive_closure_sets,
     transitive_reduction_reference,
 )

@@ -1,15 +1,8 @@
 """Tests for schedule validation."""
 
-import pytest
-
 from repro.dag.builders import chain
 from repro.dag.graph import Dag
-from repro.dag.validate import (
-    assert_valid_schedule,
-    is_topological_order,
-    is_valid_schedule,
-    schedule_violations,
-)
+from repro.dag.validate import is_valid_schedule, schedule_violations
 
 
 class TestValidSchedules:
@@ -22,9 +15,6 @@ class TestValidSchedules:
 
     def test_empty_dag(self):
         assert is_valid_schedule(Dag(0, []), [])
-
-    def test_assert_passes_silently(self, diamond):
-        assert_valid_schedule(diamond, [0, 2, 1, 3])
 
 
 class TestInvalidSchedules:
@@ -39,12 +29,6 @@ class TestInvalidSchedules:
 
     def test_out_of_range_entry(self, diamond):
         assert not is_valid_schedule(diamond, [0, 1, 2, 7])
-
-    def test_assert_raises_with_labels(self, fig3_dag):
-        # b before its parent a.
-        bad = [fig3_dag.id_of(x) for x in "bacde"]
-        with pytest.raises(ValueError, match="parent"):
-            assert_valid_schedule(fig3_dag, bad)
 
 
 class TestViolationMessages:
@@ -63,7 +47,3 @@ class TestViolationMessages:
 
     def test_valid_is_empty(self, diamond):
         assert schedule_violations(diamond, [0, 1, 2, 3]) == []
-
-    def test_is_topological_alias(self, diamond):
-        assert is_topological_order(diamond, [0, 1, 2, 3])
-        assert not is_topological_order(diamond, [3, 2, 1, 0])

@@ -1,11 +1,6 @@
 """Tests for job-submit description file handling."""
 
-from repro.dagman.jsdf import (
-    PRIORITY_LINE,
-    instrument_jsdf_file,
-    instrument_jsdf_text,
-    parse_jsdf,
-)
+from repro.dagman.jsdf import PRIORITY_LINE, instrument_jsdf_text, parse_jsdf
 
 BASIC = """\
 executable = /bin/work
@@ -66,15 +61,3 @@ class TestInstrumentText:
         out = instrument_jsdf_text("executable = /x\nQueue\n")
         assert out.splitlines()[1] == PRIORITY_LINE
 
-
-class TestInstrumentFile:
-    def test_changes_file(self, tmp_path):
-        p = tmp_path / "a.sub"
-        p.write_text(BASIC)
-        assert instrument_jsdf_file(p) is True
-        assert PRIORITY_LINE in p.read_text()
-
-    def test_no_change_when_instrumented(self, tmp_path):
-        p = tmp_path / "a.sub"
-        p.write_text(instrument_jsdf_text(BASIC))
-        assert instrument_jsdf_file(p) is False

@@ -224,7 +224,7 @@ def test_instrumentation_survives_round_trip(text, base):
     """set_priorities → write → parse keeps priorities and structure."""
     first = parse_dagman_text(text)
     priorities = {
-        name: base + i for i, name in enumerate(first.job_names())
+        name: base + i for i, name in enumerate(first.jobs)
     }
     first.set_priorities(priorities)
     second, _ = _write_and_reparse(first)

@@ -26,6 +26,7 @@ from repro.dag.io_json import dag_to_json
 from repro.live import EventPlan, event_stream
 from repro.live.session import LiveSession
 from repro.live.store import SessionStore, session_token
+from repro.obs import MetricsRegistry
 from repro.robust import Checkpoint
 from repro.serve.dispatch import compute_response
 from repro.serve.errors import ServeError
@@ -173,6 +174,25 @@ def test_damaged_record_recovers_nothing(tmp_path, damage):
     # silent overwrite of the history on disk.
     create = encode({"dag": PAYLOAD, "name": "fuzz"})
     assert answer("/session", create, store) == "conflict"
+
+
+def test_failed_recovery_is_not_retried(tmp_path, monkeypatch):
+    """A checkpoint that failed to recover is read once: later requests on
+    its id answer unknown without reopening the file or replaying it."""
+    rewrite_record(write_session(tmp_path), *DAMAGE["events do not replay"])
+    opened = []
+    real_open = Checkpoint.open
+
+    def spy(*args, **kwargs):
+        opened.append(args[0])
+        return real_open(*args, **kwargs)
+
+    monkeypatch.setattr(Checkpoint, "open", spy)
+    metrics = MetricsRegistry()
+    store = SessionStore(directory=tmp_path, metrics=metrics)
+    assert [store.get(SESSION_ID) for _ in range(3)] == [None] * 3
+    assert len(opened) == 1
+    assert metrics.counter("live.sessions").value == 1
 
 
 @pytest.mark.parametrize(

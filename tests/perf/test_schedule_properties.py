@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from repro.core.fifo import fifo_schedule
 from repro.core.prio import prio_schedule
-from repro.dag.transitive import remove_shortcuts, transitive_closure_sets
+from repro.dag.transitive import remove_shortcuts
 from repro.dag.validate import is_valid_schedule
 from repro.perf import ScheduleCache, schedule_algorithms
 
+from ..dag.transitive_reference import transitive_closure_sets
 from .strategies import dags
 
 

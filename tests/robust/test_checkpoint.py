@@ -274,6 +274,36 @@ def test_truncated_journal_reopens_to_a_prefix(data):
         assert all(again.get(k) == v for k, v in expected.items())
 
 
+@functools.cache
+def _two_record_journal() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ck.jsonl"
+        ck = Checkpoint.open(path, _JOURNAL_FP, meta={"m": 1})
+        ck.record("cell/0", {"ratio": 0.5})
+        ck.record("cell/1", [1, 2])
+        return path.read_bytes()
+
+
+@given(data=st.data())
+def test_flipped_bit_loads_or_raises_a_checkpoint_error(data):
+    """Bit rot anywhere in a journal either loads (a record's key or
+    payload may silently change: no line carries a checksum) or fails
+    with CheckpointError / FingerprintMismatch — never another exception."""
+    journal = _two_record_journal()
+    at = data.draw(st.integers(0, len(journal) - 1), "byte")
+    bit = data.draw(st.integers(0, 7), "bit")
+    flipped = bytearray(journal)
+    flipped[at] ^= 1 << bit
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ck.jsonl"
+        path.write_bytes(bytes(flipped))
+        try:
+            ck = Checkpoint.open(path, _JOURNAL_FP)
+        except CheckpointError:  # FingerprintMismatch is one
+            return
+        assert ck.n_done <= 2
+
+
 class TestDamageTolerance:
     def _fresh(self, tmp_path, n_records=3):
         path = tmp_path / "ck.jsonl"

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from repro.dag.builders import chain, fork_join
-from repro.sim.analytic import (
+from repro.sim.engine import SimParams, make_policy, simulate
+from repro.workloads.airsn import airsn
+
+from .analytic import (
     chain_stall_probability,
     saturated_execution_time,
     saturated_utilization,
     sequential_execution_time,
 )
-from repro.sim.engine import SimParams, make_policy, simulate
-from repro.workloads.airsn import airsn
 
 
 def mean_over_seeds(dag, n_seeds=12, **params_kw):

@@ -29,7 +29,6 @@ from repro.dag.graph import Dag
 from repro.sim.compile import CompiledDag
 from repro.sim.policies import policy_names
 from repro.sim.rank import (
-    dagps_order,
     downward_rank,
     topological_levels,
     upward_rank,
@@ -172,23 +171,6 @@ def test_upward_rank_order_is_itself_topological(dag):
     position = {job: i for i, job in enumerate(order)}
     for u, v in dag.arcs():
         assert position[u] < position[v]
-
-
-@settings(deadline=None, max_examples=40)
-@given(
-    dag=dags(max_n=14),
-    quantile=st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9]),
-)
-def test_dagps_order_is_a_permutation_for_every_quantile(dag, quantile):
-    order = dagps_order(dag, troublesome_quantile=quantile)
-    assert sorted(order) == list(range(dag.n))
-
-
-def test_dagps_rejects_bad_quantile(diamond):
-    with pytest.raises(ValueError, match="troublesome_quantile"):
-        dagps_order(diamond, troublesome_quantile=1.0)
-    with pytest.raises(ValueError, match="troublesome_quantile"):
-        dagps_order(diamond, troublesome_quantile=-0.1)
 
 
 def test_rank_weight_validation(diamond):

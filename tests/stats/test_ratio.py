@@ -63,8 +63,6 @@ class TestRatioStatistics:
         )
         assert stats.interval_below(0.87)  # the paper's 13% claim shape
         assert not stats.interval_below(0.8)
-        assert stats.interval_above(0.65)
-        assert not stats.interval_above(0.75)
 
     def test_str(self):
         stats = RatioStatistics(0.8, 0.05, 0.79, 0.7, 0.9)

@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stats.sampling import (
-    sampling_distribution,
-    sampling_distribution_from_values,
-)
+from repro.stats.sampling import sampling_distribution_from_values
 
 
 class TestFromValues:
@@ -36,19 +33,6 @@ class TestFromValues:
     def test_2d_rejected(self):
         with pytest.raises(ValueError):
             sampling_distribution_from_values(np.ones((2, 2)), p=2, q=2)
-
-
-class TestCallableForm:
-    def test_indices_passed_in_order(self):
-        seen = []
-
-        def measure(i):
-            seen.append(i)
-            return float(i)
-
-        out = sampling_distribution(measure, p=2, q=3)
-        assert seen == list(range(6))
-        assert out.tolist() == [1.0, 4.0]
 
     def test_variance_shrinks_with_q(self):
         rng = np.random.default_rng(0)

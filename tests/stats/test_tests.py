@@ -1,9 +1,9 @@
-"""Tests for the significance-test helpers."""
+"""Tests for the paired sign test."""
 
 import numpy as np
 import pytest
 
-from repro.stats.tests import bootstrap_mean_ratio, sign_test
+from repro.stats.tests import sign_test
 
 
 class TestSignTest:
@@ -13,7 +13,7 @@ class TestSignTest:
         result = sign_test(first, second)
         assert result.n_wins == 10 and result.n_ties == 0
         assert result.p_value == pytest.approx(2.0 ** -10)
-        assert result.significant()
+        assert result.p_value < 0.05
 
     def test_no_effect(self):
         rng = np.random.default_rng(0)
@@ -48,46 +48,3 @@ class TestSignTest:
         b = np.array([1.0] * 7 + [-1.0] * 3)
         assert sign_test(a, b).p_value == pytest.approx(176 / 1024)
 
-
-class TestBootstrapMeanRatio:
-    def test_point_estimate(self):
-        rng = np.random.default_rng(1)
-        num = np.full(20, 2.0)
-        den = np.full(20, 4.0)
-        point, lo, hi = bootstrap_mean_ratio(num, den, rng)
-        assert point == pytest.approx(0.5)
-        assert lo == pytest.approx(0.5) and hi == pytest.approx(0.5)
-
-    def test_interval_covers_truth(self):
-        rng = np.random.default_rng(2)
-        num = rng.normal(8.5, 1.0, size=100)
-        den = rng.normal(10.0, 1.0, size=100)
-        point, lo, hi = bootstrap_mean_ratio(num, den, rng)
-        assert lo < 0.85 < hi
-        assert lo < point < hi
-
-    def test_detects_real_difference(self):
-        rng = np.random.default_rng(3)
-        num = rng.normal(8.0, 0.5, size=200)
-        den = rng.normal(10.0, 0.5, size=200)
-        _, lo, hi = bootstrap_mean_ratio(num, den, rng)
-        assert hi < 1.0  # confidently below parity
-
-    def test_reproducible(self):
-        num = np.arange(1.0, 21.0)
-        den = np.arange(2.0, 22.0)
-        a = bootstrap_mean_ratio(num, den, np.random.default_rng(7))
-        b = bootstrap_mean_ratio(num, den, np.random.default_rng(7))
-        assert a == b
-
-    def test_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            bootstrap_mean_ratio(np.array([]), np.ones(3), rng)
-        with pytest.raises(ValueError):
-            bootstrap_mean_ratio(np.ones(3), np.ones(3), rng, confidence=2.0)
-
-    def test_zero_denominator_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="zero"):
-            bootstrap_mean_ratio(np.ones(3), np.zeros(3), rng)

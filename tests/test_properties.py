@@ -20,12 +20,14 @@ from repro.core.decompose import decompose
 from repro.core.fifo import fifo_schedule
 from repro.core.prio import prio_schedule
 from repro.dag.graph import Dag
-from repro.dag.transitive import find_shortcuts, remove_shortcuts, transitive_closure_sets
+from repro.dag.transitive import find_shortcuts, remove_shortcuts
 from repro.dag.validate import is_valid_schedule
 from repro.sim.engine import SimParams, make_policy, simulate
 from repro.theory.eligibility import eligibility_profile
 from repro.theory.ic_optimal import max_eligibility
 from repro.theory.priority import priority_over
+
+from .dag.transitive_reference import transitive_closure_sets
 
 # ---------------------------------------------------------------------------
 # Strategies

@@ -5,12 +5,7 @@ import pytest
 
 from repro.dag.builders import chain, complete_bipartite, fork, fork_join
 from repro.dag.graph import Dag
-from repro.theory.eligibility import (
-    count_eligible,
-    eligibility_profile,
-    eligible_after,
-    partial_profile,
-)
+from repro.theory.eligibility import eligibility_profile, partial_profile
 
 
 class TestEligibilityProfile:
@@ -77,23 +72,3 @@ class TestPartialProfile:
         with pytest.raises(ValueError):
             partial_profile(diamond, [1])
 
-
-class TestEligibleAfter:
-    def test_initially_sources(self, diamond):
-        assert eligible_after(diamond, set()) == [0]
-
-    def test_after_source(self, diamond):
-        assert eligible_after(diamond, {0}) == [1, 2]
-
-    def test_rejects_non_closed_set(self, diamond):
-        with pytest.raises(ValueError, match="closed"):
-            eligible_after(diamond, {1})
-
-    def test_count_matches_list(self, rng):
-        from tests.conftest import random_small_dag
-
-        for _ in range(10):
-            d = random_small_dag(rng)
-            order = d.topological_order()
-            executed = set(order[: d.n // 2])
-            assert count_eligible(d, executed) == len(eligible_after(d, executed))

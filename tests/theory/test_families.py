@@ -8,7 +8,6 @@ brute-force eligibility envelope at every step.
 import pytest
 
 from repro.theory.families import (
-    bipartite_dag,
     clique_dag,
     cycle_dag,
     fig2_catalog,
@@ -125,15 +124,9 @@ class TestCliqueDags:
         d = clique_dag(3).dag
         assert d.narcs == 9
 
-    def test_generalized_bipartite(self):
-        certify(bipartite_dag(2, 4))
-        certify(bipartite_dag(4, 2))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             clique_dag(0)
-        with pytest.raises(ValueError):
-            bipartite_dag(1, 0)
 
 
 class TestFig2Catalog:

@@ -7,7 +7,6 @@ from repro.dag.builders import chain, complete_bipartite, fork, join
 from repro.dag.graph import Dag
 from repro.theory.eligibility import eligibility_profile
 from repro.theory.ic_optimal import (
-    admits_ic_optimal_schedule,
     find_ic_optimal_schedule,
     is_ic_optimal,
     max_eligibility,
@@ -94,9 +93,6 @@ class TestFindSchedule:
             assert is_ic_optimal(d, schedule)
         profile = eligibility_profile(d, d.topological_order())
         assert (profile <= envelope).all()
-
-    def test_admits_alias(self, fig3_dag):
-        assert admits_ic_optimal_schedule(fig3_dag)
 
 
 class TestDagsWithoutIcOptimalSchedule:

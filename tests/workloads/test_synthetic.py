@@ -1,64 +1,8 @@
-"""Tests for synthetic workloads and the registry."""
+"""Tests for the workload registry."""
 
 import pytest
 
-from repro.core.prio import prio_schedule
-from repro.dag.validate import is_valid_schedule
-from repro.workloads.registry import (
-    PAPER_ORDER,
-    get_workload,
-    paper_workloads,
-    workload_names,
-)
-from repro.workloads.synthetic import (
-    family_block,
-    random_block_series,
-    random_pipeline,
-)
-
-
-class TestRandomPipeline:
-    def test_stage_count(self, rng):
-        d = random_pipeline(4, (2, 5), 0.4, rng)
-        levels = d.longest_path_levels()
-        assert max(levels) == 3
-
-    def test_every_nonsource_has_parent(self, rng):
-        d = random_pipeline(3, (3, 6), 0.2, rng)
-        sources = set(d.sources())
-        levels = d.longest_path_levels()
-        assert all(levels[u] == 0 for u in sources)
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            random_pipeline(0, (1, 2), 0.5, rng)
-        with pytest.raises(ValueError):
-            random_pipeline(2, (3, 2), 0.5, rng)
-
-
-class TestFamilyBlock:
-    @pytest.mark.parametrize("kind", ["w", "m", "n", "cycle", "clique"])
-    def test_kinds(self, kind):
-        d = family_block(kind, 3)
-        assert d.n > 0
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            family_block("star", 3)
-
-
-class TestRandomBlockSeries:
-    def test_prio_schedules_it(self, rng):
-        for _ in range(5):
-            d = random_block_series(4, 3, rng)
-            res = prio_schedule(d)
-            assert is_valid_schedule(d, res.schedule)
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            random_block_series(0, 3, rng)
-        with pytest.raises(ValueError):
-            random_block_series(3, 0, rng)
+from repro.workloads.registry import PAPER_ORDER, get_workload, workload_names
 
 
 class TestRegistry:
@@ -83,7 +27,7 @@ class TestRegistry:
 
     @pytest.mark.slow
     def test_paper_workloads_counts(self):
-        sizes = {name: d.n for name, d in paper_workloads().items()}
+        sizes = {name: get_workload(name).n for name in PAPER_ORDER}
         assert sizes == {
             "airsn": 773,
             "inspiral": 2988,
