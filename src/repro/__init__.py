@@ -26,52 +26,90 @@ Quickstart::
     dag = airsn(width=250)
     result = prio_schedule(dag)          # the PRIO total order + priorities
     baseline = fifo_schedule(dag)        # DAGMan's FIFO order
+
+Package ``__init__`` modules re-export lazily: ``import repro`` (or
+``import repro.core``) runs none of the modules behind its names, and a
+name's module is imported when the name is first read.  So ``prio`` on
+a DAGMan file loads only the importer and the scheduler, never the
+simulator, the analyses or the service.
 """
 
-from .analysis import (
-    SweepConfig,
-    eligibility_curves,
-    measure_overhead,
-    ratio_sweep,
-)
-from .core import (
-    PrioResult,
-    fifo_schedule,
-    prio_schedule,
-    prioritize_dagman_file,
-    reprioritize_remnant,
-)
-from .dag import Dag, DagBuilder, dag_shape
-from .obs import (
-    MetricsRegistry,
-    TelemetryRecorder,
-    profile_workload,
-    read_telemetry,
-)
-from .dagman import (
-    import_dagman_file,
-    lint_dagman,
-    parse_dagman_file,
-    parse_dagman_text,
-    run_workflow,
-)
-from .sim import (
-    ExecutionTrace,
-    SimParams,
-    UnknownPolicyError,
-    cli_policy_names,
-    make_policy,
-    policy_names,
-    simulate,
-)
-from .theory import (
-    eligibility_profile,
-    fig2_catalog,
-    is_ic_optimal,
-    max_eligibility,
-    theoretical_algorithm,
-)
-from .workloads import airsn, get_workload, inspiral, montage, sdss
+from importlib import import_module as _import_module
+
+
+def _lazy_exports(package: str, namespace: dict, exports: dict) -> None:
+    """Give a package PEP 562 lazy re-exports.
+
+    *exports* maps each defining module, relative to *package*, to the
+    names the package re-exports from it.  Installs ``__getattr__`` and
+    ``__dir__`` in the package *namespace*: the first read of a name
+    imports its module and caches the value in *namespace*, so importing
+    a package runs none of its modules and later reads are plain
+    attribute lookups.  ``__all__``, ``dir()`` and ``from pkg import X``
+    behave as with eager imports.
+
+    A name that is also the name of its defining module
+    (``repro.workloads.inspiral``) is bound at once: importing that
+    submodule would set the module on the package, over the lazy name.
+    """
+    owners = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str):
+        try:
+            module = owners[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = namespace[name] = getattr(_import_module(module, package), name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | owners.keys())
+
+    namespace["__getattr__"] = __getattr__
+    namespace["__dir__"] = __dir__
+    for name, module in owners.items():
+        if module == "." + name:
+            __getattr__(name)
+
+
+_lazy_exports(__name__, globals(), {
+    ".analysis.eligibility_curves": ("eligibility_curves",),
+    ".analysis.overhead": ("measure_overhead",),
+    ".analysis.sweep": ("SweepConfig", "ratio_sweep"),
+    ".core.fifo": ("fifo_schedule",),
+    ".core.prio": ("PrioResult", "prio_schedule"),
+    ".core.rescheduling": ("reprioritize_remnant",),
+    ".core.tool": ("prioritize_dagman_file",),
+    ".dag.graph": ("Dag", "DagBuilder"),
+    ".dag.metrics": ("dag_shape",),
+    ".dagman.importer": ("import_dagman_file",),
+    ".dagman.lint": ("lint_dagman",),
+    ".dagman.parser": ("parse_dagman_file", "parse_dagman_text"),
+    ".dagman.runner": ("run_workflow",),
+    ".obs.events": ("read_telemetry",),
+    ".obs.metrics": ("MetricsRegistry",),
+    ".obs.profile": ("profile_workload",),
+    ".obs.recorder": ("TelemetryRecorder",),
+    ".sim.engine": ("SimParams", "simulate"),
+    ".sim.policies": (
+        "UnknownPolicyError",
+        "cli_policy_names",
+        "make_policy",
+        "policy_names",
+    ),
+    ".sim.trace": ("ExecutionTrace",),
+    ".theory.algorithm": ("theoretical_algorithm",),
+    ".theory.eligibility": ("eligibility_profile",),
+    ".theory.families": ("fig2_catalog",),
+    ".theory.ic_optimal": ("is_ic_optimal", "max_eligibility"),
+    ".workloads.airsn": ("airsn",),
+    ".workloads.inspiral": ("inspiral",),
+    ".workloads.montage": ("montage",),
+    ".workloads.registry": ("get_workload",),
+    ".workloads.sdss": ("sdss",),
+})
 
 __version__ = "1.0.0"
 

@@ -46,6 +46,10 @@ cache & fast kernel").  Ctrl-C exits
 with status 130 after the checkpoint is safely on disk; predictable
 errors (unknown workload, fingerprint mismatch, unreadable checkpoint)
 exit with status 2 and a one-line message.
+
+Each ``_cmd_*`` imports what it runs, and this module imports only the
+DAGMan importer, so ``prio`` on a file never loads the simulator, the
+analyses or the service (``tests/test_import_closure.py``).
 """
 
 from __future__ import annotations
@@ -53,22 +57,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from .analysis.eligibility_curves import eligibility_curves
-from .analysis.overhead import measure_overhead, render_overhead_table
-from .analysis.report import render_curves_table, render_sweep
-from .analysis.sweep import SweepConfig, paper_grid, ratio_sweep
-from .core.prio import prio_schedule
-from .core.rescheduling import RemnantError
-from .core.tool import prioritize_dagman_file
 from .dag.graph import Dag
-from .dagman.importer import DagmanImportError
-from .dagman.parser import DagmanParseError, parse_dagman_file
-from .sim.engine import SimParams, make_policy, simulate
-from .sim.policies import cli_policy_names
-from .sim.replication import policy_factory
-from .workloads.registry import get_workload, workload_names
+from .dagman.importer import DagmanImportError, import_dagman_file
 
 __all__ = ["main"]
 
@@ -84,12 +74,12 @@ def _load_dag(spec: str) -> tuple[Dag, str]:
     EXTERNAL trees flatten transparently for every subcommand.
     """
     if spec.endswith(".dag"):
-        from .dagman.importer import import_dagman_file
-
         try:
             return import_dagman_file(spec).dag, spec
         except DagmanImportError as exc:
             raise CliError(str(exc)) from None
+    from .workloads.registry import get_workload
+
     try:
         return get_workload(spec), spec
     except KeyError as exc:
@@ -97,6 +87,8 @@ def _load_dag(spec: str) -> tuple[Dag, str]:
 
 
 def _add_dag_argument(parser: argparse.ArgumentParser) -> None:
+    from .workloads.registry import workload_names
+
     parser.add_argument(
         "dag",
         help=(
@@ -328,6 +320,9 @@ def _resume_hint(checkpoint) -> None:
 
 
 def _cmd_prio(args: argparse.Namespace) -> int:
+    from .core.rescheduling import RemnantError
+    from .core.tool import prioritize_dagman_file
+
     try:
         result = prioritize_dagman_file(
             args.dagfile,
@@ -358,6 +353,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    from .core.prio import prio_schedule
+
     dag, name = _load_dag(args.dag)
     result = prio_schedule(dag)
     dec = result.decomposition
@@ -382,6 +379,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
+    from .core.prio import prio_schedule
     from .dag.io_dot import to_dot
 
     dag, name = _load_dag(args.dag)
@@ -400,7 +398,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 
 def _cmd_regions(args: argparse.Namespace) -> int:
     from .analysis.crossover import advantage_regions, render_regions
-
+    from .analysis.sweep import SweepConfig, ratio_sweep
     from .perf.cache import cached_schedule
 
     dag, name = _load_dag(args.dag)
@@ -434,12 +432,15 @@ def _curves_for_spec(spec: str):
     """
     import time
 
+    from .analysis.eligibility_curves import eligibility_curves
+
     started = time.perf_counter()
     dag, name = _load_dag(spec)
     return eligibility_curves(dag, name), time.perf_counter() - started
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:
+    from .analysis.report import render_curves_table
     from .sim.parallel import ParallelConfig, iter_chunk_results
 
     telemetry = _open_telemetry(args, "curves", workloads=list(args.dag))
@@ -474,6 +475,11 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .sim.engine import SimParams, simulate
+    from .sim.replication import policy_factory
+
     dag, name = _load_dag(args.dag)
     params = SimParams(
         mu_bit=args.mu_bit,
@@ -500,6 +506,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .analysis.report import render_sweep
+    from .analysis.sweep import SweepConfig, paper_grid, ratio_sweep
+    from .obs.progress import ProgressMeter
+    from .perf.cache import cached_schedule
+
     dag, name = _load_dag(args.dag)
     if args.paper_grid:
         mu_bits, mu_bss = paper_grid()
@@ -513,9 +524,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         straggler_factor=args.straggler_factor,
         policy=args.policy,
     )
-    from .obs.progress import ProgressMeter
-    from .perf.cache import cached_schedule
-
     checkpoint = _open_checkpoint(
         args,
         {
@@ -567,6 +575,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    from .core.tool import prioritize_dagman_file
     from .workloads.export import export_workflow
 
     dag, name = _load_dag(args.dag)
@@ -589,6 +598,7 @@ def _league_entrant(kind, dag, cache):
     is part of the checkpoint fingerprint); dynamic kinds race live.
     """
     from .analysis.league import Entrant
+    from .sim.replication import policy_factory
 
     order = policy_factory(kind, dag=dag, cache=cache).order
     if order is not None:
@@ -600,6 +610,8 @@ def _cmd_league(args: argparse.Namespace) -> int:
     from .analysis.league import Entrant, league, render_league
     from .obs.progress import ProgressMeter
     from .perf.cache import cached_schedule
+    from .sim.engine import SimParams
+    from .sim.policies import cli_policy_names
 
     dag, name = _load_dag(args.dag)
     chosen = list(dict.fromkeys(args.policy or ()))
@@ -696,6 +708,7 @@ def _cmd_league(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     from .analysis.calibrate import calibrate_cell
     from .perf.cache import cached_schedule
+    from .sim.engine import SimParams
 
     dag, name = _load_dag(args.dag)
     params = SimParams(mu_bit=args.mu_bit, mu_bs=args.mu_bs)
@@ -767,8 +780,6 @@ def _cmd_import(args: argparse.Namespace) -> int:
     import json as _json
     from pathlib import Path
 
-    from .dagman.importer import import_dagman_file
-
     path = Path(args.dagfile)
     try:
         imported = import_dagman_file(
@@ -805,6 +816,12 @@ def _cmd_import(args: argparse.Namespace) -> int:
         Path(args.json).write_text(_json.dumps(payload, indent=2) + "\n")
         print(f"json artifact       : {args.json}", file=sys.stderr)
     if args.simulate:
+        import numpy as np
+
+        from .core.prio import prio_schedule
+        from .sim.engine import SimParams, simulate
+        from .sim.policies import make_policy
+
         params = SimParams(mu_bit=args.mu_bit, mu_bs=args.mu_bs)
         rng = np.random.default_rng(args.seed)
         order = prio_schedule(dag).schedule
@@ -819,6 +836,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .dagman.lint import lint_dagman, lint_dagman_tree
+    from .dagman.parser import DagmanParseError, parse_dagman_file
 
     path = Path(args.dagfile)
     if args.recursive and args.check_jsdfs:
@@ -849,6 +867,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_rounds(args: argparse.Namespace) -> int:
     from .core.fifo import fifo_schedule as _fifo
+    from .core.prio import prio_schedule
     from .theory.batched import min_rounds, rounds_profile
 
     dag, name = _load_dag(args.dag)
@@ -870,6 +889,7 @@ def _cmd_rounds(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from pathlib import Path
 
+    from .core.rescheduling import RemnantError
     from .core.tool import prioritize_dagman
     from .dagman.importer import load_dagman_file
     from .dagman.runner import JobState, SubprocessExecutor, run_workflow
@@ -912,6 +932,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from .analysis.report_all import full_report, render_report
+    from .analysis.sweep import SweepConfig
 
     workloads = {}
     for spec in args.dag:
@@ -1150,6 +1171,8 @@ def _cmd_advance(args: argparse.Namespace) -> int:
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
+    from .analysis.overhead import measure_overhead, render_overhead_table
+
     records = []
     for spec in args.dag:
         dag, name = _load_dag(spec)
@@ -1161,6 +1184,9 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .sim.policies import cli_policy_names
+    from .workloads.registry import workload_names
+
     parser = argparse.ArgumentParser(
         prog="prio",
         description=(
@@ -1587,7 +1613,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from .robust import CheckpointError
+    from .robust.checkpoint import CheckpointError
 
     args = build_parser().parse_args(argv)
     try:

@@ -1,12 +1,20 @@
 """The paper's contribution: the prio scheduling heuristic and baselines."""
 
-from .component import ScheduledComponent, outdegree_order, schedule_component
-from .decompose import Component, Decomposition, decompose
-from .fifo import fifo_schedule
-from .greedy import CombineResult, greedy_combine, topological_combine
-from .prio import PrioResult, prio_schedule, priorities_from_schedule
-from .rescheduling import RemnantError, RemnantResult, reprioritize_remnant
-from .tool import PrioToolResult, prioritize_dagman, prioritize_dagman_file
+from .. import _lazy_exports
+
+_lazy_exports(__name__, globals(), {
+    ".component": (
+        "ScheduledComponent",
+        "outdegree_order",
+        "schedule_component",
+    ),
+    ".decompose": ("Component", "Decomposition", "decompose"),
+    ".fifo": ("fifo_schedule",),
+    ".greedy": ("CombineResult", "greedy_combine", "topological_combine"),
+    ".prio": ("PrioResult", "prio_schedule", "priorities_from_schedule"),
+    ".rescheduling": ("RemnantError", "RemnantResult", "reprioritize_remnant"),
+    ".tool": ("PrioToolResult", "prioritize_dagman", "prioritize_dagman_file"),
+})
 
 __all__ = [
     "RemnantError",

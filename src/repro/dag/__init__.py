@@ -1,23 +1,27 @@
 """DAG substrate: graph type, construction, transitive reduction, validation."""
 
-from .builders import (
-    chain,
-    complete_bipartite,
-    compose_identified,
-    compose_series,
-    disjoint_union,
-    fork,
-    fork_join,
-    join,
-    layered_random,
-    random_dag,
-)
-from .graph import CycleError, Dag, DagBuilder
-from .io_dot import to_dot
-from .io_json import dag_from_json, dag_to_json
-from .metrics import DagShape, dag_shape
-from .transitive import find_shortcuts, remove_shortcuts
-from .validate import is_valid_schedule, schedule_violations
+from .. import _lazy_exports
+
+_lazy_exports(__name__, globals(), {
+    ".builders": (
+        "chain",
+        "complete_bipartite",
+        "compose_identified",
+        "compose_series",
+        "disjoint_union",
+        "fork",
+        "fork_join",
+        "join",
+        "layered_random",
+        "random_dag",
+    ),
+    ".graph": ("CycleError", "Dag", "DagBuilder"),
+    ".io_dot": ("to_dot",),
+    ".io_json": ("dag_from_json", "dag_to_json"),
+    ".metrics": ("DagShape", "dag_shape"),
+    ".transitive": ("find_shortcuts", "remove_shortcuts"),
+    ".validate": ("is_valid_schedule", "schedule_violations"),
+})
 
 __all__ = [
     "CycleError",

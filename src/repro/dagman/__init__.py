@@ -1,30 +1,30 @@
 """DAGMan/Condor file-format substrate: parse, write, instrument."""
 
-from .importer import (
-    DagmanImportError,
-    ImportedWorkflow,
-    JobMeta,
-    import_dagman_file,
-    import_dagman_tree,
-    load_dagman_file,
-)
-from .jsdf import (
-    PRIORITY_LINE,
-    instrument_jsdf_text,
-    parse_jsdf,
-)
-from .lint import Finding, lint_dagman, lint_dagman_tree
-from .model import JOBPRIORITY_MACRO, DagmanFile, JobDecl, SpliceDecl
-from .parser import DagmanParseError, parse_dagman_file, parse_dagman_text
-from .runner import (
-    JobOutcome,
-    JobState,
-    SubprocessExecutor,
-    WorkflowRun,
-    expand_macros,
-    run_workflow,
-)
-from .writer import dag_to_dagman, write_dagman_file
+from .. import _lazy_exports
+
+_lazy_exports(__name__, globals(), {
+    ".importer": (
+        "DagmanImportError",
+        "ImportedWorkflow",
+        "JobMeta",
+        "import_dagman_file",
+        "import_dagman_tree",
+        "load_dagman_file",
+    ),
+    ".jsdf": ("PRIORITY_LINE", "instrument_jsdf_text", "parse_jsdf"),
+    ".lint": ("Finding", "lint_dagman", "lint_dagman_tree"),
+    ".model": ("DagmanFile", "JOBPRIORITY_MACRO", "JobDecl", "SpliceDecl"),
+    ".parser": ("DagmanParseError", "parse_dagman_file", "parse_dagman_text"),
+    ".runner": (
+        "JobOutcome",
+        "JobState",
+        "SubprocessExecutor",
+        "WorkflowRun",
+        "expand_macros",
+        "run_workflow",
+    ),
+    ".writer": ("dag_to_dagman", "write_dagman_file"),
+})
 
 __all__ = [
     "DagmanFile",

@@ -19,18 +19,27 @@ fingerprinted :class:`~repro.robust.checkpoint.Checkpoint` so a killed
 process recovers its sessions with identical state.
 """
 
-from .incremental import IncrementalScheduler
-from .policy import LivePrioPolicy
-from .session import (
-    EVENT_KINDS,
-    EventError,
-    LiveSession,
-    SequenceError,
-    SessionError,
-    validate_events,
-)
-from .store import SessionExists, SessionStore, session_token, valid_session_name
-from .stream import EventPlan, event_stream
+from .. import _lazy_exports
+
+_lazy_exports(__name__, globals(), {
+    ".incremental": ("IncrementalScheduler",),
+    ".policy": ("LivePrioPolicy",),
+    ".session": (
+        "EVENT_KINDS",
+        "EventError",
+        "LiveSession",
+        "SequenceError",
+        "SessionError",
+        "validate_events",
+    ),
+    ".store": (
+        "SessionExists",
+        "SessionStore",
+        "session_token",
+        "valid_session_name",
+    ),
+    ".stream": ("EventPlan", "event_stream"),
+})
 
 __all__ = [
     "EVENT_KINDS",

@@ -28,17 +28,21 @@ generator, so enabling it cannot perturb RNG streams — the serial-vs-
 parallel bit-identical guarantee survives with telemetry on.
 """
 
-from .events import (
-    SCHEMA_VERSION,
-    TelemetryWriter,
-    read_telemetry,
-    replication_record,
-    validate_record,
-)
-from .metrics import Counter, Gauge, MetricsRegistry, Timer
-from .profile import ProfileReport, profile_workload
-from .progress import ProgressMeter
-from .recorder import TelemetryRecorder
+from .. import _lazy_exports
+
+_lazy_exports(__name__, globals(), {
+    ".events": (
+        "SCHEMA_VERSION",
+        "TelemetryWriter",
+        "read_telemetry",
+        "replication_record",
+        "validate_record",
+    ),
+    ".metrics": ("Counter", "Gauge", "MetricsRegistry", "Timer"),
+    ".profile": ("ProfileReport", "profile_workload"),
+    ".progress": ("ProgressMeter",),
+    ".recorder": ("TelemetryRecorder",),
+})
 
 __all__ = [
     "SCHEMA_VERSION",

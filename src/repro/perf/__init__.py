@@ -26,8 +26,12 @@ The equivalence suite (``tests/perf/``) holds both guarantees under
 property-based random dags and the paper workloads.
 """
 
-from .cache import ScheduleCache, cached_schedule, schedule_algorithms
-from .kernel_batch import batch_supported, simulate_batch
+from .. import _lazy_exports
+
+_lazy_exports(__name__, globals(), {
+    ".cache": ("ScheduleCache", "cached_schedule", "schedule_algorithms"),
+    ".kernel_batch": ("batch_supported", "simulate_batch"),
+})
 
 __all__ = [
     "ScheduleCache",

@@ -25,17 +25,21 @@ interrupts:
   logs, benchmark results).
 """
 
-from .checkpoint import (
-    CHECKPOINT_SCHEMA,
-    CODE_SCHEMA_VERSION,
-    Checkpoint,
-    CheckpointError,
-    FingerprintMismatch,
-    fingerprint,
-)
-from .faults import FaultPlan, InjectedFault, corrupt_checkpoint
-from .io import publish_atomic, write_atomic
-from .retry import RetryPolicy, retry_async
+from .. import _lazy_exports
+
+_lazy_exports(__name__, globals(), {
+    ".checkpoint": (
+        "CHECKPOINT_SCHEMA",
+        "CODE_SCHEMA_VERSION",
+        "Checkpoint",
+        "CheckpointError",
+        "FingerprintMismatch",
+        "fingerprint",
+    ),
+    ".faults": ("FaultPlan", "InjectedFault", "corrupt_checkpoint"),
+    ".io": ("publish_atomic", "write_atomic"),
+    ".retry": ("RetryPolicy", "retry_async"),
+})
 
 __all__ = [
     "CHECKPOINT_SCHEMA",

@@ -36,18 +36,22 @@ CLI: ``prio serve --host --port --cache-dir --max-inflight --shards
 --telemetry``.
 """
 
-from .app import PrioService, ServerThread
-from .client import ServeClient
-from .dispatch import Dispatcher, LocalDispatcher, compute_response
-from .errors import ERROR_CODES, ServeError
-from .limits import InflightGate, ServiceLimits
-from .protocol import (
-    WIRE_FORMAT,
-    encode,
-    schedule_payload,
-    simulate_payload,
-)
-from .shard import HashRing, ShardedDispatcher, dag_shard_key
+from .. import _lazy_exports
+
+_lazy_exports(__name__, globals(), {
+    ".app": ("PrioService", "ServerThread"),
+    ".client": ("ServeClient",),
+    ".dispatch": ("Dispatcher", "LocalDispatcher", "compute_response"),
+    ".errors": ("ERROR_CODES", "ServeError"),
+    ".limits": ("InflightGate", "ServiceLimits"),
+    ".protocol": (
+        "WIRE_FORMAT",
+        "encode",
+        "schedule_payload",
+        "simulate_payload",
+    ),
+    ".shard": ("HashRing", "ShardedDispatcher", "dag_shard_key"),
+})
 
 __all__ = [
     "ERROR_CODES",

@@ -59,6 +59,7 @@ def compute_response(
     retry=None,
     stall: float = 0.0,
     sessions: SessionStore | None = None,
+    max_jobs: int = ServiceLimits().max_dag_jobs(),
 ) -> bytes:
     """Decode, validate, compute and canonically encode one request.
 
@@ -72,6 +73,10 @@ def compute_response(
     ``stall`` injects a deterministic per-request delay before the
     computation (load testing: it models a latency-bound backend the
     way :mod:`repro.robust.faults` models failing workers).
+
+    ``max_jobs`` bounds the ``n`` of a request's wire dag
+    (:meth:`~repro.serve.limits.ServiceLimits.max_dag_jobs`): a dag that
+    declares more is refused before any ``Dag`` is built.
 
     ``sessions`` is the :class:`~repro.live.store.SessionStore` backing
     the live-rescheduling endpoints (``/session``, ``/advance``,
@@ -91,12 +96,12 @@ def compute_response(
     if stall > 0.0:
         time.sleep(stall)
     if path == "/schedule":
-        wire, algorithm = protocol.parse_schedule_request(request)
+        wire, algorithm = protocol.parse_schedule_request(request, max_jobs)
         payload = protocol.schedule_payload(wire, algorithm, cache=cache)
     elif path == "/session":
         if sessions is None:
             raise errors.internal("session store not configured")
-        dag_payload, name = protocol.parse_session_request(request)
+        dag_payload, name = protocol.parse_session_request(request, max_jobs)
         try:
             session = sessions.create(dag_payload, name=name)
         except SessionExists as exc:
@@ -120,7 +125,7 @@ def compute_response(
             raise errors.invalid_request(str(exc)) from None
         payload = protocol.advance_payload(delta)
     elif path == "/simulate":
-        sim = protocol.parse_simulate_request(request)
+        sim = protocol.parse_simulate_request(request, max_jobs)
         try:
             payload = protocol.simulate_payload(
                 sim.dag,
@@ -321,6 +326,7 @@ class LocalDispatcher(Dispatcher):
                 retry=self.limits.retry,
                 stall=self.stall,
                 sessions=self.sessions,
+                max_jobs=self.limits.max_dag_jobs(),
             )
             return asyncio.wrap_future(last)
 

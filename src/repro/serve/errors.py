@@ -21,7 +21,8 @@ code                   status  raised when
 ``not_found``          404     unknown endpoint or unknown session
 ``method_not_allowed`` 405     known endpoint, wrong HTTP method
 ``conflict``           409     session already exists / stale ``seq``
-``payload_too_large``  413     Content-Length over the limit
+``payload_too_large``  413     Content-Length over the limit, or a
+                               dag's ``n`` over the job bound
 ``overloaded``         429     in-flight limit saturated
 ``internal``           500     unexpected server-side failure
 ``bad_gateway``        502     a scheduler shard died mid-request
@@ -42,6 +43,7 @@ __all__ = [
     "method_not_allowed",
     "conflict",
     "payload_too_large",
+    "dag_too_large",
     "overloaded",
     "internal",
     "bad_gateway",
@@ -123,6 +125,13 @@ def payload_too_large(length: int, limit: int) -> ServeError:
     return ServeError(
         "payload_too_large",
         f"request body of {length} bytes exceeds the {limit}-byte limit",
+    )
+
+
+def dag_too_large(n: int, limit: int) -> ServeError:
+    return ServeError(
+        "payload_too_large",
+        f"dag declares {n} jobs; the body limit admits at most {limit}",
     )
 
 

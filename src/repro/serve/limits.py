@@ -26,7 +26,15 @@ from dataclasses import dataclass, field
 
 from ..robust.retry import RetryPolicy
 
-__all__ = ["ServiceLimits", "InflightGate"]
+__all__ = ["ServiceLimits", "InflightGate", "WIRE_BYTES_PER_JOB"]
+
+#: Body bytes each job of a wire dag is taken to cost.  A job's label and
+#: arcs take 21-36 bytes in the labelled encoding of every registry
+#: workload, but an isolated job costs none: ``{"n": 300000}`` is a
+#: 60-byte body that asks for seconds of compute and a 2 MB answer.  So
+#: a dag may declare at most ``max_body_bytes // WIRE_BYTES_PER_JOB``
+#: jobs (262,144 at the 8 MiB default).
+WIRE_BYTES_PER_JOB = 32
 
 
 @dataclass(frozen=True)
@@ -34,7 +42,8 @@ class ServiceLimits:
     """Per-request budgets enforced by the server.
 
     ``max_inflight`` — concurrently processing requests before 429s.
-    ``max_body_bytes`` — Content-Length ceiling (413 above it).
+    ``max_body_bytes`` — Content-Length ceiling (413 above it); it also
+    bounds the ``n`` a wire dag may declare (:meth:`max_dag_jobs`).
     ``io_timeout`` — seconds allowed for reading the request head and
     body off the socket (a stalled or truncated client gets a 400, never
     a hung connection).
@@ -64,6 +73,12 @@ class ServiceLimits:
             raise ValueError("io_timeout must be positive")
         if self.compute_threads is not None and self.compute_threads < 1:
             raise ValueError("compute_threads must be at least 1 (or None)")
+
+    def max_dag_jobs(self) -> int:
+        """Largest ``n`` a wire dag may declare: the jobs a maximal body
+        pays for at :data:`WIRE_BYTES_PER_JOB` bytes each (413 above
+        it, before any ``Dag`` is built)."""
+        return self.max_body_bytes // WIRE_BYTES_PER_JOB
 
     def compute_workers(self) -> int:
         """Size of the dedicated compute pool backing local dispatch.

@@ -117,14 +117,19 @@ def decode_body(body: bytes) -> dict:
 # ----------------------------------------------------------------------
 
 
-def _decode_dag_field(payload: dict) -> tuple:
-    """The strict wire decode of the ``dag`` field, without a ``Dag``."""
+def _decode_dag_field(payload: dict, max_jobs: int) -> tuple:
+    """The strict wire decode of the ``dag`` field, without a ``Dag``;
+    a ``payload_too_large`` error when it declares over *max_jobs* jobs
+    (:meth:`~repro.serve.limits.ServiceLimits.max_dag_jobs`)."""
     if "dag" not in payload:
         raise errors.invalid_request("missing required field 'dag'")
     try:
-        return decode_dag(payload["dag"])
+        wire = decode_dag(payload["dag"])
     except ValueError as exc:
         raise errors.invalid_dag(str(exc)) from None
+    if wire[0] > max_jobs:
+        raise errors.dag_too_large(wire[0], max_jobs)
+    return wire
 
 
 def _build_dag(wire: tuple) -> Dag:
@@ -134,7 +139,7 @@ def _build_dag(wire: tuple) -> Dag:
         raise errors.invalid_dag(str(exc)) from None
 
 
-def parse_schedule_request(payload: dict) -> tuple[tuple, str]:
+def parse_schedule_request(payload: dict, max_jobs: int) -> tuple[tuple, str]:
     """Validate a ``POST /schedule`` body into ``(wire, algorithm)``,
     where *wire* is the ``(n, arcs, labels)`` decode of its dag
     (:func:`~repro.dag.io_json.decode_dag`).
@@ -144,7 +149,7 @@ def parse_schedule_request(payload: dict) -> tuple[tuple, str]:
     ``Dag`` is built first, so a structural dag error is reported before
     it, as for every other endpoint.
     """
-    wire = _decode_dag_field(payload)
+    wire = _decode_dag_field(payload, max_jobs)
     try:
         algorithm = payload.get("algorithm", "prio")
         if algorithm not in schedule_algorithms():
@@ -174,9 +179,9 @@ class SimulateRequest:
     replications: int
 
 
-def parse_simulate_request(payload: dict) -> SimulateRequest:
+def parse_simulate_request(payload: dict, max_jobs: int) -> SimulateRequest:
     """Validate a ``POST /simulate`` body."""
-    dag = _build_dag(_decode_dag_field(payload))
+    dag = _build_dag(_decode_dag_field(payload, max_jobs))
     raw_params = payload.get("params")
     if not isinstance(raw_params, dict):
         raise errors.invalid_request(
@@ -223,7 +228,7 @@ def parse_simulate_request(payload: dict) -> SimulateRequest:
     return SimulateRequest(dag, params, int(seed), policy, int(replications))
 
 
-def parse_session_request(payload: dict) -> tuple[Any, str]:
+def parse_session_request(payload: dict, max_jobs: int) -> tuple[Any, str]:
     """Validate a ``POST /session`` body into ``(dag_payload, name)``.
 
     The *raw* dag payload is returned (not the parsed ``Dag``): the
@@ -236,7 +241,7 @@ def parse_session_request(payload: dict) -> tuple[Any, str]:
     dag error is still reported before it.  Malformed dags answer a
     structured 400, never a 500.
     """
-    wire = _decode_dag_field(payload)
+    wire = _decode_dag_field(payload, max_jobs)
     try:
         name = payload.get("name", "default")
         if not valid_session_name(name):

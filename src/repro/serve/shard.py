@@ -190,7 +190,7 @@ class HashRing:
 
 
 def _shard_worker_main(
-    conn, index, cache, sim_jobs, retry, stall, session_dir=None
+    conn, index, cache, sim_jobs, retry, stall, max_jobs, session_dir=None
 ) -> None:
     """A shard worker: serially serve framed requests until drained.
 
@@ -249,6 +249,7 @@ def _shard_worker_main(
                 retry=retry,
                 stall=stall,
                 sessions=sessions,
+                max_jobs=max_jobs,
             )
         except ServeError as exc:
             reply = ("err", rid, exc.code, exc.message, exc.headers)
@@ -307,6 +308,7 @@ class _ShardHandle:
                 self.dispatcher.sim_jobs,
                 self.dispatcher.limits.retry,
                 self.dispatcher.stall,
+                self.dispatcher.limits.max_dag_jobs(),
                 self.dispatcher.session_dir,
             ),
             name=f"repro-serve-shard-{self.index}",
@@ -623,5 +625,6 @@ class ShardedDispatcher(Dispatcher):
                 retry=self.limits.retry,
                 stall=self.stall,
                 sessions=self._degraded_sessions,
+                max_jobs=self.limits.max_dag_jobs(),
             )
         )

@@ -5,27 +5,37 @@ Observability hooks (:class:`~repro.sim.trace.ExecutionTrace`, the
 draw from any random generator — enabling them cannot change a result.
 """
 
-from .arrivals import BATCH_SIZE_DISTRIBUTIONS, BatchArrivals
-from .compile import CompiledDag
-from .engine import SimParams, SimResult, make_policy, simulate
-from .policies import (
-    FifoPolicy,
-    ObliviousPolicy,
-    Policy,
-    PolicySpec,
-    RandomPolicy,
-    UnknownPolicyError,
-    cli_policy_names,
-    policy_names,
-    policy_spec,
-    register_policy,
-)
-from .rank import dagps_order, downward_rank, upward_rank, upward_rank_order
-from .multidag import MultiDagResult, UserResult, simulate_shared
-from .parallel import ParallelConfig
-from .replication import MetricArrays, policy_factory, run_replications
-from .runtime import RuntimeSampler
-from .trace import ExecutionTrace
+from .. import _lazy_exports
+
+_lazy_exports(__name__, globals(), {
+    ".arrivals": ("BATCH_SIZE_DISTRIBUTIONS", "BatchArrivals"),
+    ".compile": ("CompiledDag",),
+    ".engine": ("SimParams", "SimResult", "simulate"),
+    ".multidag": ("MultiDagResult", "UserResult", "simulate_shared"),
+    ".parallel": ("ParallelConfig",),
+    ".policies": (
+        "FifoPolicy",
+        "ObliviousPolicy",
+        "Policy",
+        "PolicySpec",
+        "RandomPolicy",
+        "UnknownPolicyError",
+        "cli_policy_names",
+        "make_policy",
+        "policy_names",
+        "policy_spec",
+        "register_policy",
+    ),
+    ".rank": (
+        "dagps_order",
+        "downward_rank",
+        "upward_rank",
+        "upward_rank_order",
+    ),
+    ".replication": ("MetricArrays", "policy_factory", "run_replications"),
+    ".runtime": ("RuntimeSampler",),
+    ".trace": ("ExecutionTrace",),
+})
 
 __all__ = [
     "ExecutionTrace",

@@ -1,8 +1,12 @@
 """Statistics substrate: sampling distributions and ratio confidence intervals."""
 
-from .ratio import RatioStatistics, ratio_statistics, trimmed_interval
-from .sampling import sampling_distribution_from_values
-from .tests import SignTestResult, sign_test
+from .. import _lazy_exports
+
+_lazy_exports(__name__, globals(), {
+    ".ratio": ("RatioStatistics", "ratio_statistics", "trimmed_interval"),
+    ".sampling": ("sampling_distribution_from_values",),
+    ".tests": ("SignTestResult", "sign_test"),
+})
 
 __all__ = [
     "RatioStatistics",

@@ -1,17 +1,31 @@
 """Workload dags: the paper's four applications and synthetic generators."""
 
-from .airsn import AIRSN_HANDLE_LENGTH, airsn
-from .inspiral import inspiral
-from .montage import montage
-from .registry import PAPER_ORDER, WORKLOADS, get_workload, workload_names
-from .export import export_workflow, stage_of
-from .repertoire import StageSpec, WorkflowSpec, build_workflow, sample_spec
-from .runtimes import (
-    AIRSN_STAGE_WEIGHTS,
-    stage_runtime_scale,
-    workload_runtime_scale,
-)
-from .sdss import sdss
+from .. import _lazy_exports
+
+_lazy_exports(__name__, globals(), {
+    ".airsn": ("AIRSN_HANDLE_LENGTH", "airsn"),
+    ".export": ("export_workflow", "stage_of"),
+    ".inspiral": ("inspiral",),
+    ".montage": ("montage",),
+    ".registry": (
+        "PAPER_ORDER",
+        "WORKLOADS",
+        "get_workload",
+        "workload_names",
+    ),
+    ".repertoire": (
+        "StageSpec",
+        "WorkflowSpec",
+        "build_workflow",
+        "sample_spec",
+    ),
+    ".runtimes": (
+        "AIRSN_STAGE_WEIGHTS",
+        "stage_runtime_scale",
+        "workload_runtime_scale",
+    ),
+    ".sdss": ("sdss",),
+})
 
 __all__ = [
     "AIRSN_STAGE_WEIGHTS",

@@ -682,12 +682,12 @@ class TestRobustCli:
     def test_keyboard_interrupt_exits_130_with_resume_hint(
         self, tmp_path, monkeypatch, capsys
     ):
-        import repro.cli as cli_module
+        import repro.analysis.sweep as sweep_module
 
         def interrupted_sweep(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli_module, "ratio_sweep", interrupted_sweep)
+        monkeypatch.setattr(sweep_module, "ratio_sweep", interrupted_sweep)
         ck = str(tmp_path / "ck.jsonl")
         code = main(SWEEP_ARGS + ["--checkpoint", ck])
         assert code == 130
